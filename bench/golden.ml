@@ -307,8 +307,11 @@ let compare_mips_ratchet ~ratio ~baseline ~candidate =
 (* --- Trend report over the benchmark history ---------------------------
 
    bench --json appends one dipc-bench-hist/v1 line per run to
-   bench/BENCH_latest.jsonl (commit, UTC time, per-experiment sim-MIPS
-   + deterministic counters).  [trend_report] diffs the last two lines:
+   bench/BENCH_latest.jsonl (commit, dirty-tree flag, UTC time,
+   per-experiment sim-MIPS + deterministic counters).  Each row's stamp
+   says whether it came from the committed tree ("clean"), from
+   uncommitted changes on top of it ("dirty"), or does not say (older
+   rows, or no git).  [trend_report] diffs the last two lines:
    per-cell sim-MIPS movement and any counter that changed.  Purely
    informational — the single-baseline digest/counter/ratchet gates
    above stay the gates; this answers "what moved since the previous
@@ -323,8 +326,14 @@ let trend_report ~history =
   | [] | [ _ ] -> Error "trend needs at least two history rows"
   | cur_line :: prev_line :: _ ->
       let stamp line =
-        Printf.sprintf "%s @ %s"
+        let tree =
+          if find_sub line "\"dirty\": true" 0 <> None then "dirty"
+          else if find_sub line "\"dirty\": false" 0 <> None then "clean"
+          else "tree unrecorded"
+        in
+        Printf.sprintf "%s (%s) @ %s"
           (Option.value (scalar_string line "commit") ~default:"unknown")
+          tree
           (Option.value (scalar_string line "utc") ~default:"?")
       in
       let prev = parse_rows prev_line in

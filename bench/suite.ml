@@ -1394,8 +1394,9 @@ let write_bench_json ?(jobs = 1) ?elapsed_s out
 (* --- Timestamped benchmark history ------------------------------------
 
    Every clean [bench_json] run appends one compact JSON line to
-   BENCH_latest.jsonl next to the report: commit, UTC timestamp, and
-   each experiment's sim-MIPS + deterministic counters.  check_golden
+   BENCH_latest.jsonl next to the report: commit, whether the working
+   tree had uncommitted changes, UTC timestamp, and each experiment's
+   sim-MIPS + deterministic counters.  check_golden
    --trend diffs the last two lines, turning the one-shot report into a
    trend line across commits.  Injected runs are skipped (their
    timelines aren't comparable) and any I/O failure only warns — the
@@ -1441,6 +1442,22 @@ let git_commit () =
             with Sys_error _ -> "unknown")
       else head)
 
+(* Whether the working tree differs from [git_commit ()]: non-empty
+   `git status --porcelain`.  [None] outside a git checkout or when git
+   cannot be run, so a row never claims a clean tree it did not see. *)
+let git_dirty () =
+  if not (Sys.file_exists ".git") then None
+  else
+    try
+      let ic =
+        Unix.open_process_args_in "git" [| "git"; "status"; "--porcelain" |]
+      in
+      let out = In_channel.input_all ic in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some (String.trim out <> "")
+      | _ -> None
+    with Unix.Unix_error _ | Sys_error _ -> None
+
 let utc_now () =
   let tm = Unix.gmtime (Unix.time ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -1468,9 +1485,13 @@ let append_history ~out (outcomes : bench_result Parallel.outcome array) =
     in
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
     Printf.fprintf oc
-      "{\"schema\": \"dipc-bench-hist/v1\", \"commit\": \"%s\", \"utc\": \
-       \"%s\", \"experiments\": [%s]}\n"
-      (git_commit ()) (utc_now ())
+      "{\"schema\": \"dipc-bench-hist/v1\", \"commit\": \"%s\", \"dirty\": \
+       %s, \"utc\": \"%s\", \"experiments\": [%s]}\n"
+      (git_commit ())
+      (match git_dirty () with
+      | Some d -> string_of_bool d
+      | None -> "null")
+      (utc_now ())
       (String.concat ", " cells);
     close_out oc;
     Printf.printf "  appended history row to %s\n%!" path

@@ -41,16 +41,23 @@ type thread = {
       (* waker while waiting on a busy CPU's run queue; a field on the
          thread (not a tid-keyed table) keeps the ready/run hand-off off
          the hash path *)
+  mutable some_self : thread option;
+      (* [Some] of this thread, built once at spawn: every CPU hand-off
+         stores it in [cpu.running] instead of allocating a fresh one.
+         Set after the record is built rather than by a [let rec], which
+         would allocate the record twice (a dummy block, then the real
+         one) on every spawn. *)
 }
 
 type cpu = {
   cpu_id : int;
   mutable running : thread option;
   runq : thread Queue.t;
-  mutable idle_since : float option;
-  (* idle/busy accumulators in a 2-slot [floatarray] (idle at 0, busy
-     at 1): mutable float fields in this mixed record would box a fresh
-     float per store, and [consume] stores once per quantum chunk. *)
+  mutable idle : bool; (* idle since [totals.(2)] *)
+  (* idle/busy accumulators and the idle-since time in a 3-slot
+     [floatarray] (idle at 0, busy at 1, idle since at 2): mutable float
+     fields in this mixed record would box a fresh float per store, and
+     [consume] stores once per quantum chunk. *)
   totals : floatarray;
   mutable last_tid : int;
   mutable last_aspace : int;
@@ -89,8 +96,8 @@ let create engine ~ncpus =
           cpu_id = i;
           running = None;
           runq = Queue.create ();
-          idle_since = Some 0.;
-          totals = Float.Array.make 2 0.;
+          idle = true;
+          totals = Float.Array.make 3 0.;
           last_tid = -1;
           last_aspace = -1;
           cpu_bd = Breakdown.create ();
@@ -169,21 +176,26 @@ let charge t th category ns =
 
 (* --- CPU token management --- *)
 
+(* Start idle accounting from now. *)
+let start_idle t cpu =
+  cpu.idle <- true;
+  Float.Array.unsafe_set cpu.totals 2 (now t)
+
 (* Stop idle accounting; returns how long the CPU idled. *)
 let end_idle t cpu =
-  match cpu.idle_since with
-  | Some since ->
-      let d = now t -. since in
-      Float.Array.unsafe_set cpu.totals 0 (Float.Array.unsafe_get cpu.totals 0 +. d);
-      Breakdown.charge cpu.cpu_bd Breakdown.Idle d;
-      Breakdown.charge t.lifetime_bd Breakdown.Idle d;
-      let tr = Engine.tracer t.engine in
-      if Trace.enabled tr then
-        Trace.emit_charge tr ~ts:(now t) ~cpu:cpu.cpu_id ~tid:(-1) ~cat:Breakdown.Idle
-          ~dur:d;
-      cpu.idle_since <- None;
-      d
-  | None -> 0.
+  if cpu.idle then begin
+    let d = now t -. Float.Array.unsafe_get cpu.totals 2 in
+    Float.Array.unsafe_set cpu.totals 0 (Float.Array.unsafe_get cpu.totals 0 +. d);
+    Breakdown.charge cpu.cpu_bd Breakdown.Idle d;
+    Breakdown.charge t.lifetime_bd Breakdown.Idle d;
+    let tr = Engine.tracer t.engine in
+    if Trace.enabled tr then
+      Trace.emit_charge tr ~ts:(now t) ~cpu:cpu.cpu_id ~tid:(-1) ~cat:Breakdown.Idle
+        ~dur:d;
+    cpu.idle <- false;
+    d
+  end
+  else 0.
 
 (* The idle loop only reaches a deep C-state after sitting idle for a
    while; a same-instant hand-off pays nothing, a short nap pays a shallow
@@ -232,7 +244,7 @@ let acquire t th =
   match cpu.running with
   | None ->
       let idled = end_idle t cpu in
-      cpu.running <- Some th;
+      cpu.running <- th.some_self;
       th.state <- `Running;
       switch_in t th ~idled
   | Some _ ->
@@ -254,11 +266,11 @@ let release t th =
   cpu.running <- None;
   match Queue.take_opt cpu.runq with
   | Some next ->
-      cpu.running <- Some next;
+      cpu.running <- next.some_self;
       (match next.park with
       | Some waker -> Engine.resume waker ()
       | None -> invalid_arg "Kernel.release: queued thread has no waker")
-  | None -> cpu.idle_since <- Some (now t)
+  | None -> start_idle t cpu
 
 (* Consume CPU time, attributed to [category].  Long stretches are chopped
    into scheduler quanta so ready threads on the same CPU make progress
@@ -334,7 +346,7 @@ let choose_cpu t th =
       let load c =
         Queue.length c.runq + (match c.running with Some _ -> 1 | None -> 0)
       in
-      if t.cpus.(th.cpu).idle_since <> None then th.cpu
+      if t.cpus.(th.cpu).idle then th.cpu
       else begin
         let best = ref th.cpu and best_load = ref (load t.cpus.(th.cpu)) in
         Array.iter
@@ -460,8 +472,10 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
       wake_ipi = false;
       voluntary_switches = 0;
       park = None;
+      some_self = None;
     }
   in
+  th.some_self <- Some th;
   let wrapped () =
     (* Initial placement always spreads (fork balancing); only wakeups
        follow the wake policy. *)
@@ -506,7 +520,7 @@ let reset_stats t =
       Breakdown.clear c.cpu_bd;
       Float.Array.unsafe_set c.totals 0 0.;
       Float.Array.unsafe_set c.totals 1 0.;
-      if c.idle_since <> None then c.idle_since <- Some (now t))
+      if c.idle then start_idle t c)
     t.cpus
 
 (* Sample current idle fraction over [0, now]; benches call reset first. *)
@@ -517,7 +531,9 @@ let idle_fraction t ~since =
     let idle =
       Array.fold_left
         (fun acc c ->
-          let extra = match c.idle_since with Some s -> now t -. s | None -> 0. in
+          let extra =
+            if c.idle then now t -. Float.Array.unsafe_get c.totals 2 else 0.
+          in
           acc +. Float.Array.unsafe_get c.totals 0 +. extra)
         0. t.cpus
     in

@@ -158,8 +158,11 @@ let resume waker v =
 
 exception Step_limit_exceeded
 
-(* The loop body allocates nothing: [top_time]/[pop_min] avoid the
-   [Some (time, thunk)] boxing of [Heap.pop] on every event. *)
+(* The loop itself allocates nothing per event (the thunk it runs may):
+   [top_time]/[pop_min] avoid the [Some (time, thunk)] boxing of
+   [Heap.pop], and they are inlined here — the build compiles without
+   -opaque (DESIGN.md Sec. 7) — so [time] stays an unboxed float instead
+   of coming back boxed from an out-of-line call. *)
 let run t =
   while not (Heap.is_empty t.events) do
     let time = Heap.top_time t.events in

@@ -4,49 +4,77 @@
    instant fire in insertion order, which keeps the discrete-event engine
    deterministic.
 
-   Representation: three parallel arrays (struct-of-arrays) instead of an
-   array of entry records.  [times] is a flat float array, so a sift
-   comparison reads an unboxed float instead of chasing the boxed [time]
-   field of a mixed record (OCaml boxes float fields of mixed records);
-   pushing allocates nothing once the arrays are grown; and
-   [pop_min]/[top_time] give the engine's event loop an allocation-free
-   fast path next to the option-returning [pop].
+   Representation: the heap order lives in two parallel arrays of
+   unboxed keys — [times], a flat float array, and [keys], an int array
+   packing each entry's sequence number above its payload's [slot]
+   number — while each payload sits still in its slot of [payloads].
+   Sequence numbers are unique, so comparing two packed keys compares
+   their sequence numbers; the slot bits never decide.  [times] being
+   flat, a sift comparison reads an unboxed float instead of chasing
+   the boxed [time] field of a mixed record; and since no sift level
+   moves a payload, no sift level goes through the GC write barrier.  A
+   payload is written once on push and nulled once on pop: one barrier
+   store each, however deep the heap (~7 levels for the engine's
+   typical ~100 queued events).
+
+   Free slots need no separate stack: positions [size .. capacity-1] of
+   [keys], past the live entries, hold exactly the free slot numbers.
+   A push takes the one at position [size] (the position it is about to
+   occupy); a pop writes the root's freed slot to the position the heap
+   just vacated.  Growth appends fresh slot numbers to the free range,
+   so a slot is recycled only after its payload has been popped and
+   nulled.
 
    Both sift loops percolate a hole instead of swapping: the moving
-   entry is held in locals and written once at its final slot, so each
-   level costs three stores (one of them through the GC write barrier,
-   for the payload) instead of six.  The loops also keep the arrays in
-   locals and inline the comparisons — without flambda a per-level
-   helper call would cost more than the allocations this representation
-   saves.
+   entry is held in locals and written once at its final position.  The
+   loops keep the arrays in locals and inline the comparisons — without
+   flambda a per-level helper call would cost more than this
+   representation saves.
 
-   Payloads are stored as [Obj.t] behind the typed ['a t] interface so a
+   Payloads are stored untyped behind the typed ['a t] interface so a
    vacated slot can be nulled with a type-neutral sentinel: a popped
    payload (an engine continuation, i.e. a whole captured stack) must not
-   stay reachable from the heap until the slot happens to be
-   overwritten. *)
+   stay reachable from the heap until the slot happens to be reused. *)
+
+(* The stored form of a payload.  A record type rather than [Obj.t]:
+   the compiler then knows the array holds no unboxed floats and
+   accesses it directly, without the run-time float-array check (and
+   its dead float-boxing branch) of a polymorphic array. *)
+type any = { _any : unit }
 
 type 'a t = {
   mutable times : float array;
-  mutable seqs : int array;
-  mutable payloads : Obj.t array;
+  mutable keys : int array;
+  mutable payloads : any array;
   mutable size : int;
   mutable next_seq : int;
 }
 
+(* A key is [(seq lsl slot_bits) lor slot]: up to 2^24 queued entries,
+   and 2^38 pushes before the sequence numbers are renumbered. *)
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let max_seq = max_int lsr slot_bits
+
 (* Sentinel for empty payload slots.  An immediate value: holds nothing
    alive, and [Array.make] with it builds a uniform (non-float) array. *)
-let nil : Obj.t = Obj.repr 0
+let nil : any = Obj.magic 0
 
 (* [capacity] pre-sizes the arrays: a caller expecting a known burst
    (e.g. the sharded open-arrival station receiving batch-sized barrier
    deliveries) skips the doubling regrowth.  Capacity is invisible to
    every observation, so it can never affect a digest. *)
 let create ?(capacity = 0) () =
-  let capacity = max 0 capacity in
+  let capacity = min (max 0 capacity) (slot_mask + 1) in
+  let keys = Array.make capacity 0 in
+  for i = 0 to capacity - 1 do
+    Array.unsafe_set keys i i
+  done;
   {
     times = Array.make capacity 0.;
-    seqs = Array.make capacity 0;
+    keys;
     payloads = Array.make capacity nil;
     size = 0;
     next_seq = 0;
@@ -56,31 +84,61 @@ let length h = h.size
 
 let is_empty h = h.size = 0
 
-let ensure_capacity h =
-  let cap = Array.length h.seqs in
-  if h.size = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let times = Array.make ncap 0. in
-    let seqs = Array.make ncap 0 in
-    let payloads = Array.make ncap nil in
-    Array.blit h.times 0 times 0 h.size;
-    Array.blit h.seqs 0 seqs 0 h.size;
-    Array.blit h.payloads 0 payloads 0 h.size;
-    h.times <- times;
-    h.seqs <- seqs;
-    h.payloads <- payloads
-  end
+(* Double the arrays of a full heap.  Every slot is live when the heap
+   is full, so the old payload array is copied whole and positions
+   [size ..] of the new [keys] get the fresh slot numbers.  Growth is on
+   every engine's set-up path (a run spawning a few hundred threads
+   doubles the heap five times), so it is kept cheap: [times] is
+   allocated uninitialised, and [keys] is copied by a typed loop, which
+   stores plain ints where [Array.blit] would go through the write
+   barrier once the array is in the major heap. *)
+let[@inline never] grow h =
+  let cap = h.size in
+  if cap > slot_mask then failwith "Heap.push: more than 2^24 queued entries";
+  let ncap = if cap = 0 then 16 else min (2 * cap) (slot_mask + 1) in
+  let times = Array.create_float ncap in
+  Array.blit h.times 0 times 0 cap;
+  let keys = Array.make ncap 0 and okeys = h.keys in
+  for i = 0 to cap - 1 do
+    Array.unsafe_set keys i (Array.unsafe_get okeys i)
+  done;
+  for i = cap to ncap - 1 do
+    Array.unsafe_set keys i i
+  done;
+  let payloads = Array.make ncap nil in
+  Array.blit h.payloads 0 payloads 0 cap;
+  h.times <- times;
+  h.keys <- keys;
+  h.payloads <- payloads
+
+(* The sequence numbers ran out: give the live entries fresh ones,
+   [0 .. size-1], in their current order.  The heap only ever compares
+   sequence numbers with each other, so every future pop is unchanged. *)
+let[@inline never] renumber h =
+  let keys = h.keys in
+  let order = Array.init h.size Fun.id in
+  Array.sort (fun a b -> compare keys.(a) keys.(b)) order;
+  Array.iteri
+    (fun rank pos ->
+      keys.(pos) <- (rank lsl slot_bits) lor (keys.(pos) land slot_mask))
+    order;
+  h.next_seq <- h.size
 
 (* Every index in the sift loops is bounded by [size] (itself at most
-   the arrays' length, maintained by [ensure_capacity]), so the array
-   accesses skip the bounds checks. *)
+   the arrays' length, maintained by [grow]), and every slot number is
+   below the payload array's length, so the array accesses skip the
+   bounds checks. *)
 let push h ~time payload =
-  ensure_capacity h;
-  let times = h.times and seqs = h.seqs and payloads = h.payloads in
-  let seq = h.next_seq in
-  h.next_seq <- seq + 1;
-  (* Percolate the hole up from the new slot: parents later than the new
-     entry move down one level; the new entry is stored once at the end. *)
+  if h.size = Array.length h.keys then grow h;
+  if h.next_seq > max_seq then renumber h;
+  let times = h.times and keys = h.keys in
+  let slot = Array.unsafe_get keys h.size in
+  let key = (h.next_seq lsl slot_bits) lor slot in
+  h.next_seq <- h.next_seq + 1;
+  Array.unsafe_set h.payloads slot (Obj.magic payload : any);
+  (* Percolate the hole up from the new position: parents later than the
+     new entry move down one level; the new keys are stored once at the
+     end. *)
   let i = ref h.size in
   h.size <- h.size + 1;
   let continue = ref true in
@@ -88,27 +146,28 @@ let push h ~time payload =
     let c = !i in
     let p = (c - 1) / 2 in
     let pt = Array.unsafe_get times p in
-    if time < pt || (time = pt && seq < Array.unsafe_get seqs p) then begin
+    if time < pt || (time = pt && key < Array.unsafe_get keys p) then begin
       Array.unsafe_set times c pt;
-      Array.unsafe_set seqs c (Array.unsafe_get seqs p);
-      Array.unsafe_set payloads c (Array.unsafe_get payloads p);
+      Array.unsafe_set keys c (Array.unsafe_get keys p);
       i := p
     end
     else continue := false
   done;
   Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set payloads !i (Obj.repr payload)
+  Array.unsafe_set keys !i key
 
-(* Remove the root: null the vacated last slot, then percolate the hole
-   at the root down, moving the earlier child up each level, until the
-   displaced last entry fits. *)
+(* Remove the root and return its payload: null and free the root's
+   slot, then percolate the hole at the root down, moving the earlier
+   child up each level, until the displaced last entry fits. *)
 let remove_top h =
   let size = h.size - 1 in
   h.size <- size;
-  let times = h.times and seqs = h.seqs and payloads = h.payloads in
-  let ltime = times.(size) and lseq = seqs.(size) and lpay = payloads.(size) in
-  payloads.(size) <- nil;
+  let times = h.times and keys = h.keys in
+  let freed = Array.unsafe_get keys 0 land slot_mask in
+  let payload = Array.unsafe_get h.payloads freed in
+  Array.unsafe_set h.payloads freed nil;
+  let ltime = Array.unsafe_get times size
+  and lkey = Array.unsafe_get keys size in
   if size > 0 then begin
     let i = ref 0 in
     let continue = ref true in
@@ -125,41 +184,38 @@ let remove_top h =
             r < size
             && (let rt = Array.unsafe_get times r in
                 rt < lt
-                || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l))
+                || (rt = lt && Array.unsafe_get keys r < Array.unsafe_get keys l))
           then (r, Array.unsafe_get times r)
           else (l, lt)
         in
-        if mt < ltime || (mt = ltime && Array.unsafe_get seqs m < lseq) then begin
+        if mt < ltime || (mt = ltime && Array.unsafe_get keys m < lkey) then begin
           Array.unsafe_set times c mt;
-          Array.unsafe_set seqs c (Array.unsafe_get seqs m);
-          Array.unsafe_set payloads c (Array.unsafe_get payloads m);
+          Array.unsafe_set keys c (Array.unsafe_get keys m);
           i := m
         end
         else continue := false
       end
     done;
     Array.unsafe_set times !i ltime;
-    Array.unsafe_set seqs !i lseq;
-    Array.unsafe_set payloads !i lpay
-  end
+    Array.unsafe_set keys !i lkey
+  end;
+  Array.unsafe_set keys size freed;
+  payload
 
 let pop h =
   if h.size = 0 then None
   else begin
     let time = h.times.(0) in
-    let payload : 'a = Obj.obj h.payloads.(0) in
-    remove_top h;
+    let payload : 'a = Obj.magic (remove_top h) in
     Some (time, payload)
   end
 
 let top_time h =
   if h.size = 0 then invalid_arg "Heap.top_time: empty heap";
-  h.times.(0)
+  Array.unsafe_get h.times 0
 
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let payload : 'a = Obj.obj h.payloads.(0) in
-  remove_top h;
-  payload
+  (Obj.magic (remove_top h) : 'a)
 
 let peek_time h = if h.size = 0 then None else Some h.times.(0)

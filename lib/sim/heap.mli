@@ -14,7 +14,8 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** Queue [payload] at [time]. *)
+(** Queue [payload] at [time].  Raises [Failure] beyond 2{^24} queued
+    entries. *)
 val push : 'a t -> time:float -> 'a -> unit
 
 (** Remove and return the earliest entry, if any. *)

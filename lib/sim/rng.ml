@@ -41,8 +41,10 @@ let int t bound =
 (* Uniform integer in [0, bound) without modulo bias: draw 61-bit
    values (so the range itself stays a positive OCaml int) and reject
    the truncated tail.  [int] above keeps its historic `r mod bound`
-   bias because the pinned golden digests consume its exact draw
-   sequence; all *new* consumers (the open-arrival workloads) use this
+   bias: no simulation or pinned digest draws through it any more, but
+   the repository benchmark's argument draws (benchmark/workloads.ml)
+   and a unit test do, and changing its stream would change theirs.
+   Bounded draws in the simulator (the open-arrival workloads) use this
    one.  The rejection loop draws a variable number of words, so the
    two functions are not stream-compatible — see the determinism
    contract in DESIGN.md Sec. 10. *)

@@ -23,9 +23,10 @@ val next_int64 : t -> int64
 val float : t -> float
 
 (** Uniform integer in [0, bound); raises [Invalid_argument] when
-    [bound <= 0].  Carries the classic `r mod bound` modulo bias; kept
-    verbatim because the pinned golden digests consume its exact draw
-    sequence.  New code should prefer {!int_unbiased}. *)
+    [bound <= 0].  Carries the classic `r mod bound` modulo bias.  No
+    pinned digest consumes it; it is kept verbatim because the
+    repository benchmark's [dipc_calls] argument draws do.  New code
+    should prefer {!int_unbiased}. *)
 val int : t -> int -> int
 
 (** Uniform integer in [0, bound) via rejection sampling — no modulo

@@ -166,10 +166,13 @@ let pool_call pool th ~size body =
   Kernel.block_on pool.p_kern th rq.rq_done;
   Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns
 
+(* Every thread of a pool (or tier) shares its name: thread names are
+   never read, and formatting one per thread was half the host time of
+   setting up the Fig. 8 model. *)
 let pool_spawn_servers pool proc ~threads ~name handler =
-  for i = 1 to threads do
+  for _ = 1 to threads do
     ignore
-      (Kernel.spawn pool.p_kern proc ~name:(Printf.sprintf "%s-%d" name i)
+      (Kernel.spawn pool.p_kern proc ~name
          (fun th ->
            let continue = ref true in
            while !continue do
@@ -278,9 +281,9 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
         (fun th () ->
           php_stage th ~db_call:(fun th ->
               pool_call db_pool th ~size:php_db_bytes ()));
-      for i = 1 to p.threads do
+      for _ = 1 to p.threads do
         ignore
-          (Kernel.spawn kern web_proc ~name:(Printf.sprintf "web-%d" i)
+          (Kernel.spawn kern web_proc ~name:"web"
              (fun th ->
                while Engine.now engine < p.warmup +. p.duration do
                  let start = Engine.now engine in
@@ -293,9 +296,9 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
   | Dipc | Ideal ->
       let proc = Kernel.create_process kern ~name:"stack" in
       let crossing th = if config = Dipc then dipc_crossing kern th in
-      for i = 1 to p.threads do
+      for _ = 1 to p.threads do
         ignore
-          (Kernel.spawn kern proc ~name:(Printf.sprintf "op-%d" i)
+          (Kernel.spawn kern proc ~name:"op"
              (fun th ->
                while Engine.now engine < p.warmup +. p.duration do
                  let start = Engine.now engine in

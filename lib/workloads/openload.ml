@@ -23,8 +23,8 @@
    (arrivals, service demands, session lengths, think times) draws from
    its own splitmix64 stream forked off the seed in a fixed order, and
    bounded integer draws use the rejection-sampled [Rng.int_unbiased]
-   (modulo-bias-free; the legacy biased [Rng.int] is frozen for the
-   pinned golden digests).  Runs never share mutable state, so sweeps
+   (modulo-bias-free, unlike the legacy [Rng.int], which no simulated
+   path draws from).  Runs never share mutable state, so sweeps
    shard across domains with byte-identical digests at any --jobs. *)
 
 module Rng = Dipc_sim.Rng

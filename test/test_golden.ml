@@ -218,26 +218,43 @@ let test_mips_ratchet () =
        (Golden.compare_mips_ratchet ~ratio:0.25 ~baseline:baseline_text
           ~candidate:jitter))
 
-(* The history trend reporter: needs two rows, diffs the last two, and
-   names sim-MIPS movement and counter deltas per cell. *)
+(* The history trend reporter: needs two rows, diffs the last two,
+   names sim-MIPS movement and counter deltas per cell, and stamps each
+   row's commit with its tree state (clean, dirty, or unrecorded for
+   rows written before the flag existed). *)
 let test_trend_report () =
-  let hist_row commit mips counters =
+  let hist_row ?dirty commit mips counters =
     Printf.sprintf
-      "{\"schema\": \"dipc-bench-hist/v1\", \"commit\": \"%s\", \"utc\": \
+      "{\"schema\": \"dipc-bench-hist/v1\", \"commit\": \"%s\", %s\"utc\": \
        \"2026-01-01T00:00:00Z\", \"experiments\": [{\"name\": \"exp_a\", \
        \"sim_mips\": %.3f, \"counters\": {%s}}]}"
-      commit mips counters
+      commit
+      (match dirty with
+      | Some d -> Printf.sprintf "\"dirty\": %b, " d
+      | None -> "")
+      mips counters
   in
   (match Golden.trend_report ~history:(hist_row "aaa" 10.0 "\"side_exits\": 5")
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a single row cannot trend");
   let history =
-    hist_row "aaa" 10.0 "\"side_exits\": 5"
+    hist_row ~dirty:false "aaa" 10.0 "\"side_exits\": 5"
     ^ "\n"
-    ^ hist_row "bbb" 13.0 "\"side_exits\": 2"
+    ^ hist_row ~dirty:true "bbb" 13.0 "\"side_exits\": 2"
     ^ "\n"
   in
+  (match
+     Golden.trend_report
+       ~history:
+         (hist_row "old" 10.0 "" ^ "\n" ^ hist_row ~dirty:false "new" 10.0 "")
+   with
+  | Error m -> Alcotest.fail m
+  | Ok lines ->
+      Alcotest.(check string) "unrecorded tree state is named"
+        "trend: old (tree unrecorded) @ 2026-01-01T00:00:00Z -> new (clean) @ \
+         2026-01-01T00:00:00Z"
+        (List.hd lines));
   match Golden.trend_report ~history with
   | Error m -> Alcotest.fail m
   | Ok lines ->
@@ -245,6 +262,8 @@ let test_trend_report () =
       let has s = Golden.find_sub text s 0 <> None in
       Alcotest.(check bool) "header names both commits" true
         (has "aaa" && has "bbb");
+      Alcotest.(check bool) "header marks the dirty row" true
+        (has "aaa (clean)" && has "bbb (dirty)");
       Alcotest.(check bool) "sim-MIPS delta reported" true (has "+30.0%");
       Alcotest.(check bool) "counter delta reported" true
         (has "side_exits 5 -> 2")

@@ -66,15 +66,45 @@ let prop_matches_stable_sort =
       drain (heap_of items) = expected)
 
 (* Interleaved pushes and pops against a sorted-list model, exercising
-   the hole-percolation paths with a heap that grows and shrinks. *)
+   the hole-percolation paths with a heap that grows and shrinks.  Up to
+   400 operations, pushes outnumbering pops about 7:3, carry the heap
+   through several doublings with pops (and so recycled payload slots)
+   between them, from an empty or a pre-sized start.  Every payload is
+   a fresh id, so a recycled slot handing back a stale payload fails the
+   comparison; pops switch between [pop] and [top_time]/[pop_min] with
+   the parity of the pushes so far, and the heap is drained against the
+   model at the end. *)
 let prop_push_pop_model =
   QCheck.Test.make ~name:"heap push/pop matches list model" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 120) (option time_gen))
-    (fun ops ->
-      let h = Heap.create () in
+    QCheck.(
+      pair
+        (option (int_range 0 40))
+        (list_of_size Gen.(0 -- 400) (option ~ratio:0.7 time_gen)))
+    (fun (capacity, ops) ->
+      let h =
+        match capacity with
+        | None -> Heap.create ()
+        | Some capacity -> Heap.create ~capacity ()
+      in
       let model = ref [] (* sorted (time, seq, id); seq breaks ties *) in
       let seq = ref 0 in
       let ok = ref true in
+      let pop_checked () =
+        let popped =
+          if !seq land 1 = 0 then Heap.pop h
+          else if Heap.is_empty h then None
+          else begin
+            let time = Heap.top_time h in
+            Some (time, Heap.pop_min h)
+          end
+        in
+        match (popped, !model) with
+        | None, [] -> ()
+        | Some (time, payload), (mt, _, mid) :: rest ->
+            if time <> mt || payload <> mid then ok := false
+            else model := rest
+        | _ -> ok := false
+      in
       List.iter
         (fun op ->
           match op with
@@ -86,15 +116,13 @@ let prop_push_pop_model =
                 List.stable_sort
                   (fun (a, sa, _) (b, sb, _) -> compare (a, sa) (b, sb))
                   ((time, id, id) :: !model)
-          | None -> (
-              match (Heap.pop h, !model) with
-              | None, [] -> ()
-              | Some (time, payload), (mt, _, mid) :: rest ->
-                  if time <> mt || payload <> mid then ok := false
-                  else model := rest
-              | _ -> ok := false))
+          | None -> pop_checked ())
         ops;
-      !ok && Heap.length h = List.length !model)
+      let length_ok = Heap.length h = List.length !model in
+      while !ok && !model <> [] do
+        pop_checked ()
+      done;
+      !ok && length_ok && Heap.is_empty h)
 
 let prop_pop_min_agrees =
   QCheck.Test.make ~name:"top_time/pop_min agree with pop" ~count:200
@@ -113,33 +141,84 @@ let prop_pop_min_agrees =
       done;
       !ok && Heap.is_empty b)
 
+(* After 2^38 pushes into one heap the packed keys run out of sequence
+   numbers and the live entries are renumbered in place.  Reaching that
+   honestly takes hours, so jump the counter ([next_seq], field 4 of the
+   heap record) to just below the limit, then push and pop across the
+   renumbering: the pop order must still match a stable sort by time. *)
+let test_seq_renumbering () =
+  let h = Heap.create () in
+  let model = ref [] and id = ref 0 in
+  let push time =
+    Heap.push h ~time !id;
+    model := !model @ [ (time, !id) ];
+    incr id
+  in
+  let pop () =
+    let sorted =
+      List.stable_sort (fun (a, _) (b, _) -> compare (a : float) b) !model
+    in
+    match (Heap.pop h, sorted) with
+    | Some got, (expected :: _ as l) ->
+        Alcotest.(check (pair (float 0.) int)) "pop order" expected got;
+        model := List.filter (fun e -> e != expected) l
+    | _ -> Alcotest.fail "heap and model disagree on emptiness"
+  in
+  List.iter push [ 3.; 1.; 3.; 2.; 1.; 3. ];
+  pop ();
+  let seq_limit = 1 lsl (Sys.int_size - 1 - 24) in
+  Obj.set_field (Obj.repr h) 4 (Obj.repr (seq_limit - 3));
+  for i = 0 to 11 do
+    push (float_of_int (i mod 4));
+    if i mod 3 = 2 then pop ()
+  done;
+  while !model <> [] do
+    pop ()
+  done
+
 (* --- heap: popped payloads must not be retained --- *)
 
 (* Separate non-inlined stages so no stack slot of the test function
    keeps the payloads alive across the GC. *)
-let[@inline never] fill_heap h n =
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
+let[@inline never] fill_heap h w ~first n =
+  for i = first to first + n - 1 do
     let payload = Bytes.make 24 'x' in
     Weak.set w i (Some payload);
-    Heap.push h ~time:(float_of_int (n - i)) payload
-  done;
-  w
+    Heap.push h ~time:(float_of_int ((i * 7919) mod 101)) payload
+  done
+
+let[@inline never] pop_heap h n =
+  for _ = 1 to n do
+    ignore (Heap.pop h)
+  done
 
 let[@inline never] drain_heap h = while Heap.pop h <> None do () done
 
-let test_no_payload_retention () =
-  let h = Heap.create () in
-  let n = 33 in
-  let w = fill_heap h n in
-  drain_heap h;
+let live_payloads w =
   Gc.full_major ();
   Gc.full_major ();
   let live = ref 0 in
-  for i = 0 to n - 1 do
+  for i = 0 to Weak.length w - 1 do
     if Weak.check w i then incr live
   done;
-  Alcotest.(check int) "popped payloads collected after drain" 0 !live;
+  !live
+
+(* The heap grows (16 -> 64 slots), recycles slots through a partial
+   drain, grows again (-> 128) on top of the recycled slots and drains:
+   at every stage exactly the queued payloads stay reachable. *)
+let test_no_payload_retention () =
+  let h = Heap.create () in
+  let w = Weak.create 150 in
+  fill_heap h w ~first:0 40;
+  pop_heap h 25;
+  Alcotest.(check int) "only queued payloads live after a partial drain"
+    (Heap.length h) (live_payloads w);
+  fill_heap h w ~first:40 110;
+  pop_heap h 60;
+  Alcotest.(check int) "only queued payloads live after regrowth"
+    (Heap.length h) (live_payloads w);
+  drain_heap h;
+  Alcotest.(check int) "popped payloads collected after drain" 0 (live_payloads w);
   (* The heap stays usable after the drain. *)
   Heap.push h ~time:1. (Bytes.make 1 'y');
   Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
@@ -403,7 +482,12 @@ let suites =
           prop_push_pop_model;
           prop_pop_min_agrees;
         ]
-      @ [ Alcotest.test_case "popped payloads not retained" `Quick test_no_payload_retention ]
+      @ [
+          Alcotest.test_case "popped payloads not retained" `Quick
+            test_no_payload_retention;
+          Alcotest.test_case "sequence numbers renumbered" `Quick
+            test_seq_renumbering;
+        ]
     );
     ( "perf.apl_cache",
       Alcotest.test_case "reset clears statistics" `Quick test_apl_reset_clears_stats
