@@ -14,6 +14,10 @@
    dispatch path, never the charge order); the driver fails loudly if
    any run disagrees.
 
+   Each arm is reported by its min, median and interquartile range, not
+   a mean, and a cell's verdict names a faster arm only when the two
+   arms' min-max ranges do not overlap; otherwise it reads "no call".
+
    Usage: ab.exe --json FILE [--pairs N] [--warmup N] *)
 
 module Suite = Dipc_bench_suite.Suite
@@ -45,7 +49,28 @@ let run_pair () =
   ( { arm = "A"; ras = true; results = List.map fst ab },
     { arm = "B"; ras = false; results = List.map snd ab } )
 
-let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+(* Per-arm spread of a metric: min, quartiles (linear interpolation
+   between order statistics), max. *)
+type spread = { min : float; q1 : float; median : float; q3 : float; max : float }
+
+let spread l =
+  let a = Array.of_list l in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let q p =
+    let x = p *. float_of_int (n - 1) in
+    let i = int_of_float x in
+    if i + 1 >= n then a.(n - 1)
+    else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  in
+  { min = a.(0); q1 = q 0.25; median = q 0.5; q3 = q 0.75; max = a.(n - 1) }
+
+(* Higher sim-MIPS is better.  A win needs the whole of one arm's range
+   above the whole of the other's. *)
+let verdict a b =
+  if a.min > b.max then "A faster"
+  else if b.min > a.max then "B faster"
+  else "no call (ranges overlap)"
 
 let () =
   let out = ref "" and pairs = ref 5 and warmup = ref 1 in
@@ -66,8 +91,8 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !out = "" then (
-    prerr_endline "usage: ab.exe --json FILE [--pairs N] [--warmup N]";
+  if !out = "" || !pairs < 1 then (
+    prerr_endline "usage: ab.exe --json FILE [--pairs N>=1] [--warmup N]";
     exit 2);
   for _ = 1 to !warmup do
     ignore (run_pair ())
@@ -104,7 +129,7 @@ let () =
   let arm_runs a = List.filter (fun r -> r.arm = a) runs in
   let buf = Buffer.create 65536 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"dipc-bench/ab-v1\",\n";
+  add "{\n  \"schema\": \"dipc-bench/ab-v2\",\n";
   add
     "  \"description\": \"Interleaved A/B comparison of the dynamic-junction \
      predictors: arm A is the default dispatch (superblocks + return-address \
@@ -113,26 +138,33 @@ let () =
      inside one process, each from a compacted heap, after a discarded \
      warmup pair, so thermal/noise drift hits both arms of the same cell \
      alike.  Digests are byte-identical across every run and arm; only \
-     wall-clock derived columns move.\",\n";
+     wall-clock derived columns move.  Each arm is summarised by min, \
+     median and IQR of its sim-MIPS; the verdict names a faster arm only \
+     when the arms' min-max ranges do not overlap.\",\n";
   add "  \"interleaving\": [%s],\n"
     (String.concat ", " (List.map (fun r -> "\"" ^ r.arm ^ "\"") runs));
   add "  \"summary\": {\n";
   let n_cells = List.length cells in
+  let arm_spread name a =
+    spread (List.map (fun r -> (cell name r).Suite.b_metric) (arm_runs a))
+  in
   List.iteri
     (fun ci (name, _) ->
-      let mips a = List.map (fun r -> (cell name r).Suite.b_metric) (arm_runs a) in
-      let am = mips "A" and bm = mips "B" in
+      let a = arm_spread name "A" and b = arm_spread name "B" in
       let side a =
         match arm_runs a with
         | [] -> 0
         | r :: _ -> List.assoc "side_exits" (cell name r).Suite.b_counters
       in
       add "    \"%s\": {\n" name;
-      add "      \"A_mean_sim_mips\": %.3f,\n" (mean am);
-      add "      \"B_mean_sim_mips\": %.3f,\n" (mean bm);
-      add "      \"A_min_sim_mips\": %.3f,\n" (List.fold_left min infinity am);
-      add "      \"B_max_sim_mips\": %.3f,\n" (List.fold_left max 0.0 bm);
-      add "      \"speedup_mean\": %.3f,\n" (mean am /. mean bm);
+      List.iter
+        (fun (arm, s) ->
+          add "      \"%s_sim_mips\": {\"min\": %.3f, \"median\": %.3f, \"iqr\": %.3f, \
+               \"max\": %.3f},\n"
+            arm s.min s.median (s.q3 -. s.q1) s.max)
+        [ ("A", a); ("B", b) ];
+      add "      \"speedup_median\": %.3f,\n" (a.median /. b.median);
+      add "      \"verdict\": \"%s\",\n" (verdict a b);
       add "      \"A_side_exits\": %d,\n" (side "A");
       add "      \"B_side_exits\": %d,\n" (side "B");
       add "      \"digest_identical\": true\n";
@@ -166,9 +198,12 @@ let () =
   close_out oc;
   List.iter
     (fun (name, _) ->
-      let am = mean (List.map (fun r -> (cell name r).Suite.b_metric) (arm_runs "A")) in
-      let bm = mean (List.map (fun r -> (cell name r).Suite.b_metric) (arm_runs "B")) in
-      Printf.printf "%-20s A %.3f / B %.3f sim-MIPS  speedup %.3fx\n" name am
-        bm (am /. bm))
+      let a = arm_spread name "A" and b = arm_spread name "B" in
+      let show s =
+        Printf.sprintf "min %.3f median %.3f IQR %.3f max %.3f" s.min s.median
+          (s.q3 -. s.q1) s.max
+      in
+      Printf.printf "%-20s A %s\n%-20s B %s  sim-MIPS\n%-20s speedup %.3fx (medians): %s\n"
+        name (show a) "" (show b) "" (a.median /. b.median) (verdict a b))
     cells;
   Printf.printf "wrote %s\n" !out

@@ -14,20 +14,19 @@
    assumes ("this event never happens on the presented benchmarks",
    Sec. 7.5).
 
-   [lookup] is the hot path (it runs on every domain crossing): a
-   tag -> slot index makes it O(1) instead of a full-array scan with
-   polymorphic compares.  [install] keeps the original LRU victim scan —
-   refills are the cold path — and maintains the index invariant: every
-   resident tag maps to the smallest hardware slot holding it, which is
-   exactly what the old first-match scan returned. *)
+   [lookup] is the hot path (it runs on every domain crossing): a scan
+   of the 32 resident tags from slot 0, in a flat int array, returning
+   the smallest slot holding the tag.  Slots fill from 0 upwards, so the
+   few domains of a warm call path sit in the first slots and the scan
+   stops within a handful of compares.  [install] keeps the original LRU
+   victim scan — refills are the cold path.  Tag [-1] marks an empty
+   slot and is never resident. *)
 
 let capacity = 32
 
-type entry = { mutable tag : int; mutable last_use : int }
-
 type t = {
-  entries : entry array; (* index = hardware domain tag *)
-  index : (int, int) Hashtbl.t; (* tag -> smallest slot holding it *)
+  tags : int array; (* index = hardware domain tag; -1 = empty *)
+  last_use : int array;
   mutable clock : int;
   mutable generation : int; (* bumped on every [reset] (flush) *)
   mutable hits : int;
@@ -37,8 +36,8 @@ type t = {
 
 let create () =
   {
-    entries = Array.init capacity (fun _ -> { tag = -1; last_use = 0 });
-    index = Hashtbl.create capacity;
+    tags = Array.make capacity (-1);
+    last_use = Array.make capacity 0;
     clock = 0;
     generation = 0;
     hits = 0;
@@ -47,12 +46,8 @@ let create () =
   }
 
 let reset t =
-  Array.iter
-    (fun e ->
-      e.tag <- -1;
-      e.last_use <- 0)
-    t.entries;
-  Hashtbl.reset t.index;
+  Array.fill t.tags 0 capacity (-1);
+  Array.fill t.last_use 0 capacity 0;
   t.clock <- 0;
   t.generation <- t.generation + 1;
   (* Statistics must not bleed across scenario runs that reuse a machine. *)
@@ -64,56 +59,42 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* Smallest slot holding [tag], or [capacity] if none does. *)
+let slot_of t tag =
+  let i = ref 0 in
+  while !i < capacity && Array.unsafe_get t.tags !i <> tag do
+    incr i
+  done;
+  !i
+
 (* Hardware tag of [tag] if cached. *)
 let lookup t tag =
-  match Hashtbl.find_opt t.index tag with
-  | Some i ->
-      t.hits <- t.hits + 1;
-      t.entries.(i).last_use <- tick t;
-      Some i
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  let i = if tag = -1 then capacity else slot_of t tag in
+  if i < capacity then begin
+    t.hits <- t.hits + 1;
+    t.last_use.(i) <- tick t;
+    Some i
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    None
+  end
 
 (* Install [tag], evicting the least-recently-used entry; returns the
    hardware tag it landed on. *)
 let install t tag =
   let victim = ref 0 in
-  Array.iteri
-    (fun i e ->
-      if e.tag = -1 && t.entries.(!victim).tag <> -1 then victim := i
-      else if
-        e.tag <> -1
-        && t.entries.(!victim).tag <> -1
-        && e.last_use < t.entries.(!victim).last_use
-      then victim := i)
-    t.entries;
-  let e = t.entries.(!victim) in
-  let old_tag = e.tag in
-  e.tag <- tag;
-  e.last_use <- tick t;
+  for i = 0 to capacity - 1 do
+    let v = !victim in
+    if t.tags.(i) = -1 && t.tags.(v) <> -1 then victim := i
+    else if t.tags.(i) <> -1 && t.tags.(v) <> -1 && t.last_use.(i) < t.last_use.(v)
+    then victim := i
+  done;
+  let v = !victim in
+  t.tags.(v) <- tag;
+  t.last_use.(v) <- tick t;
   t.refills <- t.refills + 1;
-  (* Index upkeep for the evicted tag: if it was indexed at the victim
-     slot, drop it and re-point at the smallest remaining duplicate (a
-     duplicate can only exist if a caller installed a resident tag). *)
-  (if old_tag >= 0 && old_tag <> tag then
-     match Hashtbl.find_opt t.index old_tag with
-     | Some s when s = !victim -> begin
-         Hashtbl.remove t.index old_tag;
-         try
-           for i = 0 to capacity - 1 do
-             if t.entries.(i).tag = old_tag then begin
-               Hashtbl.replace t.index old_tag i;
-               raise Exit
-             end
-           done
-         with Exit -> ()
-       end
-     | _ -> ());
-  (match Hashtbl.find_opt t.index tag with
-  | Some s when s < !victim -> ()
-  | _ -> Hashtbl.replace t.index tag !victim);
-  !victim
+  v
 
 (* Lookup-or-install used by the machine in auto-fill mode. *)
 let ensure t tag =
@@ -124,4 +105,4 @@ let stats t = (t.hits, t.misses, t.refills)
 let generation t = t.generation
 
 let resident_tags t =
-  Array.to_list t.entries |> List.filter_map (fun e -> if e.tag >= 0 then Some e.tag else None)
+  Array.to_list t.tags |> List.filter (fun tag -> tag >= 0)

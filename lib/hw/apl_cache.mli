@@ -11,7 +11,9 @@ val create : unit -> t
 
 val reset : t -> unit
 
-(** Hardware tag of [tag] if resident (counts a hit or miss). *)
+(** Hardware tag of [tag] if resident (counts a hit or miss): the
+    smallest slot holding it.  [-1] marks an empty slot and is never
+    resident. *)
 val lookup : t -> int -> int option
 
 (** Install [tag], evicting the least recently used entry; returns the

@@ -7,7 +7,14 @@
    - DCS integrity: raise the base so the callee cannot pop the caller's
      non-argument entries, restore it on return (Sec. 5.2.3).
    - DCS confidentiality (+integrity): switch to a separate stack per
-     domain, copying argument entries per the signature. *)
+     domain, copying argument entries per the signature.
+
+   A confidentiality crossing makes no allocation once warm: [restore]
+   clears the callee stack it detaches and keeps it as [spare], which the
+   next [switch] installs instead of a fresh array.  Only [0, top) needs
+   clearing — [pop] nulls every slot it vacates, so the entries at or
+   above [top] are already [None] — and after it the spare holds nothing
+   of the previous callee's. *)
 
 let default_capacity = 256
 
@@ -15,10 +22,11 @@ type t = {
   mutable slots : Capability.t option array;
   mutable base : int; (* lowest index unprivileged code may pop past *)
   mutable top : int; (* next free slot *)
+  mutable spare : Capability.t option array; (* all [None]; [||] if none *)
 }
 
 let create ?(capacity = default_capacity) () =
-  { slots = Array.make capacity None; base = 0; top = 0 }
+  { slots = Array.make capacity None; base = 0; top = 0; spare = [||] }
 
 let depth t = t.top
 
@@ -46,16 +54,27 @@ let set_base t ~pc idx =
     Fault.raise_fault ~pc (Fault.Dcs_bounds "base out of range");
   t.base <- idx
 
-(* Privileged: detach the current stack and install a fresh one with the
-   top [args] entries copied over (DCS confidentiality + integrity).
+(* Privileged: detach the current stack and install an empty one with
+   the top [args] entries copied over (DCS confidentiality + integrity).
    Returns the detached state for the matching restore. *)
-type saved = { saved_slots : Capability.t option array; saved_base : int; saved_top : int }
+type saved = {
+  saved_slots : Capability.t option array;
+  saved_base : int;
+  saved_top : int;
+  owner : t; (* the DCS this switch detached from *)
+}
 
 let switch t ~pc ~args =
   if args > t.top - t.base then
     Fault.raise_fault ~pc (Fault.Dcs_bounds "more arguments than entries");
-  let saved = { saved_slots = t.slots; saved_base = t.base; saved_top = t.top } in
-  let fresh = Array.make (Array.length t.slots) None in
+  let fresh =
+    if Array.length t.spare = Array.length t.slots then t.spare
+    else Array.make (Array.length t.slots) None
+  in
+  t.spare <- [||];
+  let saved =
+    { saved_slots = t.slots; saved_base = t.base; saved_top = t.top; owner = t }
+  in
   for i = 0 to args - 1 do
     fresh.(i) <- t.slots.(t.top - args + i)
   done;
@@ -65,21 +84,27 @@ let switch t ~pc ~args =
   saved
 
 (* Privileged: restore a detached stack, copying the top [rets] entries of
-   the callee stack back as results. *)
+   the callee stack back as results.  The callee stack is then cleared
+   and kept for the next [switch] — unless [saved] came from another
+   DCS: a context cloned mid-call shares its parent's [saved] records,
+   and the stacks they restore stay the parent's. *)
 let restore t ~pc ~rets saved =
   if rets > t.top then Fault.raise_fault ~pc (Fault.Dcs_bounds "more results than entries");
-  let results = Array.init rets (fun i -> t.slots.(t.top - rets + i)) in
+  if rets < 0 then invalid_arg "Dcs.restore: negative result count";
+  let callee = t.slots and callee_top = t.top in
   t.slots <- saved.saved_slots;
   t.base <- saved.saved_base;
   t.top <- saved.saved_top;
-  Array.iter
-    (function
-      | Some cap ->
-          if t.top >= Array.length t.slots then
-            Fault.raise_fault ~pc (Fault.Dcs_bounds "overflow on restore")
-          else begin
-            t.slots.(t.top) <- Some cap;
-            t.top <- t.top + 1
-          end
-      | None -> ())
-    results
+  for i = callee_top - rets to callee_top - 1 do
+    match callee.(i) with
+    | Some _ as cap ->
+        if t.top >= Array.length t.slots then
+          Fault.raise_fault ~pc (Fault.Dcs_bounds "overflow on restore");
+        t.slots.(t.top) <- cap;
+        t.top <- t.top + 1
+    | None -> ()
+  done;
+  if saved.owner == t then begin
+    Array.fill callee 0 callee_top None;
+    t.spare <- callee
+  end

@@ -9,6 +9,9 @@ type t = {
   mutable slots : Capability.t option array;
   mutable base : int;  (** lowest index unprivileged code may pop past *)
   mutable top : int;  (** next free slot *)
+  mutable spare : Capability.t option array;
+      (** an empty detached stack kept by {!restore} for the next
+          {!switch}; [[||]] when there is none *)
 }
 
 val create : ?capacity:int -> unit -> t
@@ -28,10 +31,11 @@ val set_base : t -> pc:int -> int -> unit
 (** Detached stack state, for the matching {!restore}. *)
 type saved
 
-(** Privileged: install a fresh stack with the top [args] entries copied
-    over (DCS confidentiality + integrity). *)
+(** Privileged: install an empty stack with the top [args] entries
+    copied over (DCS confidentiality + integrity). *)
 val switch : t -> pc:int -> args:int -> saved
 
 (** Privileged: restore a detached stack, copying the top [rets] entries
-    of the current stack back as results. *)
+    of the current stack back as results.  The callee stack is cleared
+    and recycled as the next {!switch}'s stack. *)
 val restore : t -> pc:int -> rets:int -> saved -> unit

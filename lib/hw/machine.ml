@@ -156,6 +156,7 @@ type t = {
   mutable tlb_gen : int;
       (* {!Page_table.generation} the cache was filled at; a mismatch
          invalidates every way at once *)
+  mutable tlb_refills : int; (* host-side only: misses, never pinned *)
   mutable inject : Dipc_sim.Inject.t option;
       (* Fault injector consulted at domain crossings; [None] keeps the
          crossing path exactly as-is. *)
@@ -259,15 +260,23 @@ let set_default_ras v = Atomic.set default_ras v
 let ras_capacity = 64
 
 (* Translation-cache geometry: a direct-mapped power-of-two array so a
-   lookup is one mask and one compare.  The way index mixes high page
-   bits in because workloads place code/data/stack regions at round
-   power-of-two addresses — with a plain low-bits index those regions
-   all collide in way 0 and the hot call/return path (stack page for
-   the push/pop check, code page for the transfer check) would thrash
-   exactly like the old one-entry cache did. *)
-let tlb_ways = 64
+   lookup is one multiply, one shift and one compare.  The way index is
+   a multiplicative (Fibonacci) hash: the top [tlb_bits] bits of
+   [page * K], K = 2^62 / golden ratio (odd), so every page bit moves the
+   index.  Workloads place code, data, stack and kernel regions at round
+   power-of-two addresses, and an index built from a few low bits (or an
+   xor of shifted bit fields, the previous scheme) maps same-offset
+   pages of different regions to one way: on a +proc dIPC call the
+   kernel page 0x100 and the stack pages 0x140004/0x100004 shared way 4,
+   and 0x100005/0x140005 shared way 5, for 8 page-table walks per call.
+   With the hash, all 17 pages a warm dIPC call touches (six Fig. 5
+   policies) land in distinct ways, which a regression test in
+   test_core.ml pins. *)
+let tlb_bits = 6
 
-let tlb_way page = (page lxor (page lsr 6) lxor (page lsr 12)) land (tlb_ways - 1)
+let tlb_ways = 1 lsl tlb_bits
+
+let[@inline] tlb_way page = (page * 0x278DDE6E5FD29F05) lsr (Sys.int_size - tlb_bits)
 
 (* Never chained: generation counters only count up from 0, so the -1s
    fail the pop-side liveness guard before [s_units] is ever touched. *)
@@ -308,6 +317,7 @@ let create () =
     tlb_pages = Array.make tlb_ways (-1);
     tlb_entries = Array.make tlb_ways tlb_dummy;
     tlb_gen = -1;
+    tlb_refills = 0;
     inject = None;
     block_cache = Atomic.get default_block_cache;
     superblocks = Atomic.get default_superblocks;
@@ -350,12 +360,13 @@ let set_ras m v =
 let set_posture m p = m.posture <- p
 
 (* Page-table lookup through the direct-mapped translation cache:
-   fetch/load/store into a warm page skips the page-table Hashtbl, and
-   distinct hot pages (code, data, stack) each keep their own way
-   instead of evicting one another.  Entries are invalidated by the
-   table's generation counter (map/unmap) — a generation bump flushes
-   the whole cache on the next miss — and in-place page mutation is
-   observed through the shared record. *)
+   fetch/load/store into a warm page skips the page-table Hashtbl.  Two
+   pages whose indexes collide still evict one another; the hashed
+   [tlb_way] keeps the hot pages of the measured workloads apart (zero
+   refills on a warm dIPC call), and [tlb_refills] counts the rest.
+   Entries are invalidated by the table's generation counter (map/unmap)
+   — a generation bump flushes the whole cache on the next miss — and
+   in-place page mutation is observed through the shared record. *)
 let find_page m ~pc addr =
   let page = Layout.page_of addr in
   let way = tlb_way page in
@@ -364,6 +375,7 @@ let find_page m ~pc addr =
   then Array.unsafe_get m.tlb_entries way
   else begin
     let entry = Page_table.find_exn m.page_table ~pc addr in
+    m.tlb_refills <- m.tlb_refills + 1;
     let gen = Page_table.generation m.page_table in
     if gen <> m.tlb_gen then begin
       Array.fill m.tlb_pages 0 tlb_ways (-1);

@@ -61,6 +61,10 @@ type t = {
   mutable tlb_gen : int;
       (** {!Page_table.generation} the cache was filled at; a mismatch
           invalidates every way *)
+  mutable tlb_refills : int;
+      (** translation-cache misses (page-table walks).  Host-side only:
+          it depends on the cache geometry, not on the simulated
+          execution, so it is in no pinned counter set or digest. *)
   mutable inject : Dipc_sim.Inject.t option;
       (** fault injector consulted at domain crossings; [None] = clean *)
   mutable block_cache : bool;

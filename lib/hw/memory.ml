@@ -74,8 +74,10 @@ let create () =
     code_gen = 0;
   }
 
-let check_word_aligned addr =
-  if addr land 7 <> 0 then invalid_arg (Printf.sprintf "unaligned word access 0x%x" addr)
+let[@inline never] unaligned_word addr =
+  invalid_arg (Printf.sprintf "unaligned word access 0x%x" addr)
+
+let[@inline] check_word_aligned addr = if addr land 7 <> 0 then unaligned_word addr
 
 let word_chunk t page =
   match Hashtbl.find_opt t.words page with

@@ -16,8 +16,8 @@ type page = {
 }
 
 (* [generation] is bumped whenever the page-number -> page mapping itself
-   changes (map/unmap); [Machine]'s one-entry translation cache keys on
-   it.  In-place mutation of a [page] record (retag, set_protection) does
+   changes (map/unmap); [Machine]'s translation cache keys on it.
+   In-place mutation of a [page] record (retag, set_protection) does
    not bump it: cached pointers to the record observe those writes. *)
 type t = { pages : (int, page) Hashtbl.t; mutable generation : int }
 

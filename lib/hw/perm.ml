@@ -7,12 +7,12 @@
 
 type t = Nil | Call | Read | Write | Owner
 
-let rank = function Nil -> 0 | Call -> 1 | Read -> 2 | Write -> 3 | Owner -> 4
+let[@inline] rank = function Nil -> 0 | Call -> 1 | Read -> 2 | Write -> 3 | Owner -> 4
 
 (* [includes granted needed]: does holding [granted] satisfy a check for
    [needed]?  Read implies call-into-arbitrary-addresses; write implies
    read (Sec. 4.1). *)
-let includes granted needed = rank granted >= rank needed
+let[@inline] includes granted needed = rank granted >= rank needed
 
 let min a b = if rank a <= rank b then a else b
 

@@ -414,6 +414,91 @@ let test_stub_coopt_model () =
   Alcotest.(check bool) "try ~2.5x faster (Sec. 5.3.1)" true
     (setjmp /. try_ > 2.2 && setjmp /. try_ < 2.8)
 
+(* --- the warm crossing path --- *)
+
+(* The six dIPC rows of Figure 5: (same process, TLS optimised, High). *)
+let fig5_policies =
+  [
+    ("low", true, false, false);
+    ("high", true, false, true);
+    ("low+proc", false, false, false);
+    ("high+proc", false, false, true);
+    ("low+proc+tls", false, true, false);
+    ("high+proc+tls", false, true, true);
+  ]
+
+let make_policy ?fn (_, same_process, tls_optimized, high) =
+  let props = if high then Types.props_high else Types.props_low in
+  Scenario.make ~same_process ~tls_optimized ~caller_props:props ~callee_props:props ?fn ()
+
+let call_ok s ~args =
+  match Scenario.call s ~args with
+  | Ok v -> v
+  | Error f -> Alcotest.failf "call faulted: %s" (Dipc_hw.Fault.to_string f)
+
+(* Every page a warm call touches keeps its own translation-cache way:
+   after the cold calls, 1,000 calls of each policy walk the page table
+   zero times.  The refill counter is host-side only (in no digest). *)
+let test_warm_calls_take_no_tlb_refills () =
+  List.iter
+    (fun ((name, _, _, _) as p) ->
+      let s = make_policy p in
+      for _ = 1 to 3 do
+        ignore (call_ok s ~args:[ 1; 2 ])
+      done;
+      let m = s.Scenario.sys.Sys_.machine in
+      let r0 = m.Machine.tlb_refills in
+      for i = 1 to 1_000 do
+        ignore (call_ok s ~args:[ i; i ])
+      done;
+      Alcotest.(check int) (name ^ ": TLB refills in 1,000 warm calls") 0
+        (m.Machine.tlb_refills - r0))
+    fig5_policies
+
+(* DCS confidentiality across recycled stacks: a callee that leaves two
+   capabilities on its DCS must not hand them to the next call, even
+   though the next call's callee runs on the very same (recycled)
+   stack array. *)
+let test_dcs_confidentiality_across_calls () =
+  let policy = ("high+proc+tls", false, true, true) in
+  (* The callee derives a capability over its process's TLS page from its
+     APL and pushes it twice.  Placement is deterministic, so a first
+     scenario tells us where that page is. *)
+  let leaky tls =
+    [
+      Isa.Add (0, 0, 1);
+      Isa.Const (2, tls);
+      Isa.Const (3, 8);
+      Isa.CapAplDerive (0, 2, 3, Perm.Read);
+      Isa.CapPush 0;
+      Isa.CapPush 0;
+      Isa.Ret;
+    ]
+  in
+  let tls = (make_policy ~fn:(leaky 0) policy).Scenario.callee.Sys_.tls_base in
+  let s = make_policy ~fn:(leaky tls) policy in
+  let dcs = s.Scenario.thread.Sys_.t_ctx.Machine.dcs in
+  let empty_after_call what =
+    Alcotest.(check int) (what ^ ": caller DCS depth") 0 (Dipc_hw.Dcs.depth dcs);
+    let stack = dcs.Dipc_hw.Dcs.spare in
+    Alcotest.(check bool) (what ^ ": callee stack kept") true (Array.length stack > 0);
+    Array.iteri
+      (fun i slot ->
+        if slot <> None then
+          Alcotest.failf "%s: slot %d of the next call's stack holds a capability" what i)
+      stack;
+    stack
+  in
+  Alcotest.(check int) "first call" 7 (call_ok s ~args:[ 3; 4 ]);
+  let next_stack = empty_after_call "after the first call" in
+  Alcotest.(check int) "second call" 11 (call_ok s ~args:[ 5; 6 ]);
+  (* The second callee ran on the stack checked empty above. *)
+  Alcotest.(check bool) "second call ran on the recycled stack" true
+    (dcs.Dipc_hw.Dcs.spare == next_stack);
+  ignore (empty_after_call "after the second call");
+  Alcotest.(check int) "both callees ran to completion" 0
+    s.Scenario.sys.Sys_.fault_notices
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -454,6 +539,13 @@ let suites =
         Alcotest.test_case "template cache" `Quick test_template_cache_grows_by_specialisation;
         Alcotest.test_case "lean vs full" `Quick test_lean_vs_full_template;
         Alcotest.test_case "cold/warm tracking" `Quick test_proc_track_cold_then_warm;
+      ] );
+    ( "core.hot_path",
+      [
+        Alcotest.test_case "warm calls take no TLB refills" `Quick
+          test_warm_calls_take_no_tlb_refills;
+        Alcotest.test_case "DCS confidentiality across calls" `Quick
+          test_dcs_confidentiality_across_calls;
       ] );
     ( "core.costs",
       [

@@ -96,6 +96,95 @@ let test_apl_drop_tag () =
   Alcotest.(check bool) "grants from dropped tag gone" true
     (Perm.equal (Apl.permission apl ~src:b ~dst:c) Perm.Nil)
 
+(* Differential check of the row-based APL against an association-list
+   model: random grant/revoke/drop_tag sequences over tags -1..13 — the
+   "no domain" tag, self pairs, tags never granted and tags past the last
+   [fresh_tag] — with every pair's permission compared after each step,
+   [Owner] stored as [Write], and [generation] bumped by exactly one on
+   every mutation (and untouched by a rejected grant). *)
+type apl_op = Grant of int * int * Perm.t | Revoke of int * int | Drop of int
+
+let apl_tags = 14
+
+let prop_apl_rows_match_model =
+  let perms = [| Perm.Nil; Perm.Call; Perm.Read; Perm.Write; Perm.Owner |] in
+  let tag = QCheck.Gen.int_range (-1) (apl_tags - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            map3 (fun s d p -> Grant (s, d, perms.(p))) tag tag (int_range 0 4) );
+          (2, map2 (fun s d -> Revoke (s, d)) tag tag);
+          (1, map (fun t -> Drop t) tag);
+        ])
+  in
+  let show = function
+    | Grant (s, d, p) -> Printf.sprintf "grant %d->%d %s" s d (Perm.to_string p)
+    | Revoke (s, d) -> Printf.sprintf "revoke %d->%d" s d
+    | Drop t -> Printf.sprintf "drop %d" t
+  in
+  QCheck.Test.make ~name:"APL rows match an association-list model" ~count:300
+    (QCheck.make
+       ~print:(fun (fresh, ops) ->
+         Printf.sprintf "fresh %d: %s" fresh (String.concat "; " (List.map show ops)))
+       QCheck.Gen.(pair (int_range 0 8) (list_size (int_range 0 60) op)))
+    (fun (fresh, ops) ->
+      let apl = Apl.create () in
+      for _ = 1 to fresh do
+        ignore (Apl.fresh_tag apl)
+      done;
+      let model = ref [] in
+      let model_perm src dst =
+        if src = dst then Perm.Write
+        else Option.value (List.assoc_opt (src, dst) !model) ~default:Perm.Nil
+      in
+      let remove_if f = model := List.filter (fun (k, _) -> not (f k)) !model in
+      let agree () =
+        for src = -1 to apl_tags do
+          for dst = -1 to apl_tags do
+            let got = Apl.permission apl ~src ~dst and want = model_perm src dst in
+            if not (Perm.equal got want) then
+              QCheck.Test.fail_reportf "permission %d->%d: rows %s, model %s" src
+                dst (Perm.to_string got) (Perm.to_string want)
+          done
+        done
+      in
+      List.iter
+        (fun op ->
+          let gen0 = Apl.generation apl in
+          let accepted =
+            match op with
+            | Grant (src, dst, p) -> (
+                match Apl.grant apl ~src ~dst p with
+                | () ->
+                    if src = dst || src < 0 || dst < 0 then
+                      QCheck.Test.fail_reportf "grant %d->%d accepted" src dst;
+                    remove_if (( = ) (src, dst));
+                    let hw = Perm.to_hardware p in
+                    if not (Perm.equal hw Perm.Nil) then
+                      model := ((src, dst), hw) :: !model;
+                    true
+                | exception Invalid_argument _ ->
+                    if src <> dst && src >= 0 && dst >= 0 then
+                      QCheck.Test.fail_reportf "grant %d->%d rejected" src dst;
+                    false)
+            | Revoke (src, dst) ->
+                Apl.revoke apl ~src ~dst;
+                remove_if (( = ) (src, dst));
+                true
+            | Drop t ->
+                Apl.drop_tag apl t;
+                remove_if (fun (s, d) -> s = t || d = t);
+                true
+          in
+          let bumps = Apl.generation apl - gen0 in
+          if bumps <> if accepted then 1 else 0 then
+            QCheck.Test.fail_reportf "%s moved the generation by %d" (show op) bumps;
+          agree ())
+        ops;
+      true)
+
 (* --- apl cache --- *)
 
 let test_apl_cache_hit_miss () =
@@ -201,6 +290,36 @@ let test_dcs_switch_restore () =
   Alcotest.(check int) "restored + result" 3 (Dcs.depth d);
   let result = Dcs.pop d ~pc:0 in
   Alcotest.(check int) "result copied back" 16 result.Capability.base
+
+(* DCS confidentiality under recycling: the stack a [restore] detaches is
+   reused by the next [switch], and must come back holding only the new
+   call's copied arguments — nothing the previous callee pushed. *)
+let test_dcs_switch_recycles_cleared_stack () =
+  let d = Dcs.create () in
+  let cap base = { dummy_cap with Capability.base } in
+  Dcs.push d ~pc:0 (cap 8);
+  Dcs.push d ~pc:0 (cap 16);
+  let saved = Dcs.switch d ~pc:0 ~args:1 in
+  let callee_stack = d.Dcs.slots in
+  (* The callee leaves its own capabilities behind on its stack. *)
+  List.iter (fun b -> Dcs.push d ~pc:0 (cap b)) [ 0x100; 0x200; 0x300 ];
+  Dcs.restore d ~pc:0 ~rets:0 saved;
+  Alcotest.(check int) "caller stack back" 2 (Dcs.depth d);
+  let saved = Dcs.switch d ~pc:0 ~args:2 in
+  Alcotest.(check bool) "the detached stack is reused" true (d.Dcs.slots == callee_stack);
+  Alcotest.(check int) "only the copied arguments" 2 (Dcs.depth d);
+  Array.iteri
+    (fun i slot ->
+      if i >= 2 && slot <> None then
+        Alcotest.failf "slot %d still holds a previous callee's capability" i)
+    d.Dcs.slots;
+  Alcotest.(check int) "top argument" 16 (Dcs.pop d ~pc:0).Capability.base;
+  Alcotest.(check int) "bottom argument" 8 (Dcs.pop d ~pc:0).Capability.base;
+  Alcotest.check_raises "popping below the arguments faults"
+    (Fault.Fault { Fault.kind = Fault.Dcs_bounds "pop below base"; pc = 0; addr = None })
+    (fun () -> ignore (Dcs.pop d ~pc:0));
+  Dcs.restore d ~pc:0 ~rets:0 saved;
+  Alcotest.(check int) "caller stack intact" 2 (Dcs.depth d)
 
 let test_dcs_overflow () =
   let d = Dcs.create ~capacity:2 () in
@@ -621,7 +740,8 @@ let suites =
       [
         Alcotest.test_case "grants" `Quick test_apl_grants;
         Alcotest.test_case "drop tag" `Quick test_apl_drop_tag;
-      ] );
+      ]
+      @ qsuite [ prop_apl_rows_match_model ] );
     ( "hw.apl_cache",
       [
         Alcotest.test_case "hit/miss" `Quick test_apl_cache_hit_miss;
@@ -640,6 +760,8 @@ let suites =
         Alcotest.test_case "push/pop" `Quick test_dcs_push_pop;
         Alcotest.test_case "base protection" `Quick test_dcs_base_protection;
         Alcotest.test_case "switch/restore" `Quick test_dcs_switch_restore;
+        Alcotest.test_case "switch recycles a cleared stack" `Quick
+          test_dcs_switch_recycles_cleared_stack;
         Alcotest.test_case "overflow" `Quick test_dcs_overflow;
       ] );
     ( "hw.machine",
