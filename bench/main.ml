@@ -31,18 +31,9 @@
      --jobs N           shard independent runs over N domains (0 = one per
                         recommended core); digests and printed results are
                         identical at any N
-     --no-block-cache   force the reference interpreter (disable the
-                        machine's translated-block dispatch); results and
-                        digests are identical either way — triage only
-     --no-superblocks   keep the translated-block cache but disable the
-                        superblock trace compiler (one-block-at-a-time
-                        dispatch); results and digests are identical
-                        either way — triage only
-     --no-ras           keep superblocks but disable the dynamic-transfer
-                        predictors (return-address stack + inline caches):
-                        every Ret/Jmpr/Callr side-exits to the dispatcher;
-                        results and digests are identical either way —
-                        triage only *)
+     --reference        force the machine's reference interpreter (disable
+                        the compiled superblock path); results and digests
+                        are identical either way — triage only *)
 
 module Suite = Dipc_bench_suite.Suite
 module Parallel = Dipc_sim.Parallel
@@ -52,14 +43,8 @@ let () =
   let rec extract check inject jobs shards acc = function
     | [] -> (check, inject, jobs, shards, List.rev acc)
     | "--check" :: rest -> extract true inject jobs shards acc rest
-    | "--no-block-cache" :: rest ->
-        Dipc_hw.Machine.set_default_block_cache false;
-        extract check inject jobs shards acc rest
-    | "--no-superblocks" :: rest ->
-        Dipc_hw.Machine.set_default_superblocks false;
-        extract check inject jobs shards acc rest
-    | "--no-ras" :: rest ->
-        Dipc_hw.Machine.set_default_ras false;
+    | "--reference" :: rest ->
+        Dipc_hw.Machine.set_default_reference true;
         extract check inject jobs shards acc rest
     | [ "--posture" ] ->
         Printf.eprintf "--posture needs strict | audit | permissive\n";

@@ -537,10 +537,10 @@ type bench_result = {
          machine-interpreter experiments; [] for kernel-model cells.
          Pure functions of the simulated execution — identical at any
          --jobs/--shards — but *dispatch-path-dependent* by design
-         (--no-superblocks / --no-block-cache report different counts),
-         so they are emitted as their own JSON column and never enter a
-         digest: the A/B byte-diff jobs compare digests only, while the
-         counter-equality gate runs on the default path alone. *)
+         (--reference reports zeros), so they are emitted as their own
+         JSON column and never enter a digest: the reference-path
+         byte-diff job compares digests only, while the counter-equality
+         gate runs on the default path alone. *)
 }
 
 (* Each experiment is timed from a clean heap: collecting the previous
@@ -755,9 +755,9 @@ let bench_machine_hotloop () =
    it), and a handler that re-grants an APL edge every 64 calls (the
    generation bump flushes every warm superblock mid-run, forcing
    retranslation).  The digest is dispatch-path-independent — identical
-   under --no-superblocks and --no-block-cache — while the counters
-   column pins the superblock machinery itself: chains formed, warm
-   hits, speculation misses, invalidation-forced retranslations. *)
+   under --reference — while the counters column pins the superblock
+   machinery itself: chains formed, warm hits, speculation misses,
+   invalidation-forced retranslations. *)
 let superblock_iters = 20_000
 
 let bench_machine_superblock () =
@@ -835,12 +835,11 @@ let bench_machine_superblock () =
    indirect jump ([Jmpr]) — nine returns predicted by the RAS, both
    indirect sites by their inline caches, the backward loop branch
    speculated taken, so the steady state runs entirely inside one
-   superblock.  With --no-ras every Ret/Callr/Jmpr is a dispatcher
-   round-trip instead — eleven per ~21 retired instructions — which is
-   exactly the fine-grained cross-domain call shape the paper's IPC
-   claim rests on: this cell carries the PR 10 A/B.  The digest is
-   dispatch-path-independent, as always; the counters pin the predictor
-   machinery itself. *)
+   superblock.  Without the predictors every Ret/Callr/Jmpr would be a
+   dispatcher round-trip — eleven per ~21 retired instructions — and
+   that is exactly the fine-grained cross-domain call shape the paper's
+   IPC claim rests on.  The digest is dispatch-path-independent, as
+   always; the counters pin the predictor machinery itself. *)
 let callret_iters = 100_000
 
 let bench_machine_callret () =
@@ -962,16 +961,16 @@ let sec_name backend posture load =
 (* Run one cell: both interpreter paths, digest/cost equality enforced. *)
 let sec_run backend posture load =
   let attacks = sec_load_attacks backend load in
-  let outs_on, cost_on = A.sweep ~block:true ~posture backend attacks in
-  let outs_off, cost_off = A.sweep ~block:false ~posture backend attacks in
-  let d_on = A.digest_outcomes outs_on and d_off = A.digest_outcomes outs_off in
-  if d_on <> d_off || cost_on <> cost_off then
+  let outs_c, cost_c = A.sweep ~posture backend attacks in
+  let outs_r, cost_r = A.sweep ~reference:true ~posture backend attacks in
+  let d_c = A.digest_outcomes outs_c and d_r = A.digest_outcomes outs_r in
+  if d_c <> d_r || cost_c <> cost_r then
     failwith
       (Printf.sprintf
          "security matrix: %s diverges across interpreter paths: %s/%.1f vs %s/%.1f"
          (sec_name backend posture load)
-         d_on cost_on d_off cost_off);
-  (outs_on, cost_on, d_on)
+         d_c cost_c d_r cost_r);
+  (outs_c, cost_c, d_c)
 
 let sec_faults outs =
   List.fold_left

@@ -91,53 +91,19 @@ let shards_arg =
 
 let resolve_shards n = if n = 0 then Parallel.default_jobs () else n
 
-(* The interpreter escape hatches travel together: --no-block-cache
-   forces the reference stepper, --no-superblocks keeps the block cache
-   but disables the superblock trace compiler (one-block-at-a-time
-   dispatch), --no-ras keeps superblocks but disables the
-   dynamic-transfer predictors (return-address stack + inline caches).
-   Results and digests are identical in every mode. *)
-let no_block_cache_arg =
-  let no_bc =
-    Arg.(
-      value & flag
-      & info [ "no-block-cache" ]
-          ~doc:
-            "force the reference interpreter: disable the machine's \
-             translated-block dispatch.  Results and digests are identical \
-             either way; this is a triage escape hatch")
-  in
-  let no_sb =
-    Arg.(
-      value & flag
-      & info [ "no-superblocks" ]
-          ~doc:
-            "keep the translated-block cache but disable the superblock \
-             trace compiler (one-block-at-a-time dispatch).  Results and \
-             digests are identical either way; this is a triage escape \
-             hatch")
-  in
-  let no_ras =
-    Arg.(
-      value & flag
-      & info [ "no-ras" ]
-          ~doc:
-            "keep the superblock compiler but disable the dynamic-transfer \
-             predictors (return-address stack on Ret, inline caches on \
-             Jmpr/Callr): every dynamic transfer side-exits to the \
-             dispatcher.  Results and digests are identical either way; \
-             this is a triage escape hatch")
-  in
-  Term.(
-    const (fun no_bc no_sb no_ras -> (no_bc, no_sb, no_ras))
-    $ no_bc $ no_sb $ no_ras)
-
-(* Machines are created inside the workloads, so the escape hatches flip
-   the process-wide creation defaults before any run starts. *)
-let apply_block_cache (no_bc, no_sb, no_ras) =
-  if no_bc then Dipc_hw.Machine.set_default_block_cache false;
-  if no_sb then Dipc_hw.Machine.set_default_superblocks false;
-  if no_ras then Dipc_hw.Machine.set_default_ras false
+(* The interpreter escape hatch: --reference forces the reference
+   stepper instead of the compiled superblock path.  Machines are
+   created inside the workloads, so each command flips the process-wide
+   creation default before any run starts.  Results and digests are
+   identical either way. *)
+let reference_arg =
+  Arg.(
+    value & flag
+    & info [ "reference" ]
+        ~doc:
+          "force the machine's reference interpreter: disable the compiled \
+           superblock path.  Results and digests are identical either way; \
+           this is a triage escape hatch")
 
 (* One injector per run from the CLI seed; [None] leaves every hook a
    no-op. *)
@@ -252,8 +218,8 @@ let run_ipc_all bytes inject_seed check jobs =
   Array.iter (fun o -> print_string o.Parallel.o_value) out;
   flush stdout
 
-let run_ipc primitive same_cpu bytes inject_seed check all jobs no_bc =
-  apply_block_cache no_bc;
+let run_ipc primitive same_cpu bytes inject_seed check all jobs reference =
+  Dipc_hw.Machine.set_default_reference reference;
   if all then run_ipc_all bytes inject_seed check jobs
   else begin
     let inject = mk_inject inject_seed in
@@ -298,7 +264,7 @@ let ipc_cmd =
     (Cmd.info "ipc" ~doc:"measure a baseline IPC primitive on the kernel model")
     Term.(
       const run_ipc $ primitive $ same_cpu $ bytes $ inject_arg $ check_arg
-      $ all $ jobs_arg $ no_block_cache_arg)
+      $ all $ jobs_arg $ reference_arg)
 
 (* --- oltp: one macro-benchmark cell --- *)
 
@@ -338,8 +304,8 @@ let run_oltp_sweep threads on_disk inject_seed check jobs =
   Array.iter (fun o -> print_string o.Parallel.o_value) out;
   flush stdout
 
-let run_oltp config threads on_disk inject_seed check sweep jobs no_bc =
-  apply_block_cache no_bc;
+let run_oltp config threads on_disk inject_seed check sweep jobs reference =
+  Dipc_hw.Machine.set_default_reference reference;
   if sweep then run_oltp_sweep threads on_disk inject_seed check jobs
   else begin
     let config =
@@ -387,7 +353,7 @@ let oltp_cmd =
     (Cmd.info "oltp" ~doc:"run one cell of the Figure 8 macro-benchmark")
     Term.(
       const run_oltp $ config $ threads $ on_disk $ inject_arg $ check_arg
-      $ sweep $ jobs_arg $ no_block_cache_arg)
+      $ sweep $ jobs_arg $ reference_arg)
 
 (* --- open: open-arrival load generator (millions of sessions) --- *)
 
@@ -400,8 +366,8 @@ let arrival_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (OL.arrival_name a))
 
-let run_open prim arrival load sessions seed sweep jobs shards no_bc =
-  apply_block_cache no_bc;
+let run_open prim arrival load sessions seed sweep jobs shards reference =
+  Dipc_hw.Machine.set_default_reference reference;
   let jobs = resolve_jobs jobs in
   let shards = resolve_shards shards in
   if sweep then ignore (Suite.open_sweep ~jobs ~shards ~arrival ())
@@ -473,12 +439,12 @@ let open_cmd =
           tail latency percentiles")
     Term.(
       const run_open $ prim $ arrival $ load $ sessions $ seed $ sweep
-      $ jobs_arg $ shards_arg $ no_block_cache_arg)
+      $ jobs_arg $ shards_arg $ reference_arg)
 
 (* --- trace: export a Chrome trace of a microbench run --- *)
 
-let run_trace primitive same_cpu bytes iters out no_bc =
-  apply_block_cache no_bc;
+let run_trace primitive same_cpu bytes iters out reference =
+  Dipc_hw.Machine.set_default_reference reference;
   let tr = Trace.create () in
   let r = M.run ~bytes ~iters ~trace:tr ~same_cpu primitive in
   let oc = open_out out in
@@ -516,12 +482,12 @@ let trace_cmd =
        ~doc:"run a microbench under event tracing and export Chrome trace JSON")
     Term.(
       const run_trace $ primitive $ same_cpu $ bytes $ iters $ out
-      $ no_block_cache_arg)
+      $ reference_arg)
 
 (* --- bench: the fixed-seed suite / fault matrix, sharded --- *)
 
-let run_bench out matrix check inject_seed jobs no_bc =
-  apply_block_cache no_bc;
+let run_bench out matrix check inject_seed jobs reference =
+  Dipc_hw.Machine.set_default_reference reference;
   let jobs = resolve_jobs jobs in
   if matrix then begin
     let runs, faults =
@@ -554,7 +520,7 @@ let bench_cmd =
           --jobs domains; digests are identical at any job count")
     Term.(
       const run_bench $ out $ matrix $ check_arg $ inject_arg $ jobs_arg
-      $ no_block_cache_arg)
+      $ reference_arg)
 
 (* --- disasm: show the generated proxy for a configuration --- *)
 

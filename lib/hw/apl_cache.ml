@@ -28,7 +28,6 @@ type t = {
   tags : int array; (* index = hardware domain tag; -1 = empty *)
   last_use : int array;
   mutable clock : int;
-  mutable generation : int; (* bumped on every [reset] (flush) *)
   mutable hits : int;
   mutable misses : int;
   mutable refills : int;
@@ -39,7 +38,6 @@ let create () =
     tags = Array.make capacity (-1);
     last_use = Array.make capacity 0;
     clock = 0;
-    generation = 0;
     hits = 0;
     misses = 0;
     refills = 0;
@@ -49,7 +47,6 @@ let reset t =
   Array.fill t.tags 0 capacity (-1);
   Array.fill t.last_use 0 capacity 0;
   t.clock <- 0;
-  t.generation <- t.generation + 1;
   (* Statistics must not bleed across scenario runs that reuse a machine. *)
   t.hits <- 0;
   t.misses <- 0;
@@ -101,8 +98,6 @@ let ensure t tag =
   match lookup t tag with Some hw -> (hw, true) | None -> (install t tag, false)
 
 let stats t = (t.hits, t.misses, t.refills)
-
-let generation t = t.generation
 
 let resident_tags t =
   Array.to_list t.tags |> List.filter (fun tag -> tag >= 0)

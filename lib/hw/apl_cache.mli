@@ -26,9 +26,4 @@ val ensure : t -> int -> int * bool
 (** (hits, misses, refills). *)
 val stats : t -> int * int * int
 
-(** Flush counter: bumped by every {!reset}, so cached decisions taken
-    against the cache's contents (the machine's translated-block cache)
-    can detect an injected or deliberate flush. *)
-val generation : t -> int
-
 val resident_tags : t -> int list

@@ -107,7 +107,7 @@ let downgradeable = function
       false
 
 (* Process-wide default posture, sampled at machine/model creation (the
-   same pattern as [Machine.default_block_cache]): the CLI flips it
+   same pattern as [Machine.default_reference]): the CLI flips it
    before any machine exists.  Atomic because the parallel runner
    creates machines from several domains. *)
 let default_posture = Atomic.make Strict

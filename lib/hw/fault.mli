@@ -54,7 +54,7 @@ val downgradeable : kind -> bool
 
 (** Process-wide default posture, sampled at machine/model creation (the
     [--posture] CLI escape hatch; same pattern as
-    {!Machine.set_default_block_cache}). *)
+    {!Machine.set_default_reference}). *)
 val set_default_posture : posture -> unit
 
 val get_default_posture : unit -> posture

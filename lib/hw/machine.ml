@@ -18,34 +18,6 @@ module Trace = Dipc_sim.Trace
 
 let apl_cache_refill_cost = 250.0 (* exception + software cache refill *)
 
-(* A translated basic block: the straight-line instructions starting at
-   [b_pc] (same page, stopping before the first branch/call/ret/syscall/
-   trap/halt, the page boundary, or an unfetchable slot), decoded once
-   with their costs pre-resolved.  [b_len = 0] means the first instruction
-   is itself a terminator (or unfetchable): dispatch falls back to the
-   reference stepper for that one instruction.
-
-   Validity is guarded by generation counters snapshotted at translation
-   time: the code store ([Memory.place_code] would overwrite decoded
-   instructions), the page table (map/unmap could change what the pc
-   region means), the APL and the per-thread APL cache (mutation/flush —
-   conservative: the block body itself consults APL state live, but
-   over-invalidation merely retranslates identical code and is always
-   safe).  Key fields [b_tag]/[b_priv] pin the domain view the block was
-   translated under. *)
-type block = {
-  b_pc : int;
-  b_tag : int;
-  b_priv : bool;
-  b_len : int;
-  b_instrs : Isa.instr array;
-  b_costs : float array;
-  b_code_gen : int;
-  b_pt_gen : int;
-  b_apl_gen : int;
-  b_aplc_gen : int;
-}
-
 (* One unit of a superblock: a straight-line body (compiled to
    direct-threaded closures over the context), an optional *chained*
    terminator, and one speculated successor.  Only control flow whose
@@ -65,7 +37,7 @@ type block = {
    transfer check because [Page_table.retag]/[set_protection] mutate
    pages in place without bumping the table generation.
 
-   PR 10 chains the dynamic transfers too.  [u_dyn] classifies the
+   The dynamic transfers are chained too.  [u_dyn] classifies the
    terminator's junction: [Dyn_ret] consults the per-machine
    return-address stack, [Dyn_ic] a per-site monomorphic inline cache
    on [Jmpr]/[Callr].  [u_cont_idx] is the unit index of a [Call]/
@@ -111,10 +83,9 @@ and superblock = {
   s_code_gen : int;
   s_pt_gen : int;
   s_apl_gen : int;
-      (* No APL-cache generation guard (unlike [block]): the cache is
-         per-context while superblocks are shared machine-wide, and the
-         guard was purely conservative anyway — bodies and junctions
-         consult APL-cache state live. *)
+      (* No APL-cache guard: the cache is per-context while superblocks
+         are shared machine-wide, and bodies and junctions consult
+         APL-cache state live. *)
 }
 
 and ctx = {
@@ -136,9 +107,6 @@ and ctx = {
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
   mutable halted : bool;
-  blocks : (int, block) Hashtbl.t;
-      (* translated-block cache, keyed by starting pc; per-context so the
-         APL-cache flush guard tracks *this* thread's cache *)
 }
 
 type t = {
@@ -160,22 +128,11 @@ type t = {
   mutable inject : Dipc_sim.Inject.t option;
       (* Fault injector consulted at domain crossings; [None] keeps the
          crossing path exactly as-is. *)
-  mutable block_cache : bool;
-      (* [run] dispatches through translated blocks when true (and the
-         tracer is off and no injector is installed); false forces the
-         reference stepper throughout — the --no-block-cache triage
+  mutable reference : bool;
+      (* [run] dispatches through compiled superblocks when false (and
+         the tracer is off and no injector is installed); true forces
+         the reference stepper throughout — the --reference triage
          escape hatch. *)
-  mutable superblocks : bool;
-      (* Under [block_cache]: chain blocks across direct jumps/calls
-         into superblocks with speculative continuations (the fastest
-         path, the default); false falls back to the PR 5 one-block-at-
-         a-time dispatch — the --no-superblocks triage escape hatch.
-         Ignored when [block_cache] is false. *)
-  mutable ras : bool;
-      (* Under [superblocks]: predict through the dynamic transfers —
-         return-address stack on Ret, inline caches on Jmpr/Callr
-         (the default); false leaves every dynamic site a counted side
-         exit — the --no-ras triage escape hatch. *)
   sblocks : (int, superblock) Hashtbl.t;
       (* superblock cache, keyed by entry pc; machine-wide (shared by
          every context) so [pretranslate] can warm it before any thread
@@ -198,9 +155,9 @@ type t = {
   mutable ras_len : int;  (* live entries (overflow drops the oldest) *)
   mutable ctr_block_entries : int;
       (* deterministic perf counters: translated-body entries (one per
-         superblock unit entered / per PR 5 block body executed)... *)
+         superblock unit entered)... *)
   mutable ctr_sb_hits : int;  (* ...warm superblock dispatches... *)
-  mutable ctr_sb_translations : int;  (* ...superblocks (re)translated... *)
+  mutable ctr_sb_translations : int;  (* ...superblock (re)translations... *)
   mutable ctr_side_exits : int;
       (* ...and mid-chain exits: speculation misses, junction tag/priv
          guard failures, and dynamic junctions (Ret/Jmpr/Callr) that
@@ -231,27 +188,13 @@ type t = {
 
 exception Out_of_fuel
 
-(* Process-wide default for [t.block_cache], sampled by [create]:
+(* Process-wide default for [t.reference], sampled by [create]:
    experiment code builds machines internally, so the CLI escape hatch
-   flips this before any machine exists.  Atomic because the PR 4 runner
-   creates machines from several domains. *)
-let default_block_cache = Atomic.make true
+   flips this before any machine exists.  Atomic because the parallel
+   runner creates machines from several domains. *)
+let default_reference = Atomic.make false
 
-let set_default_block_cache v = Atomic.set default_block_cache v
-
-(* Same contract for the superblock compiler (the --no-superblocks
-   escape hatch): flipped before any machine exists, sampled by
-   [create]. *)
-let default_superblocks = Atomic.make true
-
-let set_default_superblocks v = Atomic.set default_superblocks v
-
-(* And for the dynamic-transfer predictors (the --no-ras escape hatch):
-   RAS + inline caches off leaves every Ret/Jmpr/Callr a counted side
-   exit, isolating prediction bugs from the rest of the compiler. *)
-let default_ras = Atomic.make true
-
-let set_default_ras v = Atomic.set default_ras v
+let set_default_reference v = Atomic.set default_reference v
 
 (* Return-address stack capacity; a power of two so push/pop wrap with a
    mask.  64 comfortably covers the deepest call towers in the suite —
@@ -319,9 +262,7 @@ let create () =
     tlb_gen = -1;
     tlb_refills = 0;
     inject = None;
-    block_cache = Atomic.get default_block_cache;
-    superblocks = Atomic.get default_superblocks;
-    ras = Atomic.get default_ras;
+    reference = Atomic.get default_reference;
     sblocks = Hashtbl.create 64;
     ras_pc = Array.make ras_capacity 0;
     ras_sb = Array.make ras_capacity ras_dummy;
@@ -340,22 +281,7 @@ let create () =
     audited_faults = 0;
   }
 
-let set_block_cache m v = m.block_cache <- v
-
-let set_superblocks m v = m.superblocks <- v
-
-let set_ras m v =
-  if m.ras <> v then begin
-    m.ras <- v;
-    (* Translation shapes depend on the flag (continuation units are
-       only materialised with prediction on): drop the cache and let
-       dispatch retranslate under the new setting.  Also forget any
-       live predictions — their superblocks just died. *)
-    Hashtbl.reset m.sblocks;
-    Array.fill m.ras_sb 0 ras_capacity ras_dummy;
-    m.ras_top <- 0;
-    m.ras_len <- 0
-  end
+let set_reference m v = m.reference <- v
 
 let set_posture m p = m.posture <- p
 
@@ -418,7 +344,6 @@ let new_ctx ?(dcs_capacity = Dcs.default_capacity) m ~pc ~sp_value =
     breakdown = Breakdown.create ();
     apl_cache = Apl_cache.create ();
     halted = false;
-    blocks = Hashtbl.create 64;
   }
 
 let charge m ctx ns =
@@ -714,7 +639,7 @@ let derive_from_apl m ctx ~pc ~base ~len ~perm =
 let word = Layout.word_size
 
 (* Execute the body of one already-fetched, already-charged instruction.
-   Shared by the reference stepper and the translated-block path; [pc] is
+   Shared by the reference stepper and the superblock compiler; [pc] is
    the instruction's own address (= [ctx.pc] on entry) and [next] its
    fall-through successor. *)
 let exec_instr m ctx instr ~pc ~next =
@@ -950,67 +875,16 @@ let step m ctx =
         ~arg:f.Fault.pc Trace.Fault;
     raise exn
 
-(* --- translated-block dispatch --- *)
+(* --- superblock dispatch (direct-threaded trace compiler) --- *)
 
-(* A terminator ends a basic block: anything that can leave the
-   straight-line pc+4 successor chain (or stop execution).  Terminators
-   always execute through the reference stepper. *)
+(* A terminator ends a straight-line body: anything that can leave the
+   pc+4 successor chain (or stop execution). *)
 let is_terminator = function
   | Isa.Halt | Isa.Trap _ | Isa.Syscall _ | Isa.Jmp _ | Isa.Jmpr _
   | Isa.Call _ | Isa.Callr _ | Isa.Ret | Isa.Beq _ | Isa.Bne _ | Isa.Blt _
   | Isa.Bge _ | Isa.Beqz _ | Isa.Bnez _ ->
       true
   | _ -> false
-
-(* Decode the maximal straight-line run starting at [pc]: same page,
-   every slot fetchable, no terminators.  Pure reads — [Memory.fetch] is
-   exactly what the reference stepper performs per instruction, so a
-   translated body replays the same decode results. *)
-let translate m ctx pc =
-  let page0 = Layout.page_of pc in
-  let rev = ref [] in
-  let n = ref 0 in
-  let p = ref pc in
-  let stop = ref false in
-  while not !stop do
-    if Layout.page_of !p <> page0 then stop := true
-    else
-      match Memory.fetch m.mem !p with
-      | Some i when not (is_terminator i) ->
-          rev := i :: !rev;
-          incr n;
-          p := !p + Isa.instr_bytes
-      | Some _ | None -> stop := true
-  done;
-  let instrs = Array.of_list (List.rev !rev) in
-  {
-    b_pc = pc;
-    b_tag = ctx.cur_tag;
-    b_priv = ctx.priv;
-    b_len = !n;
-    b_instrs = instrs;
-    b_costs = Array.map Isa.cost instrs;
-    b_code_gen = Memory.code_generation m.mem;
-    b_pt_gen = Page_table.generation m.page_table;
-    b_apl_gen = Apl.generation m.apl;
-    b_aplc_gen = Apl_cache.generation ctx.apl_cache;
-  }
-
-let find_block m ctx pc =
-  match Hashtbl.find_opt ctx.blocks pc with
-  | Some b
-    when b.b_pc = pc && b.b_tag = ctx.cur_tag && b.b_priv = ctx.priv
-         && b.b_code_gen = Memory.code_generation m.mem
-         && b.b_pt_gen = Page_table.generation m.page_table
-         && b.b_apl_gen = Apl.generation m.apl
-         && b.b_aplc_gen = Apl_cache.generation ctx.apl_cache ->
-      b
-  | _ ->
-      let b = translate m ctx pc in
-      Hashtbl.replace ctx.blocks pc b;
-      b
-
-(* --- superblock dispatch (direct-threaded trace compiler) --- *)
 
 (* Compile one body instruction to a pre-specialized closure: operands,
    own pc and fall-through successor are captured at translation time,
@@ -1125,8 +999,8 @@ let max_superblock_units = 32
    and re-checked at the junction at run time (pages mutate in place).
 
    Dynamic transfers (Ret, Jmpr, Callr) are chained as terminators with
-   a [Dyn_ret]/[Dyn_ic] junction; with prediction on, every Call/Callr
-   additionally enqueues its return continuation as a secondary chain
+   a [Dyn_ret]/[Dyn_ic] junction; every Call/Callr additionally
+   enqueues its return continuation as a secondary chain
    seed so the matching Ret has a unit to land on.  Seeds are processed
    FIFO after the primary chain ends, under the same unit budget — the
    primary chain is therefore built exactly as before, and a
@@ -1134,7 +1008,6 @@ let max_superblock_units = 32
    Ret then mispredicts to the dispatcher, never executes wrong
    code). *)
 let translate_superblock m ~pc ~tag ~priv =
-  let predict = m.ras in
   let units = ref [] in
   let count = ref 0 in
   let index = Hashtbl.create 8 in
@@ -1153,7 +1026,9 @@ let translate_superblock m ~pc ~tag ~priv =
       match !cur with Some c -> c | None -> assert false
     in
     Hashtbl.replace index upc !count;
-    (* straight-line body: same decode rule as [translate] *)
+    (* straight-line body: same page, every slot fetchable, no
+       terminators — pure reads, exactly the decodes the reference
+       stepper performs per instruction *)
     let page0 = Layout.page_of upc in
     let rev = ref [] in
     let n = ref 0 in
@@ -1194,19 +1069,16 @@ let translate_superblock m ~pc ~tag ~priv =
        back in — the RAS junction re-validates the landing unit's
        (tag, priv) against the live state before chaining, so even a
        retagged continuation can never run stale. *)
-    (if predict then
-       match term with
-       | Some (Isa.Call _ | Isa.Callr _) -> (
-           let cpc = term_pc + Isa.instr_bytes in
-           if Layout.page_of cpc = page0 then Queue.add (cpc, utag, upriv) conts
-           else
-             match Page_table.find m.page_table cpc with
-             | Some page when page.Page_table.executable ->
-                 Queue.add
-                   (cpc, page.Page_table.tag, page.Page_table.priv_cap)
-                   conts
-             | Some _ | None -> ())
-       | _ -> ());
+    (match term with
+    | Some (Isa.Call _ | Isa.Callr _) -> (
+        let cpc = term_pc + Isa.instr_bytes in
+        if Layout.page_of cpc = page0 then Queue.add (cpc, utag, upriv) conts
+        else
+          match Page_table.find m.page_table cpc with
+          | Some page when page.Page_table.executable ->
+              Queue.add (cpc, page.Page_table.tag, page.Page_table.priv_cap) conts
+          | Some _ | None -> ())
+    | _ -> ());
     let u_next, u_next_idx, continue_at =
       match succ with
       | None -> (-1, -1, None)
@@ -1260,16 +1132,15 @@ let translate_superblock m ~pc ~tag ~priv =
   (* Resolve call continuations now that every unit exists: a seed may
      have closed onto a unit the primary chain already built, or been
      dropped by the budget (u_cont_idx stays -1). *)
-  if predict then
-    Array.iter
-      (fun u ->
-        match u.u_term with
-        | Some (Isa.Call _ | Isa.Callr _) -> (
-            match Hashtbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
-            | Some i -> u.u_cont_idx <- i
-            | None -> ())
-        | _ -> ())
-      s_units;
+  Array.iter
+    (fun u ->
+      match u.u_term with
+      | Some (Isa.Call _ | Isa.Callr _) -> (
+          match Hashtbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
+          | Some i -> u.u_cont_idx <- i
+          | None -> ())
+      | _ -> ())
+    s_units;
   {
     s_pc = pc;
     s_tag = tag;
@@ -1319,9 +1190,9 @@ let ras_push m ~cont_pc ~sb ~uidx =
    Charge order replays the reference interpreter exactly: per
    instruction one [instret] bump, one [cost +. c] and one Breakdown
    cell add — same floats, same sequence — then the effect closure.
-   The attribution category is re-resolved per unit entry (attr_of_tag
-   is mutable machine state), exactly as the PR 5 block path hoists it
-   per block execution.
+   The attribution category is resolved at entry and re-resolved only
+   after a junction crossing (attr_of_tag is mutable machine state, but
+   only a syscall — never chained — can change it).
 
    The junction protocol after a unit's terminator (or fall-through):
    stop on a planned end; stop (side exit) when the actual [ctx.pc]
@@ -1335,7 +1206,7 @@ let ras_push m ~cont_pc ~sb ~uidx =
    mismatch (in-place retag/reprotection) side-exits to the dispatcher,
    which retranslates under the live view.
 
-   Dynamic junctions (PR 10) follow the same discipline but may hop
+   Dynamic junctions follow the same discipline but may hop
    *across* superblocks, so the current unit array is a reference:
 
    - [Dyn_ret]: the Ret's own closure already performed the reference
@@ -1454,7 +1325,7 @@ let exec_superblock m ctx sb0 remaining =
             else if !remaining <= 0 then continue_ := false
             else begin
               let hit = ref false in
-              if m.ras && m.ras_len > 0 then begin
+              if m.ras_len > 0 then begin
                 (* the Ret consumes its entry whether or not it
                    predicts — ordinary stack discipline *)
                 m.ras_len <- m.ras_len - 1;
@@ -1501,7 +1372,7 @@ let exec_superblock m ctx sb0 remaining =
             else if !remaining <= 0 then continue_ := false
             else begin
               let target = ctx.pc in
-              if m.ras && cell.ic_pc = target then begin
+              if cell.ic_pc = target then begin
                 (* monomorphic re-match: the reference transfer check
                    runs here, in the exact position the dispatcher
                    would run it (page change only) *)
@@ -1549,10 +1420,8 @@ let exec_superblock m ctx sb0 remaining =
               end
               else begin
                 (* polymorphic (or cold) site: rebias and dispatch *)
-                if m.ras then begin
-                  cell.ic_pc <- target;
-                  cell.ic_sb <- None
-                end;
+                cell.ic_pc <- target;
+                cell.ic_sb <- None;
                 m.ctr_ic_misses <- m.ctr_ic_misses + 1;
                 m.ctr_side_exits <- m.ctr_side_exits + 1;
                 continue_ := false
@@ -1564,13 +1433,13 @@ let exec_superblock m ctx sb0 remaining =
 
 (* Warm the superblock cache for an entry point before any thread runs
    it — called at proxy/template generation time so the first dIPC
-   crossing dispatches into already-compiled code.  A no-op unless both
-   fast paths are enabled, or when [pc] is unmapped/non-executable.
+   crossing dispatches into already-compiled code.  A no-op on a
+   [reference] machine, or when [pc] is unmapped/non-executable.
    The warm entry stays valid only until the next code placement or
    table change bumps a generation (callers should pretranslate after
    their last [place_code]); a stale entry merely retranslates. *)
 let pretranslate m ~pc =
-  if m.block_cache && m.superblocks then
+  if not m.reference then
     match Page_table.find m.page_table pc with
     | Some page when page.Page_table.executable ->
         let sb =
@@ -1581,12 +1450,13 @@ let pretranslate m ~pc =
         Hashtbl.replace m.sblocks pc sb
     | Some _ | None -> ()
 
-(* The fast path is only observably identical to the reference stepper
-   when nothing watches individual steps: tracing emits per-instruction
-   Charge events (timestamps interleave with crossing events) and an
-   injector perturbs crossings, so either disables block dispatch. *)
+(* The compiled path is only observably identical to the reference
+   stepper when nothing watches individual steps: tracing emits
+   per-instruction Charge events (timestamps interleave with crossing
+   events) and an injector perturbs crossings, so either forces the
+   reference stepper, as does [reference] itself. *)
 let block_path_ok m =
-  m.block_cache
+  (not m.reference)
   && (not (Trace.enabled m.tracer))
   && match m.inject with None -> true | Some _ -> false
 
@@ -1600,7 +1470,7 @@ let run ?(fuel = 10_000_000) m ctx =
         decr remaining;
         running := false
       end
-      else if m.superblocks then begin
+      else begin
         let pc = ctx.pc in
         if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
         let sb = find_superblock m ctx pc in
@@ -1617,49 +1487,6 @@ let run ?(fuel = 10_000_000) m ctx =
           | `Running -> ()
         end
         else exec_superblock m ctx sb remaining
-      end
-      else begin
-        (* PR 5 one-block-at-a-time dispatch, kept verbatim: the
-           --no-superblocks triage path. *)
-        let pc = ctx.pc in
-        if Layout.page_of pc <> ctx.cur_page then check_transfer m ctx pc;
-        let b = find_block m ctx pc in
-        if b.b_len = 0 then begin
-          (* Terminator or unfetchable slot: one reference step.  The
-             page/transfer check above already ran, so [step_unlogged]
-             will not repeat it. *)
-          decr remaining;
-          match step_unlogged m ctx with
-          | `Halted -> running := false
-          | `Running -> ()
-        end
-        else begin
-          (* Execute the block body (truncated to the remaining fuel so
-             an Out_of_fuel raise lands on the same instruction boundary
-             as the reference loop).  Body instructions never change
-             [cur_tag]/[cur_page]/[priv]/[halted] — terminators are
-             excluded — so the per-instruction transfer check and the
-             attribution category are loop invariants.  Charges replay
-             the reference order exactly: one [cost +. c] and one
-             Breakdown cell add per instruction, same floats, same
-             sequence (float summation order is observable in Breakdown
-             totals). *)
-          m.ctr_block_entries <- m.ctr_block_entries + 1;
-          let k = if b.b_len < !remaining then b.b_len else !remaining in
-          remaining := !remaining - k;
-          let cat_i = Breakdown.category_index (m.attr_of_tag ctx.cur_tag) in
-          let instrs = b.b_instrs and costs = b.b_costs in
-          for i = 0 to k - 1 do
-            let pc = ctx.pc in
-            ctx.instret <- ctx.instret + 1;
-            let c = Array.unsafe_get costs i in
-            ctx.cost <- ctx.cost +. c;
-            Breakdown.charge_idx ctx.breakdown cat_i c;
-            exec_instr m ctx
-              (Array.unsafe_get instrs i)
-              ~pc ~next:(pc + Isa.instr_bytes)
-          done
-        end
       end
     else begin
       decr remaining;

@@ -11,14 +11,10 @@ module Breakdown = Dipc_sim.Breakdown
 (** Cost of the software APL-cache refill after a miss (auto-fill mode). *)
 val apl_cache_refill_cost : float
 
-(** A translated basic block (straight-line instructions decoded once,
-    guarded by code/page-table/APL generation counters). *)
-type block
-
-(** A superblock: basic blocks chained across direct jumps/calls and
-    speculated conditional-branch arms, compiled to direct-threaded
-    closures, with side exits back to the dispatcher when a speculation
-    or a tag/priv junction guard fails mid-chain. *)
+(** A superblock: straight-line bodies chained across direct
+    jumps/calls and speculated conditional-branch arms, compiled to
+    direct-threaded closures, with side exits back to the dispatcher
+    when a speculation or a tag/priv junction guard fails mid-chain. *)
 type superblock
 
 (** One hardware thread's execution context. *)
@@ -41,8 +37,6 @@ type ctx = {
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
   mutable halted : bool;
-  blocks : (int, block) Hashtbl.t;
-      (** translated-block cache, keyed by starting pc *)
 }
 
 type t = {
@@ -67,20 +61,11 @@ type t = {
           execution, so it is in no pinned counter set or digest. *)
   mutable inject : Dipc_sim.Inject.t option;
       (** fault injector consulted at domain crossings; [None] = clean *)
-  mutable block_cache : bool;
-      (** [run] uses translated-block dispatch when true (default); the
-          tracer being enabled or an injector being installed overrides
-          this per run.  See {!set_block_cache}. *)
-  mutable superblocks : bool;
-      (** under [block_cache]: superblock (trace-compiled) dispatch when
-          true (default), the PR 5 one-block-at-a-time path when false;
-          see {!set_superblocks} *)
-  mutable ras : bool;
-      (** under [superblocks]: predict through dynamic transfers — a
-          return-address stack on [Ret], monomorphic inline caches on
-          [Jmpr]/[Callr] — when true (default); false leaves every
-          dynamic site a counted side exit (the [--no-ras] triage
-          path); see {!set_ras} *)
+  mutable reference : bool;
+      (** [run] forces the reference stepper when true; when false (the
+          default) it dispatches through compiled superblocks unless the
+          tracer is enabled or an injector is installed.  See
+          {!set_reference}. *)
   sblocks : (int, superblock) Hashtbl.t;
       (** superblock cache, keyed by entry pc; machine-wide so
           {!pretranslate} can warm it before any context exists *)
@@ -101,7 +86,7 @@ type t = {
           part of any digest (they are dispatch-path-dependent by
           design: the reference interpreter reports zeros).
           [ctr_block_entries] counts translated-body entries (one per
-          superblock unit entered / per block body executed) *)
+          superblock unit entered) *)
   mutable ctr_sb_hits : int;  (** warm superblock dispatches *)
   mutable ctr_sb_translations : int;  (** superblocks (re)translated *)
   mutable ctr_side_exits : int;
@@ -131,8 +116,10 @@ exception Out_of_fuel
 
 val create : unit -> t
 
-(** Enable/disable translated-block dispatch on one machine. *)
-val set_block_cache : t -> bool -> unit
+(** Force the reference stepper on one machine (true), or let [run]
+    use the compiled path (false).  Results, costs and digests are
+    identical either way — triage only. *)
+val set_reference : t -> bool -> unit
 
 (** Select the enforcement posture for authorization faults (those some
     authority could have granted): [Strict] raises — the default, under
@@ -145,33 +132,12 @@ val set_block_cache : t -> bool -> unit
 val set_posture : t -> Fault.posture -> unit
 
 (** Process-wide default for {!create} (sampled at machine creation):
-    the [--no-block-cache] escape hatch for experiment code that builds
+    the [--reference] escape hatch for experiment code that builds
     machines internally. *)
-val set_default_block_cache : bool -> unit
+val set_default_reference : bool -> unit
 
-(** Enable/disable superblock (trace-compiled) dispatch on one machine;
-    with it off (and [block_cache] on) [run] uses the PR 5
-    one-block-at-a-time path.  Results, costs and digests are identical
-    in every mode — triage only. *)
-val set_superblocks : t -> bool -> unit
-
-(** Process-wide default for {!create}: the [--no-superblocks] escape
-    hatch, mirroring {!set_default_block_cache}. *)
-val set_default_superblocks : bool -> unit
-
-(** Enable/disable the dynamic-transfer predictors (return-address
-    stack + inline caches) on one machine.  Toggling drops the
-    superblock cache and any live predictions — translation shapes
-    depend on the setting.  Results, costs and digests are identical in
-    every mode — triage only. *)
-val set_ras : t -> bool -> unit
-
-(** Process-wide default for {!create}: the [--no-ras] escape hatch,
-    mirroring {!set_default_superblocks}. *)
-val set_default_ras : bool -> unit
-
-(** Warm the superblock cache for the entry point at [pc] (a no-op
-    unless both fast paths are enabled, or when [pc] is unmapped or not
+(** Warm the superblock cache for the entry point at [pc] (a no-op on a
+    [reference] machine, or when [pc] is unmapped or not
     executable).  Called at proxy/template generation time so the first
     dIPC crossing dispatches into already-compiled code; only effective
     if no later [Memory.place_code]/table change bumps a generation —
@@ -219,10 +185,11 @@ val check_transfer : t -> ctx -> int -> unit
 val step : t -> ctx -> [ `Halted | `Running ]
 
 (** Run until Halt; raises {!Fault.Fault} on protection violations and
-    {!Out_of_fuel} after [fuel] instructions.  Dispatches through the
-    translated-block cache when [block_cache] is set, the tracer is
-    disabled and no injector is installed; otherwise steps through the
-    reference interpreter.  Both paths produce identical architectural
+    {!Out_of_fuel} after [fuel] instructions.  Dispatches through
+    compiled superblocks — with a return-address stack on [Ret] and
+    monomorphic inline caches on [Jmpr]/[Callr] — unless [reference] is
+    set, the tracer is enabled or an injector is installed; otherwise
+    steps through the reference interpreter.  Both paths produce identical architectural
     state, costs, Breakdown totals and trace digests. *)
 val run : ?fuel:int -> t -> ctx -> unit
 

@@ -17,10 +17,10 @@
    per scenario, via a fresh Trace accumulator): under one posture the
    three backends must produce byte-identical digests over the
    cross-backend subset, and the CODOMs sweep must digest identically
-   with the translated-block cache on and off.  The CODOMs sweep runs
-   all attacks on ONE shared machine, rewriting the attack program in
-   place between scenarios and revoking/re-granting APL entries as it
-   goes — deliberately hostile to stale block translations. *)
+   on the compiled path and the reference stepper.  The CODOMs sweep
+   runs all attacks on ONE shared machine, rewriting the attack program
+   in place between scenarios and revoking/re-granting APL entries as
+   it goes — deliberately hostile to stale superblock translations. *)
 
 module Machine = Dipc_hw.Machine
 module Memory = Dipc_hw.Memory
@@ -117,7 +117,7 @@ type outcome =
 
 (* --- the shared CODOMs universe --- *)
 
-(* Fixed addresses (mirroring the block-cache test universe, plus two
+(* Fixed addresses (mirroring the superblock test universe, plus two
    hostile pages).  All attack programs load at [code0], so the faulting
    pcs below are stable canonical constants. *)
 let code0 = 0x100000 (* 2 executable pages, tag a *)
@@ -257,9 +257,9 @@ let dcs_capacity_of = function Dcs_overflow -> Some 2 | _ -> None
 
 type universe = { m : Machine.t; tag_a : int; tag_b : int; tag_c : int; tag_d : int }
 
-let make_universe ?posture ~block () =
+let make_universe ?posture ~reference () =
   let m = Machine.create () in
-  Machine.set_block_cache m block;
+  Machine.set_reference m reference;
   Option.iter (Machine.set_posture m) posture;
   let tag_a = Apl.fresh_tag m.Machine.apl in
   let tag_b = Apl.fresh_tag m.Machine.apl in
@@ -292,7 +292,7 @@ let make_universe ?posture ~block () =
   u
 
 (* Restore the canonical grants an earlier attack may have revoked (an
-   APL generation bump in itself — more churn for warm blocks). *)
+   APL generation bump in itself — more churn for warm superblocks). *)
 let regrant u =
   Apl.grant u.m.Machine.apl ~src:u.tag_a ~dst:u.tag_b Perm.Call;
   Apl.grant u.m.Machine.apl ~src:u.tag_b ~dst:u.tag_a Perm.Read;
@@ -471,10 +471,10 @@ let mmp_run ?posture attack =
 (* --- sweeps and digests --- *)
 
 (* Run [attacks] in order on one backend.  The CODOMs sweep shares one
-   machine across the whole sequence (block-cache churn is the point);
+   machine across the whole sequence (translation churn is the point);
    the miniatures build fresh model state per attack.  Returns the
    outcomes and the total modelled cost in simulated ns. *)
-let sweep ?(block = true) ?posture backend attacks =
+let sweep ?(reference = false) ?posture backend attacks =
   let collect run =
     let cost = ref 0.0 in
     let outs =
@@ -489,13 +489,13 @@ let sweep ?(block = true) ?posture backend attacks =
   in
   match backend with
   | Codoms ->
-      let u = make_universe ?posture ~block () in
+      let u = make_universe ?posture ~reference () in
       collect (run_codoms u)
   | Minicheri_b -> collect (cheri_run ?posture)
   | Minimmp_b -> collect (mmp_run ?posture)
 
-let run_one ?(block = true) ?posture backend attack =
-  match sweep ~block ?posture backend [ attack ] with
+let run_one ?(reference = false) ?posture backend attack =
+  match sweep ~reference ?posture backend [ attack ] with
   | [ o ], _ -> o
   | _ -> assert false
 
@@ -503,8 +503,8 @@ let run_one ?(block = true) ?posture backend attack =
    accumulator.  Only backend-neutral facts enter the fold — the fault's
    kind code and faulting pc, or the audited-denial count of a completed
    run — so equal digests across backends mean the *architectural*
-   outcomes agree, and equal digests across block-cache modes mean the
-   fast path faulted identically. *)
+   outcomes agree, and equal digests across the two interpreter paths
+   mean the compiled path faulted identically. *)
 let digest_outcomes outs =
   let tr = Trace.create ~capacity:256 () in
   List.iteri
@@ -560,10 +560,10 @@ let random_attacks ~seed ~n =
    stub to locate the proxy's entry point, then calls PAST it into the
    proxy body.  The crossing carries call permission only, so the
    misaligned target must fault [Not_entry_point] at that pc. *)
-let proxy_reentry ?(block = true) () =
+let proxy_reentry ?(reference = false) () =
   let s = Scenario.make () in
   let machine = System.machine s.Scenario.sys in
-  Machine.set_block_cache machine block;
+  Machine.set_reference machine reference;
   match Scenario.call s ~args:[ 1; 2 ] with
   | Error f -> (Faulted f, -1)
   | Ok _ -> (

@@ -54,19 +54,20 @@ type outcome =
 (** Run [attacks] in order.  The CODOMs sweep shares ONE machine across
     the sequence, rewriting the attack program in place and
     revoking/re-granting APL entries between scenarios (hostile to
-    stale block translations); the miniatures build fresh model state
-    per attack.  [posture] overrides the enforcement posture of the
+    stale superblock translations); the miniatures build fresh model
+    state per attack.  [reference] forces the CODOMs machine's
+    reference stepper.  [posture] overrides the enforcement posture of the
     machine/cpu built for the sweep (the global default otherwise) —
     per-sweep state, safe under parallel runner domains.  Returns
     outcomes and total modelled cost (ns). *)
 val sweep :
-  ?block:bool ->
+  ?reference:bool ->
   ?posture:Fault.posture ->
   backend ->
   attack list ->
   outcome list * float
 
-val run_one : ?block:bool -> ?posture:Fault.posture -> backend -> attack -> outcome
+val run_one : ?reference:bool -> ?posture:Fault.posture -> backend -> attack -> outcome
 
 (** Fold outcomes into a replay digest over backend-neutral facts only
     (fault kind code + faulting pc, or audited-denial count): equal
@@ -89,7 +90,7 @@ val random_attacks : seed:int -> n:int -> attack list
 (** Proxy re-entry: discover the proxy entry from the caller stub, then
     call past it into the proxy body.  Returns the outcome and the pc
     the fault must carry ([Not_entry_point] under [Strict]). *)
-val proxy_reentry : ?block:bool -> unit -> outcome * int
+val proxy_reentry : ?reference:bool -> unit -> outcome * int
 
 (** Wrong-signature import: resolution must be refused at proxy-request
     time (P4) — returns [Refused _] without running any code. *)

@@ -1,25 +1,19 @@
-(* Translated-block cache and superblock compiler vs. the reference
-   stepper.
+(* Superblock compiler vs. the reference stepper.
 
-   [Machine.run] dispatches straight-line code through decoded basic
-   blocks (PR 5) and, by default, through chained superblocks with
-   speculative continuations; these tests pin the contract that both
-   fast paths are *observationally identical* to stepping: same
-   registers, memory, instret, cost, Breakdown totals (float-sum order
-   included), same faults at the same pcs, same Out_of_fuel truncation
-   points, and same replay digests — plus directed tests that every
-   generation guard (code rewrite, page remap, APL revoke, APL-cache
-   flush) invalidates stale translations, and that every superblock
-   side-exit class (speculation miss, in-place retag, fuel exhaustion
-   at a junction) falls back to the interpreter without divergence.
-
-   PR 10 adds the dynamic-transfer predictors (return-address stack on
-   Ret, monomorphic inline caches on Jmpr/Callr): a fourth
-   differential mode runs superblocks with prediction disabled, the
-   random programs grow recursive call towers, mid-run return-target
-   rewrites and polymorphic indirect sites, and directed tests pin RAS
-   misprediction, RAS over/underflow, IC invalidation on retag, and
-   the hits + misses = dispatches counter invariants. *)
+   [Machine.run] dispatches through chained superblocks with
+   speculative continuations, a return-address stack on Ret and
+   monomorphic inline caches on Jmpr/Callr; these tests pin the
+   contract that the compiled path is *observationally identical* to
+   stepping: same registers, memory, instret, cost, Breakdown totals
+   (float-sum order included), same faults at the same pcs, same
+   Out_of_fuel truncation points, and same replay digests — plus
+   directed tests that every generation guard (code rewrite, page
+   remap, APL revoke) invalidates stale translations, that an APL-cache
+   flush is observed live, that every side-exit class (speculation
+   miss, in-place retag, fuel exhaustion at a junction) falls back to
+   the interpreter without divergence, and that the predictors handle
+   RAS misprediction, RAS over/underflow and IC invalidation on retag
+   with hits + misses = dispatches. *)
 
 module Machine = Dipc_hw.Machine
 module Memory = Dipc_hw.Memory
@@ -35,20 +29,9 @@ module Trace = Dipc_sim.Trace
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
-(* The four dispatch modes under differential test.  Superblocks ride
-   on top of the basic-block cache, and the dynamic-transfer predictors
-   (RAS + inline caches) ride on top of superblocks, so the lattice is:
-   reference stepper < PR 5 block cache < superblock compiler with
-   prediction off (--no-ras) < full superblock compiler. *)
-type mode = Reference | Blocks | Noras | Superblocks
-
-let all_modes = [ Reference; Blocks; Noras; Superblocks ]
-
-let mode_name = function
-  | Reference -> "reference"
-  | Blocks -> "blocks"
-  | Noras -> "superblocks-noras"
-  | Superblocks -> "superblocks"
+(* The two dispatch paths under differential test: the reference
+   stepper and the compiled superblock path. *)
+type mode = Reference | Superblocks
 
 (* --- a small fixed universe for random programs --- *)
 
@@ -92,9 +75,7 @@ type universe = {
    the differential properties cover them like any other instruction. *)
 let setup ~mode prog =
   let m = Machine.create () in
-  Machine.set_block_cache m (mode <> Reference);
-  Machine.set_superblocks m (mode = Superblocks || mode = Noras);
-  Machine.set_ras m (mode = Superblocks);
+  Machine.set_reference m (mode = Reference);
   let tag_a = Apl.fresh_tag m.Machine.apl in
   let tag_b = Apl.fresh_tag m.Machine.apl in
   let tag_b2 = Apl.fresh_tag m.Machine.apl in
@@ -248,14 +229,11 @@ let run_one ~mode ?fuel prog =
 
 let prop_differential =
   QCheck.Test.make
-    ~name:"superblocks == blocks == reference (random programs)" ~count:300
+    ~name:"superblocks == reference (random programs)" ~count:300
     QCheck.(pair ops_gen (frequency [ (4, always 100_000); (1, int_range 1 40) ]))
     (fun (ops, fuel) ->
       let prog = prog_of_ops ops in
-      let reference = run_one ~mode:Reference ~fuel prog in
-      run_one ~mode:Blocks ~fuel prog = reference
-      && run_one ~mode:Noras ~fuel prog = reference
-      && run_one ~mode:Superblocks ~fuel prog = reference)
+      run_one ~mode:Superblocks ~fuel prog = run_one ~mode:Reference ~fuel prog)
 
 let prop_differential_traced_digest =
   QCheck.Test.make
@@ -271,14 +249,10 @@ let prop_differential_traced_digest =
         let outcome = run_outcome u ctx in
         (observe u ctx outcome, Trace.digest_hex tr)
       in
-      match List.map traced all_modes with
-      | [ (s_ref, d_ref); (s_blk, d_blk); (s_nr, d_nr); (s_sb, d_sb) ] ->
-          (* traced runs agree with each other and with the untraced
-             superblock run *)
-          s_ref = s_blk && s_ref = s_nr && s_ref = s_sb && d_ref = d_blk
-          && d_ref = d_nr && d_ref = d_sb
-          && s_ref = run_one ~mode:Superblocks prog
-      | _ -> false)
+      let s_ref, d_ref = traced Reference and s_sb, d_sb = traced Superblocks in
+      (* traced runs agree with each other and with the untraced
+         superblock run *)
+      s_ref = s_sb && d_ref = d_sb && s_ref = run_one ~mode:Superblocks prog)
 
 let prop_self_modifying =
   QCheck.Test.make
@@ -297,25 +271,14 @@ let prop_self_modifying =
         let o2 = run_outcome u c2 in
         (s1, observe u c2 o2)
       in
-      let reference = both Reference in
-      both Blocks = reference && both Noras = reference
-      && both Superblocks = reference)
+      both Superblocks = both Reference)
 
 (* --- directed invalidation tests --- *)
 
-(* Run [f] under every mode and check the fast paths against the
+(* Run [f] on both paths and check the compiled path against the
    reference result. *)
 let check_all name f =
-  let reference = f Reference in
-  Alcotest.(check bool) (name ^ " (blocks)") true (f Blocks = reference);
-  Alcotest.(check bool)
-    (name ^ " (superblocks-noras)")
-    true
-    (f Noras = reference);
-  Alcotest.(check bool)
-    (name ^ " (superblocks)")
-    true
-    (f Superblocks = reference)
+  Alcotest.(check bool) name true (f Superblocks = f Reference)
 
 let test_code_rewrite () =
   let prog v =
@@ -331,12 +294,10 @@ let test_code_rewrite () =
     (c1.Machine.regs.(2), c2.Machine.regs.(2))
   in
   (* the second run must execute the rewritten constants *)
-  List.iter
-    (fun mode ->
-      Alcotest.(check (pair int int))
-        (mode_name mode ^ " sees rewritten code")
-        (12, 102) (run mode))
-    all_modes
+  Alcotest.(check (pair int int)) "reference sees rewritten code" (12, 102)
+    (run Reference);
+  Alcotest.(check (pair int int)) "superblocks see rewritten code" (12, 102)
+    (run Superblocks)
 
 let test_page_remap () =
   let prog = [ Isa.Const (1, data); Isa.Load (2, 1, 0); Isa.Halt ] in
@@ -404,8 +365,8 @@ let test_apl_cache_flush_midrun () =
   let run mode =
     let u = setup ~mode prog in
     Machine.set_syscall_handler u.m (fun ctx _n ->
-        (* deliberate flush: bumps the per-thread cache generation, so a
-           warm block translated before the syscall is retranslated *)
+        (* deliberate flush from inside the run: the compiled path
+           must stay in lockstep with the reference stepper *)
         Apl_cache.reset ctx.Machine.apl_cache);
     let ctx = fresh_ctx u in
     let o = run_outcome u ctx in
@@ -417,7 +378,7 @@ let test_apl_cache_flush_midrun () =
   check_all "APL-cache flush behaves identically on all paths" run
 
 let test_fuel_truncation () =
-  (* a tight loop, fuel stops mid-block: the truncation instruction must
+  (* a tight loop, fuel stops mid-body: the truncation instruction must
      match the reference exactly *)
   let loop = code0 + (3 * Isa.instr_bytes) in
   let prog =
@@ -441,10 +402,6 @@ let test_fuel_truncation () =
   for fuel = 1 to 60 do
     let (o, _, _, _) as reference = run Reference fuel in
     Alcotest.(check bool)
-      (Printf.sprintf "fuel=%d truncates identically (blocks)" fuel)
-      true
-      (run Blocks fuel = reference);
-    Alcotest.(check bool)
       (Printf.sprintf "fuel=%d truncates identically (superblocks)" fuel)
       true
       (run Superblocks fuel = reference);
@@ -454,9 +411,9 @@ let test_fuel_truncation () =
 
 let test_page_boundary () =
   (* straight-line code crossing an intra-domain page boundary: the
-     translation stops at the boundary, the next block picks up on the
-     far page (the superblock chains across it as a fall-through
-     junction), and no domain crossing happens (same tag) *)
+     translated body stops at the boundary, the superblock chains
+     across it as a fall-through junction, and no domain crossing
+     happens (same tag) *)
   let start = code0 + Layout.page_size - (4 * Isa.instr_bytes) in
   let run mode =
     let u = setup ~mode [ Isa.Halt ] in
@@ -507,6 +464,17 @@ let test_side_exit_speculation_miss () =
   Alcotest.(check bool) "speculation miss counted as a side exit" true
     (u.m.Machine.ctr_side_exits > before)
 
+(* Syscall handler for the retag tests: swap the callee page between
+   the two identities b and b2 in place — no generation moves, so only
+   the live (tag, priv) re-checks can see it. *)
+let retag_callee_on_syscall u =
+  Machine.set_syscall_handler u.m (fun _ctx _n ->
+      let page = Option.get (Page_table.find u.m.Machine.page_table callee) in
+      let from_tag = page.Page_table.tag in
+      let to_tag = if from_tag = u.tag_b then u.tag_b2 else u.tag_b in
+      Page_table.retag u.m.Machine.page_table ~addr:callee ~count:1 ~from_tag
+        ~to_tag)
+
 (* In-place retag: [Page_table.retag] mutates the page record without
    bumping the page-table generation, so a warm superblock whose chain
    crosses onto the retagged page passes its entry guard but must catch
@@ -529,26 +497,13 @@ let test_side_exit_inplace_retag () =
   in
   let run mode =
     let u = setup ~mode prog in
-    Machine.set_syscall_handler u.m (fun _ctx _n ->
-        (* swap the callee page between the two identities in place:
-           no generation moves, only the junction guard can see it *)
-        let page =
-          match Page_table.find u.m.Machine.page_table callee with
-          | Some p -> p
-          | None -> assert false
-        in
-        let from_tag = page.Page_table.tag in
-        let to_tag = if from_tag = u.tag_b then u.tag_b2 else u.tag_b in
-        Page_table.retag u.m.Machine.page_table ~addr:callee ~count:1
-          ~from_tag ~to_tag);
+    retag_callee_on_syscall u;
     let ctx = fresh_ctx u in
     let o = run_outcome u ctx in
     (observe u ctx o, u.m.Machine.ctr_side_exits)
   in
   let (s_ref, _) = run Reference in
-  let (s_blk, _) = run Blocks in
   let (s_sb, side_exits) = run Superblocks in
-  Alcotest.(check bool) "retag identical on blocks path" true (s_blk = s_ref);
   Alcotest.(check bool) "retag identical on superblock path" true (s_sb = s_ref);
   (match s_ref with
   | Done, regs, _, _, _, _ ->
@@ -692,16 +647,7 @@ let test_ic_invalidation_retag () =
   in
   let run mode =
     let u = setup ~mode prog in
-    Machine.set_syscall_handler u.m (fun _ctx _n ->
-        let page =
-          match Page_table.find u.m.Machine.page_table callee with
-          | Some p -> p
-          | None -> assert false
-        in
-        let from_tag = page.Page_table.tag in
-        let to_tag = if from_tag = u.tag_b then u.tag_b2 else u.tag_b in
-        Page_table.retag u.m.Machine.page_table ~addr:callee ~count:1 ~from_tag
-          ~to_tag);
+    retag_callee_on_syscall u;
     let ctx = fresh_ctx u in
     let o = run_outcome u ctx in
     (observe u ctx o, u.m)
@@ -717,8 +663,7 @@ let test_ic_invalidation_retag () =
 
 (* The counter contract: every chained Ret dispatch is exactly one RAS
    hit or miss, every chained Jmpr/Callr dispatch exactly one IC hit or
-   miss — in both prediction modes (with --no-ras everything is a
-   miss). *)
+   miss. *)
 let test_counter_invariants () =
   let loop = code0 + (5 * Isa.instr_bytes) in
   let jback = code0 + (10 * Isa.instr_bytes) in
@@ -737,50 +682,65 @@ let test_counter_invariants () =
       Isa.Jmpr 6; (* jback: indirect backedge *)
     ]
   in
-  let counters mode =
-    let u = setup ~mode prog in
-    let ctx = fresh_ctx u in
-    let o = run_outcome u ctx in
-    Alcotest.(check bool) (mode_name mode ^ " completes") true
-      (o = Done && ctx.Machine.regs.(2) = 25 * 14);
-    u.m
-  in
+  let u = setup ~mode:Superblocks prog in
+  let ctx = fresh_ctx u in
+  let o = run_outcome u ctx in
+  Alcotest.(check bool) "run completes" true
+    (o = Done && ctx.Machine.regs.(2) = 25 * 14);
   (* 25 iterations x 2 Rets; the Callr runs 25x and the Jmpr backedge
      24x (the last iteration falls through to Halt) *)
-  let m = counters Superblocks in
+  let m = u.m in
   Alcotest.(check int) "ras hits + misses = chained Ret dispatches" 50
     (m.Machine.ctr_ras_hits + m.Machine.ctr_ras_misses);
   Alcotest.(check int) "ic hits + misses = chained indirect dispatches" 49
     (m.Machine.ctr_ic_hits + m.Machine.ctr_ic_misses);
   Alcotest.(check bool) "predictors mostly hit" true
-    (m.Machine.ctr_ras_hits >= 45 && m.Machine.ctr_ic_hits >= 40);
-  let m0 = counters Noras in
-  Alcotest.(check int) "no-ras: every Ret dispatch is a miss" 50
-    m0.Machine.ctr_ras_misses;
-  Alcotest.(check int) "no-ras: every indirect dispatch is a miss" 49
-    m0.Machine.ctr_ic_misses;
-  Alcotest.(check int) "no-ras: no hits" 0
-    (m0.Machine.ctr_ras_hits + m0.Machine.ctr_ic_hits)
+    (m.Machine.ctr_ras_hits >= 45 && m.Machine.ctr_ic_hits >= 40)
 
 let test_default_toggle () =
-  Machine.set_default_block_cache false;
+  Machine.set_default_reference true;
   let m1 = Machine.create () in
-  Machine.set_default_block_cache true;
-  Machine.set_default_superblocks false;
+  Machine.set_default_reference false;
   let m2 = Machine.create () in
-  Machine.set_default_superblocks true;
-  let m3 = Machine.create () in
-  Machine.set_default_ras false;
-  let m4 = Machine.create () in
-  Machine.set_default_ras true;
-  Alcotest.(check bool) "default off is sampled" false m1.Machine.block_cache;
-  Alcotest.(check bool) "default on is sampled" true m2.Machine.block_cache;
-  Alcotest.(check bool) "superblock default off is sampled" false
-    m2.Machine.superblocks;
-  Alcotest.(check bool) "superblock default on is sampled" true
-    m3.Machine.superblocks;
-  Alcotest.(check bool) "ras default on is sampled" true m3.Machine.ras;
-  Alcotest.(check bool) "ras default off is sampled" false m4.Machine.ras
+  Alcotest.(check bool) "reference default on is sampled" true
+    m1.Machine.reference;
+  Alcotest.(check bool) "reference default off is sampled" false
+    m2.Machine.reference
+
+(* The process-wide reference default must reach machines that
+   experiment code builds internally (what bench --reference relies
+   on): the three machine-interpreter cells run under it produce the
+   default path's digests and instret with every dispatch counter at
+   zero, while the default path's own counters are non-zero. *)
+let test_reference_reaches_experiments () =
+  let module Suite = Dipc_bench_suite.Suite in
+  let run () =
+    List.map
+      (fun f -> f ())
+      Suite.[ bench_machine_hotloop; bench_machine_superblock; bench_machine_callret ]
+  in
+  let compiled = run () in
+  Machine.set_default_reference true;
+  let reference =
+    Fun.protect ~finally:(fun () -> Machine.set_default_reference false) run
+  in
+  let dispatch (r : Suite.bench_result) =
+    List.remove_assoc "instret" r.Suite.b_counters
+  in
+  List.iter2
+    (fun (c : Suite.bench_result) (r : Suite.bench_result) ->
+      let name = c.Suite.b_name in
+      Alcotest.(check (pair string int))
+        (name ^ ": digest and instret")
+        (c.Suite.b_digest, c.Suite.b_instret)
+        (r.Suite.b_digest, r.Suite.b_instret);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": every dispatch counter is 0 on the reference path")
+        (List.map (fun (k, _) -> (k, 0)) (dispatch c))
+        (dispatch r);
+      Alcotest.(check bool) (name ^ ": the default path counts dispatches") true
+        (List.exists (fun (_, v) -> v > 0) (dispatch c)))
+    compiled reference
 
 let suites =
   [
@@ -797,6 +757,8 @@ let suites =
           test_apl_cache_flush_midrun;
         Alcotest.test_case "fuel truncation" `Quick test_fuel_truncation;
         Alcotest.test_case "default toggle" `Quick test_default_toggle;
+        Alcotest.test_case "reference default reaches experiments" `Quick
+          test_reference_reaches_experiments;
       ] );
     ( "blocks.side_exits",
       [

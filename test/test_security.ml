@@ -494,13 +494,14 @@ let test_directed_corpus () =
       List.iter
         (fun backend ->
           List.iter
-            (fun block ->
+            (fun reference ->
               let where =
-                Printf.sprintf "%s on %s (block=%b)" s.Adv.s_name
-                  (Adv.backend_name backend) block
+                Printf.sprintf "%s on %s (reference=%b)" s.Adv.s_name
+                  (Adv.backend_name backend) reference
               in
               let outcome =
-                Adv.run_one ~block ~posture:Fault.Strict backend s.Adv.s_attack
+                Adv.run_one ~reference ~posture:Fault.Strict backend
+                  s.Adv.s_attack
               in
               match (s.Adv.s_expect, outcome) with
               | None, Adv.Ran 0 -> ()
@@ -518,7 +519,7 @@ let test_directed_corpus () =
               | Some (k, _), o ->
                   Alcotest.failf "%s: expected %s fault, got %s" where
                     (Fault.kind_to_string k) (pp_outcome o))
-            [ true; false ])
+            [ false; true ])
         s.Adv.s_backends)
     Adv.corpus
 
@@ -526,18 +527,21 @@ let test_directed_corpus () =
    Not_entry_point fault at the re-entry target, identically on both
    interpreter paths. *)
 let test_proxy_reentry_blocked () =
-  let check block =
-    let outcome, target = Adv.proxy_reentry ~block () in
+  let check reference =
+    let outcome, target = Adv.proxy_reentry ~reference () in
     match outcome with
     | Adv.Faulted { Fault.kind = Fault.Not_entry_point; pc; _ } ->
         Alcotest.(check int)
-          (Printf.sprintf "re-entry faults at the target (block=%b)" block)
+          (Printf.sprintf "re-entry faults at the target (reference=%b)"
+             reference)
           target pc;
         (target, pc)
-    | o -> Alcotest.failf "re-entry not refused (block=%b): %s" block (pp_outcome o)
+    | o ->
+        Alcotest.failf "re-entry not refused (reference=%b): %s" reference
+          (pp_outcome o)
   in
-  let on = check true and off = check false in
-  Alcotest.(check (pair int int)) "both paths agree" on off
+  let compiled = check false and reference = check true in
+  Alcotest.(check (pair int int)) "both paths agree" compiled reference
 
 let test_wrong_signature_refused () =
   match Adv.wrong_signature () with
@@ -560,16 +564,18 @@ let test_posture_digest_pins () =
       List.iter
         (fun backend ->
           List.iter
-            (fun block ->
-              let outs, _ = Adv.sweep ~block ~posture backend Adv.cross_attacks in
+            (fun reference ->
+              let outs, _ =
+                Adv.sweep ~reference ~posture backend Adv.cross_attacks
+              in
               Alcotest.(check string)
-                (Printf.sprintf "pinned digest: %s under %s (block=%b)"
+                (Printf.sprintf "pinned digest: %s under %s (reference=%b)"
                    (Adv.backend_name backend)
                    (Fault.posture_to_string posture)
-                   block)
+                   reference)
                 pin
                 (Adv.digest_outcomes outs))
-            [ true; false ])
+            [ false; true ])
         Adv.all_backends)
     posture_pins
 
@@ -577,8 +583,8 @@ let test_posture_digest_pins () =
    CODOMs sweep runs through ONE shared machine, rewriting attack code
    in place and revoking/re-granting APL entries between scenarios —
    yields the same per-scenario (fault kind, canonical pc) facts on all
-   three backends, and byte-identical digests with the block cache on
-   and off. *)
+   three backends, and byte-identical digests on the compiled path and
+   the reference stepper. *)
 let differential_prop =
   QCheck.Test.make ~name:"random adversarial schedules agree across backends"
     ~count:30
@@ -588,15 +594,19 @@ let differential_prop =
       let runs =
         List.map
           (fun backend ->
-            let outs_on, cost_on = Adv.sweep ~block:true ~posture:Fault.Strict backend attacks in
-            let outs_off, cost_off = Adv.sweep ~block:false ~posture:Fault.Strict backend attacks in
-            if Adv.digest_outcomes outs_on <> Adv.digest_outcomes outs_off then
-              QCheck.Test.fail_reportf "%s: block on/off digests diverge"
+            let outs_c, cost_c =
+              Adv.sweep ~posture:Fault.Strict backend attacks
+            in
+            let outs_r, cost_r =
+              Adv.sweep ~reference:true ~posture:Fault.Strict backend attacks
+            in
+            if Adv.digest_outcomes outs_c <> Adv.digest_outcomes outs_r then
+              QCheck.Test.fail_reportf "%s: compiled/reference digests diverge"
                 (Adv.backend_name backend);
-            if cost_on <> cost_off then
-              QCheck.Test.fail_reportf "%s: block on/off costs diverge"
+            if cost_c <> cost_r then
+              QCheck.Test.fail_reportf "%s: compiled/reference costs diverge"
                 (Adv.backend_name backend);
-            (backend, List.map fact_of_outcome outs_on))
+            (backend, List.map fact_of_outcome outs_c))
           Adv.all_backends
       in
       match runs with
