@@ -199,6 +199,6 @@ let run_until t deadline =
 let pending t = Heap.length t.events
 
 let next_time t =
-  match Heap.peek_time t.events with Some time -> time | None -> infinity
+  if Heap.is_empty t.events then infinity else Heap.top_time t.events
 
 let steps t = t.steps

@@ -217,5 +217,3 @@ let top_time h =
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
   (Obj.magic (remove_top h) : 'a)
-
-let peek_time h = if h.size = 0 then None else Some h.times.(0)

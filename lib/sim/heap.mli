@@ -21,11 +21,9 @@ val push : 'a t -> time:float -> 'a -> unit
 (** Remove and return the earliest entry, if any. *)
 val pop : 'a t -> (float * 'a) option
 
-(** Time of the earliest entry without removing it. *)
-val peek_time : 'a t -> float option
-
-(** Time of the earliest entry; raises [Invalid_argument] when empty.
-    Allocation-free counterpart of {!peek_time} for the event loop. *)
+(** Time of the earliest entry without removing it; raises
+    [Invalid_argument] when empty.  Allocation-free: callers test
+    {!is_empty} first instead of matching on an option. *)
 val top_time : 'a t -> float
 
 (** Remove and return the earliest payload; raises [Invalid_argument]

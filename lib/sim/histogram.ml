@@ -34,10 +34,16 @@ let clamp_units = Float.ldexp 1. (top_major + 1)
 type t = {
   counts : int array;
   mutable total : int;
-  mutable sum_ns : float; (* for [mean] only; never digested *)
+  sum_ns : floatarray;
+      (* for [mean] only; never digested.  A 1-slot [floatarray]: a
+         [mutable float] field in this mixed record would box a fresh
+         float on every [add]. *)
 }
 
-let create () = { counts = Array.make buckets 0; total = 0; sum_ns = 0. }
+let create () =
+  { counts = Array.make buckets 0; total = 0; sum_ns = Float.Array.make 1 0. }
+
+let sum_ns t = Float.Array.unsafe_get t.sum_ns 0
 
 (* Position of the highest set bit of a positive int. *)
 let msb n =
@@ -94,16 +100,17 @@ let add t ns =
   let b = bucket_of ns in
   t.counts.(b) <- t.counts.(b) + 1;
   t.total <- t.total + 1;
-  t.sum_ns <- t.sum_ns +. (if ns > 0. then ns else 0.)
+  Float.Array.unsafe_set t.sum_ns 0
+    (sum_ns t +. if ns > 0. then ns else 0.)
 
 let count t = t.total
 
-let mean t = if t.total = 0 then 0. else t.sum_ns /. float_of_int t.total
+let mean t = if t.total = 0 then 0. else sum_ns t /. float_of_int t.total
 
 let merge ~into src =
   Array.iteri (fun b c -> into.counts.(b) <- into.counts.(b) + c) src.counts;
   into.total <- into.total + src.total;
-  into.sum_ns <- into.sum_ns +. src.sum_ns
+  Float.Array.unsafe_set into.sum_ns 0 (sum_ns into +. sum_ns src)
 
 (* Exact rank interpolation: the rank is clamped into [1, total] (p
    outside 0..100, or float rounding of p = 100. on large totals, must

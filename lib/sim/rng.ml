@@ -4,17 +4,30 @@
    [Random] and use an explicit-state generator.  Splitmix64 passes BigCrush
    and needs only one 64-bit word of state. *)
 
-type t = { mutable state : int64 }
+(* The state word lives in an 8-byte [Bytes.t], read and written through
+   the unboxed 64-bit primitives: a [mutable state : int64] field would
+   box a fresh [int64] on every draw.  The bytes are only ever read back
+   by the same primitives, so their endianness is irrelevant. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let copy t = { state = t.state }
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create ~seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
 let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -24,7 +37,7 @@ let next_int64 t =
    Weyl-sequence counter, so child and parent walk statistically
    independent sequences while a given parent seed still reproduces the
    same family of streams run after run. *)
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* Uniform float in [0, 1). Uses the top 53 bits. *)
 let float t =
@@ -52,11 +65,13 @@ let int_unbiased t bound =
   if bound <= 0 then invalid_arg "Rng.int_unbiased: bound must be positive";
   let range = 1 lsl 61 in
   let limit = range - (range mod bound) in
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 3) in
-    if r < limit then r mod bound else draw ()
-  in
-  draw ()
+  (* A loop, not a local recursive function: the closure would be
+     allocated on every call. *)
+  let r = ref (Int64.to_int (Int64.shift_right_logical (next_int64 t) 3)) in
+  while !r >= limit do
+    r := Int64.to_int (Int64.shift_right_logical (next_int64 t) 3)
+  done;
+  !r mod bound
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

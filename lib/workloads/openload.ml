@@ -8,11 +8,11 @@
    percentiles.
 
    Scaling to millions of users rules out one effect-fiber per client:
-   sessions here are lightweight records (arrival time, remaining
-   requests) flowing through a c-server FIFO queue, so a run costs a few
-   heap operations and RNG draws per request and a million sessions
-   simulate in well under a second.  The service station models the
-   machine: [servers] simulated CPUs, each request holding one CPU for
+   a session here is just its remaining request count, an immediate int
+   queued in a c-server FIFO queue, so a run costs a few heap operations
+   and RNG draws per request, allocates nothing per request, and a
+   million sessions simulate in well under a second.  The service
+   station models the machine: [servers] simulated CPUs, each request holding one CPU for
    an exponentially distributed service demand whose mean is the
    *measured* cost of one IPC round trip of the primitive under test
    (the caller supplies it — microbench means for sem/pipe/l4/rpc, the
@@ -71,10 +71,6 @@ let default_params ?(seed = 42) ?(sessions = 30_000) ?(servers = 4)
     max_extra_reqs;
     think_ns;
   }
-
-(* One admitted client: the session record the ROADMAP calls for.
-   [s_ready] is when its next request enters the queue. *)
-type session = { s_arrival : float; mutable s_reqs_left : int }
 
 type result = {
   r_sessions : int;
@@ -173,16 +169,75 @@ let digest_of ~sessions ~requests ~hist ~makespan =
   fold64 (Int64.of_string ("0x" ^ Histogram.digest_hex hist));
   Printf.sprintf "%016Lx" !h
 
-(* --- the generator/queue loop --- *)
+(* --- the service station ---
 
-let run p =
-  if p.sessions <= 0 then invalid_arg "Openload.run: sessions must be positive";
-  if p.servers <= 0 then invalid_arg "Openload.run: servers must be positive";
+   Everything the per-request loop touches, shared by [run] and the
+   sharded station.  A queued session is only its remaining request
+   count, keyed by the instant its next request is ready: an immediate
+   payload, so neither a push nor a pop allocates.  [busy] and
+   [makespan] live in an all-float record, stored flat, because a
+   [float ref] captured by a closure (or a [mutable float] field of a
+   mixed record) boxes a fresh float on every store. *)
+
+type totals = { mutable busy : float; mutable makespan : float }
+
+type station = {
+  service_ns : float;
+  think_ns : float;
+  rng_service : Rng.t;
+  rng_think : Rng.t;
+  queue : int Heap.t;
+  free : float array;  (* when each server next falls idle *)
+  hist : Histogram.t;
+  totals : totals;
+  mutable requests : int;
+}
+
+(* Serve the request of a session with [left] requests to go, ready at
+   [ready], on the earliest-free server; queue the session's next
+   request after a think pause.  Inlined into both loops so [ready] is
+   never boxed for a call. *)
+let[@inline] serve st ready left =
+  let free = st.free in
+  let srv = ref 0 in
+  for i = 1 to Array.length free - 1 do
+    if free.(i) < free.(!srv) then srv := i
+  done;
+  let start = if ready > free.(!srv) then ready else free.(!srv) in
+  let svc = Rng.exponential st.rng_service ~mean:st.service_ns in
+  let fin = start +. svc in
+  free.(!srv) <- fin;
+  let totals = st.totals in
+  totals.busy <- totals.busy +. svc;
+  if fin > totals.makespan then totals.makespan <- fin;
+  Histogram.add st.hist (fin -. ready);
+  st.requests <- st.requests + 1;
+  if left > 1 then
+    Heap.push st.queue
+      ~time:(fin +. Rng.exponential st.rng_think ~mean:st.think_ns)
+      (left - 1)
+
+let result p st =
+  let { hist; requests; totals = { busy; makespan }; _ } = st in
+  {
+    r_sessions = p.sessions;
+    r_requests = requests;
+    r_latency = hist;
+    r_makespan_ns = makespan;
+    r_busy_ns = busy;
+    r_digest = digest_of ~sessions:p.sessions ~requests ~hist ~makespan;
+  }
+
+(* The run's four streams, forked off the seed in a fixed order (the
+   stream assignment is part of the digest contract): the arrival and
+   session-length generators draw from the first and third, the
+   station from the other two. *)
+let setup ?capacity name (p : params) =
+  if p.sessions <= 0 then invalid_arg (name ^ ": sessions must be positive");
+  if p.servers <= 0 then invalid_arg (name ^ ": servers must be positive");
   if p.offered_load <= 0. then
-    invalid_arg "Openload.run: offered_load must be positive";
+    invalid_arg (name ^ ": offered_load must be positive");
   let root = Rng.create ~seed:p.seed in
-  (* Fixed fork order: the stream assignment is part of the digest
-     contract. *)
   let rng_arrival = Rng.split root in
   let rng_service = Rng.split root in
   let rng_len = Rng.split root in
@@ -199,57 +254,53 @@ let run p =
     if p.max_extra_reqs = 0 then 1
     else 1 + Rng.int_unbiased rng_len (p.max_extra_reqs + 1)
   in
-  let queue : session Heap.t = Heap.create () in
-  let free = Array.make p.servers 0. in
-  let hist = Histogram.create () in
-  let requests = ref 0 in
-  let busy = ref 0. in
-  let makespan = ref 0. in
+  let station =
+    {
+      service_ns = p.service_ns;
+      think_ns = p.think_ns;
+      rng_service;
+      rng_think;
+      queue = Heap.create ?capacity ();
+      free = Array.make p.servers 0.;
+      hist = Histogram.create ();
+      totals = { busy = 0.; makespan = 0. };
+      requests = 0;
+    }
+  in
+  (next_arrival, session_len, station)
+
+(* --- the generator/queue loop ---
+
+   Admit-and-serve: the admission branch is taken only when the queue
+   is empty or its earliest entry is strictly later than [arr_t], and
+   arrivals never decrease, so a session queued at [arr_t] would be the
+   strict minimum and the very next iteration would pop it.  Serving it
+   on the spot skips that push/pop pair; every other entry keeps its
+   relative order (the same argument as [Engine.delay_in]), and each
+   stream is still drawn in its own order, so the timeline is
+   unchanged. *)
+
+let run p =
+  let next_arrival, session_len, st = setup "Openload.run" p in
+  let queue = st.queue in
   let admitted = ref 0 in
   let next_arr = ref (next_arrival 0.) in
-  (* Serve the earliest-ready request on the earliest-free server. *)
-  let serve ready sess =
-    let srv = ref 0 in
-    for i = 1 to p.servers - 1 do
-      if free.(i) < free.(!srv) then srv := i
-    done;
-    let start = if ready > free.(!srv) then ready else free.(!srv) in
-    let svc = Rng.exponential rng_service ~mean:p.service_ns in
-    let fin = start +. svc in
-    free.(!srv) <- fin;
-    busy := !busy +. svc;
-    if fin > !makespan then makespan := fin;
-    Histogram.add hist (fin -. ready);
-    incr requests;
-    sess.s_reqs_left <- sess.s_reqs_left - 1;
-    if sess.s_reqs_left > 0 then
-      Heap.push queue ~time:(fin +. Rng.exponential rng_think ~mean:p.think_ns)
-        sess
-  in
   while !admitted < p.sessions || not (Heap.is_empty queue) do
     let arr_t = if !admitted < p.sessions then !next_arr else infinity in
-    match Heap.peek_time queue with
-    | Some ready when ready <= arr_t ->
-        let sess = Heap.pop_min queue in
-        serve ready sess
-    | _ ->
-        (* Admit the next session; its first request is ready on
-           arrival.  Draw order (length, then next arrival) is fixed. *)
-        let sess = { s_arrival = arr_t; s_reqs_left = session_len () } in
-        incr admitted;
-        Heap.push queue ~time:sess.s_arrival sess;
-        next_arr := next_arrival arr_t
+    if (not (Heap.is_empty queue)) && Heap.top_time queue <= arr_t then begin
+      let ready = Heap.top_time queue in
+      serve st ready (Heap.pop_min queue)
+    end
+    else begin
+      (* Admit the next session; its first request is ready on arrival.
+         Draw order (length, then next arrival) is fixed. *)
+      let len = session_len () in
+      incr admitted;
+      serve st arr_t len;
+      next_arr := next_arrival arr_t
+    end
   done;
-  {
-    r_sessions = p.sessions;
-    r_requests = !requests;
-    r_latency = hist;
-    r_makespan_ns = !makespan;
-    r_busy_ns = !busy;
-    r_digest =
-      digest_of ~sessions:p.sessions ~requests:!requests ~hist
-        ~makespan:!makespan;
-  }
+  result p st
 
 (* --- sharded execution (ROADMAP item 2) ---
 
@@ -262,7 +313,8 @@ let run p =
        instant, so its lookahead is 0 and the window bound is its next
        undrawn arrival.  Nobody ever sends to it, so it is input-free
        and may legally run a whole batch of admissions *ahead* of the
-       window — that pipelining is where the wall-clock win comes from.
+       window.  That pipelining overlaps only the source's own work,
+       measured at 5-10% of the serial run's, so it cannot buy much.
 
      shard 1, the service station: owns the ready-queue heap, the
        free-server array, the service and think streams and the
@@ -274,10 +326,10 @@ let run p =
    admission order, service/think in heap-pop order), and the station
    consumes its inbox — which barrier-merge delivers in arrival order —
    through a cursor interleaved with the heap under the serial loop's
-   own [ready <= arr_t] comparison, admitting each arrival into the
-   heap exactly when the serial loop would.  The station therefore
-   performs the *identical* sequence of heap pushes and pops (same
-   seqnos, same tie resolutions) as [run]: digest equality is by
+   own [ready <= arr_t] comparison, admitting (and, like [run], serving
+   on the spot) each arrival exactly when the serial loop would.  The
+   station therefore performs the *identical* sequence of heap pushes
+   and pops (same seqnos, same tie resolutions) as [run]: digest equality is by
    construction, not merely almost-sure, and the heap stays at the
    serial run's in-flight size instead of swallowing whole batches
    (pre-pushing the batch was measured to triple the heap depth and
@@ -293,10 +345,12 @@ let run p =
 let batch_sessions = 8192
 
 let run_sharded ?(shards = 2) ?par ?jobs p =
-  (* The pipeline only pays on a machine with a second core to overlap
-     admission with service; on a single-core host the default runs the
-     same sharded protocol on one domain — byte-identical either way,
-     [par] overrides in both directions. *)
+  (* A second domain can only overlap admission with service, so the
+     default uses one only on a machine with a second core; on a
+     single-core host the same sharded protocol runs on one domain —
+     byte-identical either way, [par] overrides in both directions.  On
+     a 2-core VM two domains have measured 0.9-1.2x the serial run's
+     speed (EXPERIMENTS.md, "Open-arrival station"). *)
   let par =
     match par with
     | Some b -> b
@@ -304,31 +358,8 @@ let run_sharded ?(shards = 2) ?par ?jobs p =
   in
   if shards <= 1 then run p
   else begin
-    if p.sessions <= 0 then
-      invalid_arg "Openload.run_sharded: sessions must be positive";
-    if p.servers <= 0 then
-      invalid_arg "Openload.run_sharded: servers must be positive";
-    if p.offered_load <= 0. then
-      invalid_arg "Openload.run_sharded: offered_load must be positive";
-    let root = Rng.create ~seed:p.seed in
-    (* Same fixed fork order as [run]: the stream assignment is part of
-       the digest contract. *)
-    let rng_arrival = Rng.split root in
-    let rng_service = Rng.split root in
-    let rng_len = Rng.split root in
-    let rng_think = Rng.split root in
-    let mean_reqs = 1. +. (float_of_int p.max_extra_reqs /. 2.) in
-    let request_rate =
-      p.offered_load *. float_of_int p.servers /. p.service_ns
-    in
-    let session_rate = request_rate /. mean_reqs in
-    let next_arrival =
-      make_arrivals p.arrival ~rate:session_rate ~sessions:p.sessions
-        rng_arrival
-    in
-    let session_len () =
-      if p.max_extra_reqs = 0 then 1
-      else 1 + Rng.int_unbiased rng_len (p.max_extra_reqs + 1)
+    let next_arrival, session_len, st =
+      setup ~capacity:256 "Openload.run_sharded" p
     in
     (* shard 0: admission source *)
     let admitted = ref 0 in
@@ -344,11 +375,10 @@ let run_sharded ?(shards = 2) ?par ?jobs p =
             while !admitted < p.sessions && !admitted - n0 < batch_sessions do
               let arr_t = !next_arr in
               (* Draw order (length, then next arrival) as in [run].  The
-                 payload is just the session length — an immediate int —
-                 so the message path allocates nothing and the station
-                 builds its session record in its own minor heap exactly
-                 as the serial loop does (shipping the record itself was
-                 measured to promote every session to the major heap). *)
+                 payload is the session length, the same immediate int
+                 the station queues, so the message path allocates no
+                 session (shipping a record was measured to promote
+                 every session to the major heap). *)
               let len = session_len () in
               incr admitted;
               emit ~dst:1 ~at:arr_t len;
@@ -358,46 +388,20 @@ let run_sharded ?(shards = 2) ?par ?jobs p =
       }
     in
     (* shard 1: service station *)
-    let queue : session Heap.t = Heap.create ~capacity:256 () in
-    let free = Array.make p.servers 0. in
-    let hist = Histogram.create () in
-    let requests = ref 0 in
-    let busy = ref 0. in
-    let makespan = ref 0. in
-    let serve ready sess =
-      let srv = ref 0 in
-      for i = 1 to p.servers - 1 do
-        if free.(i) < free.(!srv) then srv := i
-      done;
-      let start = if ready > free.(!srv) then ready else free.(!srv) in
-      let svc = Rng.exponential rng_service ~mean:p.service_ns in
-      let fin = start +. svc in
-      free.(!srv) <- fin;
-      busy := !busy +. svc;
-      if fin > !makespan then makespan := fin;
-      Histogram.add hist (fin -. ready);
-      incr requests;
-      sess.s_reqs_left <- sess.s_reqs_left - 1;
-      if sess.s_reqs_left > 0 then
-        Heap.push queue
-          ~time:(fin +. Rng.exponential rng_think ~mean:p.think_ns)
-          sess
-    in
+    let queue = st.queue in
     let station =
       {
         Shard.st_next =
           (fun () ->
-            match Heap.peek_time queue with
-            | Some ready -> ready
-            | None -> infinity);
+            if Heap.is_empty queue then infinity else Heap.top_time queue);
         st_lookahead = infinity;
         st_step =
           (fun ~inbox_at ~inbox_pay ~inbox_len ~upto ~emit:_ ->
             (* The serial generator/queue loop verbatim, with the inbox
-               cursor standing in for lazy admission: an arrival enters
-               the heap exactly when [run] would admit it, so the push
-               and pop sequences (and their tie-breaking seqnos) are
-               identical to the serial run's. *)
+               cursor standing in for lazy admission: an arrival is
+               admitted (and served on the spot) exactly when [run]
+               would admit it, so the push and pop sequences (and their
+               tie-breaking seqnos) are identical to the serial run's. *)
             let cursor = ref 0 in
             let progressed = ref 0 in
             let continue = ref true in
@@ -405,57 +409,37 @@ let run_sharded ?(shards = 2) ?par ?jobs p =
               let arr_t =
                 if !cursor < inbox_len then inbox_at.(!cursor) else infinity
               in
-              match Heap.peek_time queue with
-              | Some ready when ready <= arr_t ->
-                  if ready > upto then continue := false
-                  else begin
-                    serve ready (Heap.pop_min queue);
-                    incr progressed
-                  end
-              | _ ->
-                  if !cursor >= inbox_len || arr_t > upto then
-                    continue := false
-                  else begin
-                    let sess =
-                      {
-                        s_arrival = inbox_at.(!cursor);
-                        s_reqs_left = inbox_pay.(!cursor);
-                      }
-                    in
-                    incr cursor;
-                    Heap.push queue ~time:sess.s_arrival sess;
-                    incr progressed
-                  end
+              if (not (Heap.is_empty queue)) && Heap.top_time queue <= arr_t
+              then begin
+                let ready = Heap.top_time queue in
+                if ready > upto then continue := false
+                else begin
+                  serve st ready (Heap.pop_min queue);
+                  incr progressed
+                end
+              end
+              else if !cursor >= inbox_len || arr_t > upto then
+                continue := false
+              else begin
+                serve st arr_t inbox_pay.(!cursor);
+                incr cursor;
+                incr progressed
+              end
             done;
             (* The admission source's zero lookahead gates the window at
                its next undrawn arrival, so every delivered arrival lies
                inside the window; bank any leftovers all the same to
                keep the stepper total for other bound derivations. *)
             while !cursor < inbox_len do
-              let sess =
-                {
-                  s_arrival = inbox_at.(!cursor);
-                  s_reqs_left = inbox_pay.(!cursor);
-                }
-              in
+              Heap.push queue ~time:inbox_at.(!cursor) inbox_pay.(!cursor);
               incr cursor;
-              Heap.push queue ~time:sess.s_arrival sess;
               incr progressed
             done;
             !progressed);
       }
     in
     Shard.run ~par ?jobs (Shard.create [| source; station |]);
-    {
-      r_sessions = p.sessions;
-      r_requests = !requests;
-      r_latency = hist;
-      r_makespan_ns = !makespan;
-      r_busy_ns = !busy;
-      r_digest =
-        digest_of ~sessions:p.sessions ~requests:!requests ~hist
-          ~makespan:!makespan;
-    }
+    result p st
   end
 
 (* --- saturation knee ---

@@ -1,6 +1,6 @@
 (** Open / partly-open arrival workload generator (ROADMAP item 1):
-    millions of simulated client sessions as lightweight records flowing
-    through a c-server FIFO queue, with per-request sojourn latency
+    millions of simulated client sessions, each just its remaining
+    request count, flowing through a c-server FIFO queue, with per-request sojourn latency
     recorded in an HDR histogram.
 
     Deterministic in the seed: every stochastic component draws from its
@@ -54,8 +54,8 @@ type result = {
 }
 
 (** Simulate the full session stream.  Cost is a few heap operations and
-    RNG draws per request: a million sessions complete in well under a
-    host second. *)
+    RNG draws per request, with no allocation per request: a million
+    sessions complete in well under a host second. *)
 val run : params -> result
 
 (** The same simulation decomposed into an admission-source shard and a

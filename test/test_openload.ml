@@ -229,6 +229,48 @@ let test_openload_jobs_invariant () =
   Alcotest.(check (list string)) "digests at --jobs 4 match --jobs 1"
     (digests 1) (digests 4)
 
+(* Digests of [OL.run] captured before the station went allocation-free
+   and began serving admissions without a heap round trip.  The
+   serial-vs-sharded properties cannot catch a change that moves both
+   paths together; these pins can. *)
+let pinned_params ?(arrival = OL.Poisson) ?think_ns ?max_extra_reqs () =
+  OL.default_params ~seed:42 ~sessions:20_000 ~offered_load:0.95 ~arrival
+    ?think_ns ?max_extra_reqs ~service_ns:4000. ()
+
+let pinned_cells =
+  [
+    ("poisson", pinned_params (), "8606cb78c6eb43fc");
+    ("bursty", pinned_params ~arrival:OL.Bursty (), "45f1c0003a1ce105");
+    ( "diurnal, think 0, extra 3",
+      pinned_params ~arrival:OL.Diurnal ~think_ns:0. ~max_extra_reqs:3 (),
+      "4ec1788665dddafc" );
+    ( "poisson, think 0, extra 0",
+      pinned_params ~think_ns:0. ~max_extra_reqs:0 (),
+      "8a5a7500a862f158" );
+  ]
+
+let test_openload_pinned_digests () =
+  List.iter
+    (fun (name, p, want) ->
+      Alcotest.(check string) (name ^ ", serial") want (OL.run p).OL.r_digest;
+      Alcotest.(check string)
+        (name ^ ", sharded on one domain")
+        want
+        (OL.run_sharded ~shards:2 ~par:false p).OL.r_digest)
+    pinned_cells
+
+(* The generator/queue loop allocates nothing per request; what is
+   left is per session (the arrival closure's boxed floats) and the
+   heap's amortised growth, about 2 words per request. *)
+let test_openload_allocation () =
+  let p = pinned_params () in
+  let w0 = Gc.minor_words () in
+  let r = OL.run p in
+  let words = Gc.minor_words () -. w0 in
+  let per_req = words /. float_of_int r.OL.r_requests in
+  if per_req > 6. then
+    Alcotest.failf "%.2f minor words per request (bound 6)" per_req
+
 let test_saturation_knee () =
   Alcotest.(check (option (float 0.))) "knee at the first 3x blowup"
     (Some 0.95)
@@ -277,5 +319,9 @@ let suites =
         Alcotest.test_case "digests invariant under --jobs" `Quick
           test_openload_jobs_invariant;
         Alcotest.test_case "saturation knee" `Quick test_saturation_knee;
+        Alcotest.test_case "pinned digests" `Quick
+          test_openload_pinned_digests;
+        Alcotest.test_case "allocation per request" `Quick
+          test_openload_allocation;
       ] );
   ]

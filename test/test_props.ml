@@ -122,6 +122,82 @@ let qcheck_split_position_matters =
       let c1 = Rng.split a in
       draws c0 8 <> draws c1 8)
 
+(* --- Rng: the splitmix64 stream and its allocation, pinned ---
+
+   Expected values were captured from the original boxed-[int64]
+   representation: a change of representation must leave every stream
+   bit-identical, including split children and mid-stream copies. *)
+
+let pinned_streams =
+  [
+    ( "seed 0",
+      (fun () -> Rng.create ~seed:0),
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+        0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+        0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ] );
+    ( "split of seed 0",
+      (fun () -> Rng.split (Rng.create ~seed:0)),
+      [ 0xa706dd2f4d197e6fL; 0xb382a305f4414f5eL; 0x631a9154fbabf717L;
+        0xa80aba8c86640906L; 0xc9b5ae106698f0bbL; 0x256fa269a2420ea1L;
+        0xc755bbac848bcebeL; 0x43dec8be6926a4deL ] );
+    ( "copy of seed 0 after 5 draws",
+      (fun () ->
+        let r = Rng.create ~seed:0 in
+        for _ = 1 to 5 do ignore (Rng.next_int64 r) done;
+        let c = Rng.copy r in
+        (* the original advancing must not move the copy *)
+        ignore (Rng.next_int64 r);
+        c),
+      [ 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL;
+        0x3ee5789041c98ac3L; 0xf3b8488c368cb0a6L; 0x657eecdd3cb13d09L;
+        0xc2d326e0055bdef6L; 0x8621a03fe0bbdb7bL ] );
+    ( "seed 42",
+      (fun () -> Rng.create ~seed:42),
+      [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+        0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+        0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ] );
+    ( "split of seed 42",
+      (fun () -> Rng.split (Rng.create ~seed:42)),
+      [ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L;
+        0x113e5dec6f8fd8a8L; 0xad4a599062fd1739L; 0x11485b98a7ea20b7L;
+        0x32028f50341ebd74L; 0xbc16a3d4cc48678eL ] );
+    ( "copy of seed 42 after 5 draws",
+      (fun () ->
+        let r = Rng.create ~seed:42 in
+        for _ = 1 to 5 do ignore (Rng.next_int64 r) done;
+        let c = Rng.copy r in
+        ignore (Rng.next_int64 r);
+        c),
+      [ 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L;
+        0x5705b8770b3d7dd5L; 0x9e54d738297f77aeL; 0x3474724a775b19bfL;
+        0x7e348a0e451650beL; 0x836ded897f3e46e6L ] );
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (name, make, want) ->
+      Alcotest.(check (list int64)) name want (draws (make ()) 8))
+    pinned_streams
+
+(* The draws the simulator makes per request must not allocate: the
+   results are folded into a float slot and an int, never boxed. *)
+let test_rng_allocation_free () =
+  let r = Rng.create ~seed:7 in
+  let sum = Float.Array.make 1 0. in
+  let mix = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Float.Array.unsafe_set sum 0
+      (Float.Array.unsafe_get sum 0 +. Rng.exponential r ~mean:1.);
+    mix := !mix + Rng.int_unbiased r 7;
+    mix := !mix lxor Int64.to_int (Rng.next_int64 r)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 100,000 draws of each" 0.
+    words;
+  Alcotest.(check bool) "draws were consumed" true
+    (Float.Array.get sum 0 > 0. && !mix <> 0)
+
 (* --- Histogram: HDR resolution bound, via the public percentile --- *)
 
 let singleton x =
@@ -247,6 +323,11 @@ let suites =
           qcheck_split_diverges;
           qcheck_split_advances_parent_by_one;
           qcheck_split_position_matters;
+        ]
+      @ [
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_allocation_free;
         ] );
     ( "props.histogram",
       List.map QCheck_alcotest.to_alcotest

@@ -48,7 +48,12 @@ let test_heap_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
+  (* [top_time] refuses an empty heap; callers guard it with
+     [is_empty]. *)
+  Alcotest.(check bool) "nothing to peek" true (Heap.is_empty h);
+  Alcotest.check_raises "top_time on empty"
+    (Invalid_argument "Heap.top_time: empty heap") (fun () ->
+      ignore (Heap.top_time h))
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
