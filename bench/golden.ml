@@ -11,63 +11,34 @@ let read_file path =
   close_in ic;
   s
 
-(* Naive scanner for the flat one-experiment-per-line JSON we emit:
-   pull every ("name", "digest") string pair out of the experiments
-   array, in order.  Digest values may contain spaces (the raw-state
-   summaries of the machine/engine experiments), so capture runs to
-   the closing quote. *)
-let parse_report text =
-  let quoted_after key from =
-    match
-      let rec find i =
-        if i + String.length key > String.length text then None
-        else if String.sub text i (String.length key) = key then Some i
-        else find (i + 1)
-      in
-      find from
-    with
-    | None -> None
-    | Some i -> (
-        let start = i + String.length key in
-        match String.index_from_opt text start '"' with
-        | None -> None
-        | Some stop -> Some (String.sub text start (stop - start), stop))
-  in
-  let rec collect acc from =
-    match quoted_after {|"name": "|} from with
-    | None -> List.rev acc
-    | Some (name, after_name) -> (
-        match quoted_after {|"digest": "|} after_name with
-        | None -> List.rev acc
-        | Some (digest, after_digest) ->
-            collect ((name, digest) :: acc) after_digest)
-  in
-  collect [] 0
-
-let parse_file path = parse_report (read_file path)
-
-(* Top-level scalar fields ("golden_digest", "total_wall_s", ...): first
-   occurrence wins, which is the document header in our flat emitter. *)
-let scalar_string text key =
-  let pat = Printf.sprintf "\"%s\": \"" key in
+let find_sub text pat from =
   let plen = String.length pat in
-  let rec find i =
-    if i + plen > String.length text then None
-    else if String.sub text i plen = pat then
-      let start = i + plen in
+  let len = String.length text in
+  let rec go i =
+    if i + plen > len then None
+    else if String.sub text i plen = pat then Some i
+    else go (i + 1)
+  in
+  go from
+
+(* The string value following the first [key] (which ends in the
+   opening quote).  Values may contain spaces (the raw-state digests of
+   the machine/engine experiments), so capture runs to the closing
+   quote. *)
+let quoted_after text key =
+  match find_sub text key 0 with
+  | None -> None
+  | Some i ->
+      let start = i + String.length key in
       String.index_from_opt text start '"'
       |> Option.map (fun stop -> String.sub text start (stop - start))
-    else find (i + 1)
-  in
-  find 0
 
-let scalar_float text key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat in
-  let rec find i =
-    if i + plen > String.length text then None
-    else if String.sub text i plen = pat then
-      let start = i + plen in
+(* The number following the first [key]. *)
+let number_after text key =
+  match find_sub text key 0 with
+  | None -> None
+  | Some i ->
+      let start = i + String.length key in
       let stop = ref start in
       let len = String.length text in
       while
@@ -79,9 +50,12 @@ let scalar_float text key =
         incr stop
       done;
       float_of_string_opt (String.sub text start (!stop - start))
-    else find (i + 1)
-  in
-  find 0
+
+(* Top-level scalar fields ("golden_digest", "total_wall_s", ...): first
+   occurrence wins, which is the document header in our flat emitter. *)
+let scalar_string text key = quoted_after text (Printf.sprintf "\"%s\": \"" key)
+
+let scalar_float text key = number_after text (Printf.sprintf "\"%s\": " key)
 
 type mismatch = {
   mm_name : string;
@@ -91,12 +65,13 @@ type mismatch = {
 
 (* --- Row-based view -----------------------------------------------------
 
-   The digest comparison above only needs (name, digest) pairs; the
-   deterministic-counter gate and the sim-MIPS ratchet need the other
-   columns of each experiment row.  Rows are parsed by splitting the
-   report at every name-key marker (the emitter writes one experiment
-   object per line), so a dropped or reordered row shows up as a
-   positional mismatch rather than being silently realigned. *)
+   The one scanner for a report's experiment rows: the digest
+   comparison projects their (name, digest) pairs, the
+   deterministic-counter gate and the sim-MIPS ratchet read the other
+   columns.  Rows are parsed by splitting the report at every name-key
+   marker (the emitter writes one experiment object per line), so a
+   dropped or reordered row shows up as a positional mismatch rather
+   than being silently realigned. *)
 
 type row = {
   r_name : string;
@@ -105,16 +80,6 @@ type row = {
   r_sim_mips : float option;
   r_instret : int option;
 }
-
-let find_sub text pat from =
-  let plen = String.length pat in
-  let len = String.length text in
-  let rec go i =
-    if i + plen > len then None
-    else if String.sub text i plen = pat then Some i
-    else go (i + 1)
-  in
-  go from
 
 (* Parse the ["key": 123, ...] pairs of one flat JSON object starting
    just after its opening brace; stops at the closing brace. *)
@@ -156,32 +121,6 @@ let parse_int_object text start stop =
 
 let parse_rows text =
   let marker = {|{"name": "|} in
-  let quoted key seg =
-    match find_sub seg key 0 with
-    | None -> None
-    | Some i -> (
-        let start = i + String.length key in
-        match String.index_from_opt seg start '"' with
-        | None -> None
-        | Some stop -> Some (String.sub seg start (stop - start)))
-  in
-  let number key seg =
-    match find_sub seg key 0 with
-    | None -> None
-    | Some i ->
-        let start = i + String.length key in
-        let stop = ref start in
-        let len = String.length seg in
-        while
-          !stop < len
-          && (match seg.[!stop] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr stop
-        done;
-        float_of_string_opt (String.sub seg start (!stop - start))
-  in
   let rec segments acc from =
     match find_sub text marker from with
     | None -> List.rev acc
@@ -205,14 +144,21 @@ let parse_rows text =
             | Some stop -> parse_int_object seg start stop)
       in
       {
-        r_name = Option.value (quoted {|"name": "|} seg) ~default:"<unnamed>";
+        r_name =
+          Option.value (quoted_after seg {|"name": "|}) ~default:"<unnamed>";
         r_counters = counters;
-        r_digest = Option.value (quoted {|"digest": "|} seg) ~default:"<missing>";
-        r_sim_mips = number {|"sim_mips": |} seg;
-        r_instret =
-          Option.map int_of_float (number {|"instret": |} seg);
+        r_digest =
+          Option.value (quoted_after seg {|"digest": "|}) ~default:"<missing>";
+        r_sim_mips = number_after seg {|"sim_mips": |};
+        r_instret = Option.map int_of_float (number_after seg {|"instret": |});
       })
     (segments [] 0)
+
+(* The (name, digest) pair of every experiment row, in report order. *)
+let parse_report text =
+  List.map (fun r -> (r.r_name, r.r_digest)) (parse_rows text)
+
+let parse_file path = parse_report (read_file path)
 
 let string_of_counters cs =
   "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs) ^ "}"

@@ -31,6 +31,11 @@
      --jobs N           shard independent runs over N domains (0 = one per
                         recommended core); digests and printed results are
                         identical at any N
+     --shards N         split each open-arrival simulation (the four
+                        open_* cells of --json, every cell of --open) into
+                        N conservative-DES shards (0 = one per recommended
+                        core); no other cell is split, and digests and
+                        printed results are identical at any N
      --reference        force the machine's reference interpreter (disable
                         the compiled superblock path); results and digests
                         are identical either way — triage only *)

@@ -28,8 +28,6 @@ module M = Dipc_workloads.Microbench
 module O = Dipc_workloads.Oltp
 module N = Dipc_workloads.Netpipe
 module S = Dipc_workloads.Sensitivity
-module Shard = Dipc_sim.Shard
-module Wire = Dipc_kernel.Wire
 
 let header title =
   Printf.printf "\n==============================================================\n";
@@ -586,51 +584,32 @@ let finish_checker ?quiescent ?expect chk tr =
       Checker.finish ?quiescent ?expect c;
       Checker.detach tr
 
-(* The exact configuration of test_trace's golden digest: Sem, same CPU,
-   warmup 5, 20 measured iterations.  Its digest is the suite's
-   acceptance gate. *)
-let bench_golden ?(check = false) ?inject_seed () =
-  let (tr, r, chk), wall =
-    timed (fun () ->
-        let tr = mk_tracer () in
-        let chk = mk_checker check tr in
-        let r =
-          M.run ~warmup:5 ~iters:20 ~trace:tr ?inject:(mk_inject inject_seed)
-            ~same_cpu:true M.Sem
-        in
-        (tr, r, chk))
-  in
-  finish_checker ~expect:r.M.lifetime chk tr;
-  {
-    b_name = "golden_sem_same";
-    b_wall_s = wall;
-    b_sim_ns = r.M.mean_ns *. 20.;
-    b_events = Trace.total tr;
-    b_instret = 0;
-    b_digest = Trace.digest_hex tr;
-    b_metric_name = "mean_ns";
-    b_counters = [];
-    b_metric = r.M.mean_ns;
-  }
-
 (* The L4 server's final [reply_and_wait] parks it forever (that wait is
    part of the reply primitive): the run ends non-quiescent by design,
    so only skip the lost-wakeup assertion there. *)
 let prim_quiescent prim = prim <> M.L4
 
-let bench_micro ?(check = false) ?inject_seed name prim ~same_cpu =
+(* One microbenchmark cell.  [golden_sem_same] runs it in the exact
+   configuration of test_trace's golden digest (Sem, same CPU, warmup
+   5, 20 measured iterations); that digest is the suite's acceptance
+   gate. *)
+let bench_micro ?(check = false) ?inject_seed ?(warmup = 20) ?(iters = 200)
+    name prim ~same_cpu =
   let (tr, r, chk), wall =
     timed (fun () ->
         let tr = mk_tracer () in
         let chk = mk_checker check tr in
-        let r = M.run ~trace:tr ?inject:(mk_inject inject_seed) ~same_cpu prim in
+        let r =
+          M.run ~warmup ~iters ~trace:tr ?inject:(mk_inject inject_seed)
+            ~same_cpu prim
+        in
         (tr, r, chk))
   in
   finish_checker ~quiescent:(prim_quiescent prim) ~expect:r.M.lifetime chk tr;
   {
     b_name = name;
     b_wall_s = wall;
-    b_sim_ns = r.M.mean_ns *. 200.;
+    b_sim_ns = r.M.mean_ns *. float iters;
     b_events = Trace.total tr;
     b_instret = 0;
     b_digest = Trace.digest_hex tr;
@@ -639,29 +618,16 @@ let bench_micro ?(check = false) ?inject_seed name prim ~same_cpu =
     b_metric = r.M.mean_ns;
   }
 
-(* The closed OLTP model sharded at its UNIX-socket/NIC cut: with
-   [--shards N > 1] the bounded warmup/measure drives route through the
-   conservative coordinator in lookahead-sized windows (window width =
-   the wire latency of the socket/NIC boundary, the minimum latency of
-   any cross-tier interaction), with idle peer shards standing in for
-   the remote side of the cut.  [Shard.run_windowed ~until] is pinned
-   byte-identical to the plain [Engine.run_until] drive at any shard
-   count and lookahead, so the digests cannot move — the shard-
-   equivalence CI job byte-diffs the full report at --shards 1 vs 2. *)
-let bench_oltp ?(check = false) ?inject_seed ?(shards = 1) name config =
-  let drive_until =
-    if shards > 1 then
-      Some
-        (fun e until ->
-          Shard.run_windowed ~shards ~lookahead:Wire.default_latency ~until e)
-    else None
-  in
+(* The closed OLTP model: one engine, driven by [Oltp.run]'s default
+   [Engine.run_until].  It is not split across shards: [--shards] only
+   partitions the open-arrival cells (DESIGN.md Sec. 14.4). *)
+let bench_oltp ?(check = false) ?inject_seed name config =
   let (tr, r, chk), wall =
     timed (fun () ->
         let tr = mk_tracer () in
         let chk = mk_checker check tr in
         let r =
-          O.run ~trace:tr ?inject:(mk_inject inject_seed) ?drive_until ~config
+          O.run ~trace:tr ?inject:(mk_inject inject_seed) ~config
             ~db_mode:O.In_memory ~threads:96 ()
         in
         (tr, r, chk))
@@ -1276,14 +1242,17 @@ let open_tasks ?shards () =
   ]
 
 (* The 13 core experiments plus the 18 security-matrix cells and the 4
-   open-arrival cells as
-   independent tasks for the work-queue runner.
+   open-arrival cells as independent tasks for the work-queue runner;
+   [shards] splits only the open-arrival cells' simulations.
    Every task builds its own Engine/Trace/Rng/Checker universe, so the
    digests are identical whether the tasks run serially or sharded
    across domains — the property test_parallel.ml pins. *)
 let bench_tasks ?check ?inject_seed ?shards () =
   [|
-    ("golden_sem_same", fun () -> bench_golden ?check ?inject_seed ());
+    ( "golden_sem_same",
+      fun () ->
+        bench_micro ?check ?inject_seed ~warmup:5 ~iters:20 "golden_sem_same"
+          M.Sem ~same_cpu:true );
     ( "sem_same",
       fun () -> bench_micro ?check ?inject_seed "sem_same" M.Sem ~same_cpu:true );
     ( "sem_diff",
@@ -1301,14 +1270,11 @@ let bench_tasks ?check ?inject_seed ?shards () =
       fun () ->
         bench_micro ?check ?inject_seed "rpc_diff" M.Local_rpc ~same_cpu:false );
     ( "oltp_linux_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_linux_mem96" O.Linux
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_linux_mem96" O.Linux );
     ( "oltp_dipc_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_dipc_mem96" O.Dipc
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_dipc_mem96" O.Dipc );
     ( "oltp_ideal_mem96",
-      fun () -> bench_oltp ?check ?inject_seed ?shards "oltp_ideal_mem96" O.Ideal
-    );
+      fun () -> bench_oltp ?check ?inject_seed "oltp_ideal_mem96" O.Ideal );
     ("machine_hotloop", fun () -> bench_machine_hotloop ());
     ("machine_superblock", fun () -> bench_machine_superblock ());
     ("machine_callret", fun () -> bench_machine_callret ());

@@ -6,6 +6,10 @@
      dune exec bin/dipc_cli.exe -- oltp --config dipc --threads 16
      dune exec bin/dipc_cli.exe -- disasm --policy high
      dune exec bin/dipc_cli.exe -- trace --primitive sem --out trace.json
+     dune exec bin/dipc_cli.exe -- open --primitive sem --load 0.95 --shards 2
+
+   The suite modes (digest suite, fault matrix, open-arrival sweep) run
+   from bench/main.exe: --json, --matrix, --open ARRIVAL.
 *)
 
 module Costs = Dipc_sim.Costs
@@ -366,39 +370,34 @@ let arrival_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (OL.arrival_name a))
 
-let run_open prim arrival load sessions seed sweep jobs shards reference =
+let run_open prim arrival load sessions seed shards reference =
   Dipc_hw.Machine.set_default_reference reference;
-  let jobs = resolve_jobs jobs in
   let shards = resolve_shards shards in
-  if sweep then ignore (Suite.open_sweep ~jobs ~shards ~arrival ())
-  else begin
-    let service_ns =
-      match List.assoc_opt prim (Suite.open_costs ()) with
-      | Some s -> s
-      | None ->
-          Printf.eprintf "unknown primitive %S (sem|pipe|l4|rpc|dipc)\n" prim;
-          exit 2
-    in
-    let p =
-      OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns
-        ()
-    in
-    let r = OL.run_sharded ~shards p in
-    let pc q = Histogram.percentile r.OL.r_latency q in
-    Printf.printf "%s, %s arrivals, offered load %.2f, %d sessions:\n" prim
-      (OL.arrival_name arrival) load sessions;
-    Printf.printf "  service demand %.1f ns/request (measured), %d CPUs\n"
-      service_ns p.OL.servers;
-    Printf.printf "  %d requests over %.2f simulated ms\n" r.OL.r_requests
-      (r.OL.r_makespan_ns /. 1e6);
-    Printf.printf "  latency p50 %.1f ns  p99 %.1f ns  p999 %.1f ns  mean %.1f ns\n"
-      (pc 50.) (pc 99.) (pc 99.9)
-      (Histogram.mean r.OL.r_latency);
-    Printf.printf "  utilization %.3f  throughput %.0f req/s\n"
-      (OL.utilization r ~servers:p.OL.servers)
-      (OL.throughput_rps r);
-    Printf.printf "  digest %s\n" r.OL.r_digest
-  end
+  let service_ns =
+    match List.assoc_opt prim (Suite.open_costs ()) with
+    | Some s -> s
+    | None ->
+        Printf.eprintf "unknown primitive %S (sem|pipe|l4|rpc|dipc)\n" prim;
+        exit 2
+  in
+  let p =
+    OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns ()
+  in
+  let r = OL.run_sharded ~shards p in
+  let pc q = Histogram.percentile r.OL.r_latency q in
+  Printf.printf "%s, %s arrivals, offered load %.2f, %d sessions:\n" prim
+    (OL.arrival_name arrival) load sessions;
+  Printf.printf "  service demand %.1f ns/request (measured), %d CPUs\n"
+    service_ns p.OL.servers;
+  Printf.printf "  %d requests over %.2f simulated ms\n" r.OL.r_requests
+    (r.OL.r_makespan_ns /. 1e6);
+  Printf.printf "  latency p50 %.1f ns  p99 %.1f ns  p999 %.1f ns  mean %.1f ns\n"
+    (pc 50.) (pc 99.) (pc 99.9)
+    (Histogram.mean r.OL.r_latency);
+  Printf.printf "  utilization %.3f  throughput %.0f req/s\n"
+    (OL.utilization r ~servers:p.OL.servers)
+    (OL.throughput_rps r);
+  Printf.printf "  digest %s\n" r.OL.r_digest
 
 let open_cmd =
   let prim =
@@ -423,23 +422,14 @@ let open_cmd =
       & info [ "sessions" ] ~doc:"client sessions to simulate")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed") in
-  let sweep =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "full load sweep: every IPC primitive vs dIPC across offered \
-             loads, >1M sessions, with saturation knees (honours \
-             $(b,--jobs))")
-  in
   Cmd.v
     (Cmd.info "open"
        ~doc:
          "drive the system with an open-arrival session stream and report \
           tail latency percentiles")
     Term.(
-      const run_open $ prim $ arrival $ load $ sessions $ seed $ sweep
-      $ jobs_arg $ shards_arg $ reference_arg)
+      const run_open $ prim $ arrival $ load $ sessions $ seed $ shards_arg
+      $ reference_arg)
 
 (* --- trace: export a Chrome trace of a microbench run --- *)
 
@@ -482,44 +472,6 @@ let trace_cmd =
        ~doc:"run a microbench under event tracing and export Chrome trace JSON")
     Term.(
       const run_trace $ primitive $ same_cpu $ bytes $ iters $ out
-      $ reference_arg)
-
-(* --- bench: the fixed-seed suite / fault matrix, sharded --- *)
-
-let run_bench out matrix check inject_seed jobs reference =
-  Dipc_hw.Machine.set_default_reference reference;
-  let jobs = resolve_jobs jobs in
-  if matrix then begin
-    let runs, faults =
-      Suite.fault_matrix ~verbose:true ?seed:inject_seed ~jobs ()
-    in
-    Printf.printf "fault matrix: %d runs checked, %d faults injected\n%!" runs
-      faults
-  end
-  else Suite.bench_json ~check ?inject_seed ~jobs out
-
-let bench_cmd =
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_fixed_seed.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"JSON report path")
-  in
-  let matrix =
-    Arg.(
-      value & flag
-      & info [ "matrix" ]
-          ~doc:
-            "run the fault-injection matrix (every primitive and the \
-             OLTP/netpipe workloads) instead of the digest suite")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "run the fixed-seed benchmark suite (or fault matrix), sharded over \
-          --jobs domains; digests are identical at any job count")
-    Term.(
-      const run_bench $ out $ matrix $ check_arg $ inject_arg $ jobs_arg
       $ reference_arg)
 
 (* --- disasm: show the generated proxy for a configuration --- *)
@@ -571,7 +523,6 @@ let () =
             ipc_cmd;
             oltp_cmd;
             open_cmd;
-            bench_cmd;
             disasm_cmd;
             trace_cmd;
           ]))

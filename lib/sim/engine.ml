@@ -198,7 +198,4 @@ let run_until t deadline =
 
 let pending t = Heap.length t.events
 
-let next_time t =
-  if Heap.is_empty t.events then infinity else Heap.top_time t.events
-
 let steps t = t.steps

@@ -63,10 +63,5 @@ val run_until : t -> float -> unit
 (** Number of queued events. *)
 val pending : t -> int
 
-(** Time of the earliest queued event, [infinity] when the queue is
-    empty: a shard coordinator derives conservative window bounds from
-    it (Shard, DESIGN.md Sec. 14). *)
-val next_time : t -> float
-
 (** Events fired so far (across [run]/[run_until] calls). *)
 val steps : t -> int

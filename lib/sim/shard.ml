@@ -2,11 +2,11 @@
 
    [Parallel] shards *across* independent runs; this module shards the
    inside of one run.  The model is partitioned into shards — each an
-   independent sequential simulator (an [Engine], an open-arrival
-   station, a synthetic stepper in tests) owning a private event heap —
-   and the coordinator advances them in conservative lookahead windows
-   (the classic Chandy–Misra–Bryant null-message bound, collapsed to a
-   global barrier):
+   independent sequential simulator (the open-arrival admission source
+   and station, a synthetic stepper in tests) owning a private event
+   heap — and the coordinator advances them in conservative lookahead
+   windows (the classic Chandy–Misra–Bryant null-message bound,
+   collapsed to a global barrier):
 
      window bound  H = min over shards of (next_i + lookahead_i)
 
@@ -454,89 +454,3 @@ let run ?(par = false) ?jobs t =
     else match jobs with None -> n | Some j -> max 1 (min j n)
   in
   if lanes = 1 then run_serial t else run_pool t ~lanes
-
-(* --- wrapping a discrete-event engine as a shard --- *)
-
-type engine_shard = {
-  es_engine : Engine.t;
-  es_stepper : (unit -> unit) stepper;
-  mutable es_emit : (dst:int -> at:float -> (unit -> unit) -> unit) option;
-}
-
-let post es ~dst ~at thunk =
-  match es.es_emit with
-  | Some emit -> emit ~dst ~at thunk
-  | None ->
-      invalid_arg "Shard.post: engine shard is not inside a window body"
-
-let engine_shard ?(lookahead = infinity) e =
-  if lookahead < 0. then invalid_arg "Shard.engine_shard: negative lookahead";
-  let rec es =
-    {
-      es_engine = e;
-      es_emit = None;
-      es_stepper =
-        {
-          st_next = (fun () -> Engine.next_time e);
-          st_lookahead = lookahead;
-          st_step =
-            (fun ~inbox_at ~inbox_pay ~inbox_len ~upto ~emit ->
-              (* Cross-shard thunks become ordinary engine events at
-                 their merged positions: [schedule] hands them fresh
-                 heap seqnos in delivery order, extending the
-                 (time, src, seq) total order into the local heap. *)
-              for k = 0 to inbox_len - 1 do
-                Engine.schedule e ~at:inbox_at.(k) inbox_pay.(k)
-              done;
-              es.es_emit <- Some emit;
-              let s0 = Engine.steps e in
-              Fun.protect
-                ~finally:(fun () -> es.es_emit <- None)
-                (fun () -> Engine.run_until e upto);
-              Engine.steps e - s0);
-        };
-    }
-  in
-  es
-
-(* Run a conventional single-engine workload through the coordinator in
-   lookahead-sized windows.  With no peer shard the window bound is the
-   engine's own horizon, so this must be — and is pinned to be —
-   byte-identical to a plain [Engine.run]: the degeneration test that
-   licenses routing the 31 single-shard pinned experiments through
-   either path. *)
-let run_windowed ?(shards = 1) ?lookahead ?until ?par ?jobs e =
-  let shards = max 1 shards in
-  let main = engine_shard ?lookahead e in
-  let stop = match until with Some u -> u | None -> infinity in
-  let gated =
-    if stop = infinity then main.es_stepper
-    else
-      {
-        main.es_stepper with
-        st_next =
-          (fun () ->
-            let t0 = Engine.next_time e in
-            if t0 > stop then infinity else t0);
-        st_step =
-          (fun ~inbox_at ~inbox_pay ~inbox_len ~upto ~emit ->
-            main.es_stepper.st_step ~inbox_at ~inbox_pay ~inbox_len
-              ~upto:(Float.min upto stop) ~emit);
-      }
-  in
-  let idle =
-    {
-      st_next = (fun () -> infinity);
-      st_lookahead = infinity;
-      st_step =
-        (fun ~inbox_at:_ ~inbox_pay:_ ~inbox_len:_ ~upto:_ ~emit:_ -> 0);
-    }
-  in
-  let steppers =
-    Array.init shards (fun i -> if i = 0 then gated else idle)
-  in
-  run ?par ?jobs (create steppers);
-  (* Replicate the tail behaviour of a plain [Engine.run_until]: advance
-     the clock to the horizon (or not, on an empty heap) exactly as the
-     serial driver would have. *)
-  match until with Some u -> Engine.run_until e u | None -> ()

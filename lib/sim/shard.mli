@@ -66,39 +66,3 @@ val rounds : 'msg t -> int
 
 (** Cross-shard messages delivered. *)
 val delivered : 'msg t -> int
-
-(** {2 Engines as shards} *)
-
-(** A discrete-event engine wrapped as a shard: delivered messages are
-    thunks scheduled at their merged positions, and code running inside
-    the engine posts cross-shard thunks via {!post}. *)
-type engine_shard = {
-  es_engine : Engine.t;
-  es_stepper : (unit -> unit) stepper;
-  mutable es_emit : (dst:int -> at:float -> (unit -> unit) -> unit) option;
-}
-
-(** [lookahead] is the minimum latency of any message the engine's model
-    emits ([infinity] for an engine that never posts). *)
-val engine_shard : ?lookahead:float -> Engine.t -> engine_shard
-
-(** Post a cross-shard thunk; only callable while the shard is inside a
-    window body (i.e. from model code running under {!run}). *)
-val post :
-  engine_shard -> dst:int -> at:float -> (unit -> unit) -> unit
-
-(** Run a conventional single-engine workload through the coordinator in
-    lookahead-sized windows (plus [shards - 1] idle peers): pinned
-    byte-identical to a plain [Engine.run] at any shard count and any
-    lookahead, including zero.  [until] stops at a horizon with exactly
-    the semantics of [Engine.run_until until] — events at the horizon
-    run, the clock advances to it — so bounded drivers (warmup /
-    measure phases) can route through the coordinator too. *)
-val run_windowed :
-  ?shards:int ->
-  ?lookahead:float ->
-  ?until:float ->
-  ?par:bool ->
-  ?jobs:int ->
-  Engine.t ->
-  unit

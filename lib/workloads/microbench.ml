@@ -46,8 +46,8 @@ let consume_payload kern th bytes =
 (* Run [iters] warm round trips of [primitive] and return per-round-trip
    means.  [same_cpu] pins client and server to CPU 0, otherwise they sit
    on CPUs 0 and 1. *)
-let run ?(bytes = 1) ?(warmup = 20) ?(iters = 200) ?trace ?inject
-    ?(drive = Engine.run) ~same_cpu primitive =
+let run ?(bytes = 1) ?(warmup = 20) ?(iters = 200) ?trace ?inject ~same_cpu
+    primitive =
   let engine = Engine.create () in
   (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
   let kern = Kernel.create engine ~ncpus:2 in
@@ -153,7 +153,7 @@ let run ?(bytes = 1) ?(warmup = 20) ?(iters = 200) ?trace ?inject
            client_call th
          done;
          measured := Engine.now engine -. !started));
-  drive engine;
+  Engine.run engine;
   let n = float_of_int iters in
   let per_cpu =
     Array.init (Kernel.ncpus kern) (fun i ->

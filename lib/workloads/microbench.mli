@@ -21,18 +21,13 @@ val primitive_name : primitive -> string
     [same_cpu] pins both sides to CPU 0, otherwise they run on CPUs 0
     and 1.  [trace] installs a structured event trace sink on the run's
     engine (observational only: results are identical with and without).
-    [inject] installs a seeded fault injector on the run's kernel.
-    [drive] replaces the event-loop driver (default [Engine.run]) —
-    e.g. [Shard.run_windowed] to route the run through the conservative
-    coordinator; any driver that drains the engine must yield identical
-    results. *)
+    [inject] installs a seeded fault injector on the run's kernel. *)
 val run :
   ?bytes:int ->
   ?warmup:int ->
   ?iters:int ->
   ?trace:Dipc_sim.Trace.t ->
   ?inject:Dipc_sim.Inject.t ->
-  ?drive:(Dipc_sim.Engine.t -> unit) ->
   same_cpu:bool ->
   primitive ->
   result

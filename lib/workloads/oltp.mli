@@ -52,10 +52,10 @@ type result = {
     installs a structured event trace sink on the run's engine.
     [inject] installs a seeded fault injector on the run's kernel.
     [drive_until] replaces the bounded event-loop driver (default
-    [Engine.run_until]) — e.g. [Shard.run_windowed ~until] to route the
-    warmup and measurement phases through the conservative coordinator;
-    any driver with [run_until] semantics must yield identical
-    results. *)
+    [Engine.run_until]) — the repository benchmark passes one that
+    advances each of the warmup and measurement phases in 32 timed
+    slices of [Engine.run_until]; any driver with [run_until] semantics
+    must yield identical results. *)
 val run :
   ?params_override:params option ->
   ?seed:int ->

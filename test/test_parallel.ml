@@ -127,6 +127,23 @@ let test_suite_digests_shuffle_invariant () =
         r.Suite.b_digest)
     out
 
+(* [--shards] reaches only the four open-arrival cells (the OLTP cells
+   run on one engine): split at 2 shards, each must still land on its
+   serial pin. *)
+let test_open_cells_shards_invariant () =
+  let pins = Golden.parse_file baseline_path in
+  let open_tasks =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"open_" name)
+      (Array.to_list (Suite.bench_tasks ~shards:2 ()))
+  in
+  Alcotest.(check int) "four open-arrival cells" 4 (List.length open_tasks);
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check string) (name ^ " at --shards 2") (List.assoc name pins)
+        (run ()).Suite.b_digest)
+    open_tasks
+
 (* Fault-injection matrix cross-section: full cell equality (digests,
    run/fault counts, rendered lines) between serial and sharded runs.
    Stride 7 keeps 12 of the 83 cells, spanning both schedules, all
@@ -222,6 +239,8 @@ let suites =
           test_suite_digests_jobs_invariant;
         Alcotest.test_case "suite digests invariant under shuffle" `Slow
           test_suite_digests_shuffle_invariant;
+        Alcotest.test_case "open cells invariant under --shards" `Quick
+          test_open_cells_shards_invariant;
         Alcotest.test_case "matrix cells identical serial vs sharded" `Slow
           test_matrix_cells_jobs_invariant;
         QCheck_alcotest.to_alcotest qcheck_stress;

@@ -1,29 +1,22 @@
 (* Tests for intra-simulation sharding (ROADMAP item 2): the
-   conservative parallel coordinator [Dipc_sim.Shard], its openload
-   decomposition, the engine-as-shard wrapper, and the cross-kernel
-   [Wire].
+   conservative parallel coordinator [Dipc_sim.Shard] and its openload
+   decomposition.
 
    The contract under test is digest equality: serial, 2-shard and
    4-shard executions of the same model — on one domain or several —
    must be byte-identical.  qcheck properties sweep random scenarios
-   through both engines; directed cases pin the edges (zero-lookahead
-   degeneration, window-bound ties, a shard draining mid-window); and
-   mutation smokes in the spirit of test_checker break the protocol on
-   purpose (lookahead lie, wrong merge tie-break, enforcement off) and
-   assert each defence trips loudly. *)
+   through both paths; directed cases pin the edges (window-bound ties,
+   a shard draining mid-window); and mutation smokes in the spirit of
+   test_checker break the protocol on purpose (lookahead lie, wrong
+   merge tie-break, enforcement off) and assert each defence trips
+   loudly. *)
 
 module Shard = Dipc_sim.Shard
-module Engine = Dipc_sim.Engine
 module Trace = Dipc_sim.Trace
 module Checker = Dipc_sim.Checker
 module Parallel = Dipc_sim.Parallel
 module Heap = Dipc_sim.Heap
-module Costs = Dipc_sim.Costs
-module Kernel = Dipc_kernel.Kernel
-module Wire = Dipc_kernel.Wire
 module OL = Dipc_workloads.Openload
-module M = Dipc_workloads.Microbench
-module O = Dipc_workloads.Oltp
 
 (* --- differential: openload serial vs sharded --- *)
 
@@ -66,74 +59,6 @@ let test_openload_multiwindow () =
     (ol_signature (OL.run_sharded ~shards:2 ~par:false p) = reference);
   Alcotest.(check bool) "2-shard, pipelined domains" true
     (ol_signature (OL.run_sharded ~shards:2 ~par:true p) = reference)
-
-(* --- differential: single-engine workloads through the coordinator --- *)
-
-let qcheck_ipc_windowed_differential =
-  QCheck.Test.make
-    ~name:"microbench: Engine.run == run_windowed at any lookahead" ~count:16
-    QCheck.(
-      quad (oneofl [ M.Sem; M.Pipe; M.L4; M.Local_rpc ])
-        (oneofl [ 0.; 137.; 5_000.; infinity ])
-        bool bool)
-    (fun (prim, lookahead, same_cpu, par) ->
-      let digest drive =
-        let tr = Trace.create () in
-        let r = M.run ~iters:40 ~warmup:5 ~trace:tr ?drive ~same_cpu prim in
-        (Trace.digest_hex tr, r.M.mean_ns)
-      in
-      let reference = digest None in
-      let windowed =
-        digest
-          (Some (fun e -> Shard.run_windowed ~shards:2 ~lookahead ~par e))
-      in
-      reference = windowed)
-
-let oltp_quick_params ~db_mode ~threads =
-  {
-    (O.default_params ~db_mode ~threads) with
-    O.warmup = 50_000_000.;
-    duration = 100_000_000.;
-  }
-
-let qcheck_oltp_windowed_differential =
-  QCheck.Test.make
-    ~name:"oltp: Engine.run_until == run_windowed ~until through warmup"
-    ~count:6
-    QCheck.(
-      triple (oneofl [ O.Linux; O.Dipc; O.Ideal ])
-        (oneofl [ O.In_memory; O.On_disk ])
-        bool)
-    (fun (config, db_mode, par) ->
-      let digest drive_until =
-        let tr = Trace.create () in
-        let r =
-          O.run
-            ~params_override:(Some (oltp_quick_params ~db_mode ~threads:4))
-            ~trace:tr ?drive_until ~config ~db_mode ~threads:4 ()
-        in
-        (Trace.digest_hex tr, r.O.r_throughput_opm)
-      in
-      let reference = digest None in
-      let windowed =
-        digest (Some (fun e u -> Shard.run_windowed ~shards:2 ~until:u ~par e))
-      in
-      reference = windowed)
-
-(* Zero lookahead degenerates to one event-horizon window per event:
-   still byte-identical to the plain serial engine (the degeneration
-   that licenses routing single-shard runs through either path). *)
-let test_zero_lookahead_degeneration () =
-  let digest drive =
-    let tr = Trace.create () in
-    ignore (M.run ~iters:30 ~warmup:4 ~trace:tr ?drive ~same_cpu:false M.Sem);
-    Trace.digest_hex tr
-  in
-  let reference = digest None in
-  Alcotest.(check string) "lookahead 0, 1 shard" reference
-    (digest (Some (Shard.run_windowed ~shards:1 ~lookahead:0.)));
-  Alcotest.(check string) "lookahead 0, 4 shards (3 idle)" reference
-    (digest (Some (Shard.run_windowed ~shards:4 ~lookahead:0.)))
 
 (* --- directed synthetic steppers --- *)
 
@@ -395,80 +320,8 @@ let test_pool_exception_deterministic () =
   Alcotest.(check (option int)) "serial" (Some 1) (run false);
   Alcotest.(check (option int)) "pool" (Some 1) (run true)
 
-(* --- two kernels on two engine shards, joined by a Wire --- *)
-
-(* Ping-pong across the wire: the client kernel sends 1..n, the server
-   kernel doubles each value back.  The wire latency is exactly the
-   lookahead each engine shard declares, and the whole dance must be
-   byte-identical (per-engine trace digests, sums, clocks) at any
-   shard count, serially or pipelined across domains. *)
-let wire_pingpong ~shards ~par n =
-  let eng_a = Engine.create () and eng_b = Engine.create () in
-  let tr_a = Trace.create () and tr_b = Trace.create () in
-  Engine.set_trace eng_a tr_a;
-  Engine.set_trace eng_b tr_b;
-  let kern_a = Kernel.create eng_a ~ncpus:1 in
-  let kern_b = Kernel.create eng_b ~ncpus:1 in
-  let es_a = Shard.engine_shard ~lookahead:Wire.default_latency eng_a in
-  let es_b = Shard.engine_shard ~lookahead:Wire.default_latency eng_b in
-  let ep_a =
-    Wire.endpoint kern_a ~post:(fun ~at th -> Shard.post es_a ~dst:1 ~at th)
-  in
-  let ep_b =
-    Wire.endpoint kern_b ~post:(fun ~at th -> Shard.post es_b ~dst:0 ~at th)
-  in
-  Wire.connect ep_a ep_b;
-  let total = ref 0 in
-  let proc_a = Kernel.create_process kern_a ~name:"client" in
-  let proc_b = Kernel.create_process kern_b ~name:"server" in
-  ignore
-    (Kernel.spawn ~cpu:0 kern_a proc_a ~name:"client" (fun th ->
-         for i = 1 to n do
-           Wire.send ep_a th i;
-           total := !total + Wire.recv ep_a th
-         done));
-  ignore
-    (Kernel.spawn ~cpu:0 kern_b proc_b ~name:"server" (fun th ->
-         for _ = 1 to n do
-           let v = Wire.recv ep_b th in
-           Wire.send ep_b th (2 * v)
-         done));
-  let idle =
-    {
-      Shard.st_next = (fun () -> infinity);
-      st_lookahead = infinity;
-      st_step = (fun ~inbox_at:_ ~inbox_pay:_ ~inbox_len:_ ~upto:_ ~emit:_ -> 0);
-    }
-  in
-  let steppers =
-    Array.init (max 2 shards) (fun i ->
-        if i = 0 then es_a.Shard.es_stepper
-        else if i = 1 then es_b.Shard.es_stepper
-        else idle)
-  in
-  let t = Shard.create steppers in
-  Shard.run ~par t;
-  ( !total,
-    Shard.delivered t,
-    Trace.digest_hex tr_a,
-    Trace.digest_hex tr_b,
-    Engine.now eng_a,
-    Engine.now eng_b )
-
-let test_wire_pingpong_digest_equality () =
-  let n = 8 in
-  let reference = wire_pingpong ~shards:2 ~par:false n in
-  let total, delivered, _, _, _, _ = reference in
-  Alcotest.(check int) "server doubled every value" (n * (n + 1)) total;
-  Alcotest.(check int) "every message crossed the barrier" (2 * n) delivered;
-  Alcotest.(check bool) "2 shards pipelined == serial" true
-    (wire_pingpong ~shards:2 ~par:true n = reference);
-  Alcotest.(check bool) "4 shards (2 idle) == serial" true
-    (wire_pingpong ~shards:4 ~par:false n = reference);
-  Alcotest.(check bool) "4 shards pipelined == serial" true
-    (wire_pingpong ~shards:4 ~par:true n = reference)
-
-(* --- small supporting APIs added with the sharding work --- *)
+(* --- heap pre-sizing (the sharded openload station sizes its queue up
+   front) --- *)
 
 let test_heap_capacity_presize () =
   let a = Heap.create () in
@@ -487,15 +340,6 @@ let test_heap_capacity_presize () =
   Alcotest.(check (list int)) "pre-sized heap pops identically" (drain a)
     (drain b)
 
-let test_engine_next_time () =
-  let e = Engine.create () in
-  Alcotest.(check (float 0.)) "empty engine" infinity (Engine.next_time e);
-  Engine.schedule e ~at:42. (fun () -> ());
-  Alcotest.(check (float 0.)) "earliest pending event" 42.
-    (Engine.next_time e);
-  Engine.run e;
-  Alcotest.(check (float 0.)) "drained engine" infinity (Engine.next_time e)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -504,15 +348,8 @@ let suites =
       [
         Alcotest.test_case "openload multi-window pipelining" `Quick
           test_openload_multiwindow;
-        Alcotest.test_case "zero-lookahead degeneration" `Quick
-          test_zero_lookahead_degeneration;
       ]
-      @ qsuite
-          [
-            qcheck_openload_differential;
-            qcheck_ipc_windowed_differential;
-            qcheck_oltp_windowed_differential;
-          ] );
+      @ qsuite [ qcheck_openload_differential ] );
     ( "shard.protocol",
       [
         Alcotest.test_case "merge tie-break (time, src, seq)" `Quick
@@ -527,14 +364,8 @@ let suites =
           test_stall_detected;
         Alcotest.test_case "pool exception lowest-index deterministic" `Quick
           test_pool_exception_deterministic;
-      ]
-      @ qsuite [ qcheck_run_units_lowest_index_exception ] );
-    ( "shard.wire",
-      [
-        Alcotest.test_case "two-kernel ping-pong digest equality" `Quick
-          test_wire_pingpong_digest_equality;
         Alcotest.test_case "heap capacity pre-sizing" `Quick
           test_heap_capacity_presize;
-        Alcotest.test_case "engine next_time" `Quick test_engine_next_time;
-      ] );
+      ]
+      @ qsuite [ qcheck_run_units_lowest_index_exception ] );
   ]
