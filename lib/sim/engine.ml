@@ -60,12 +60,67 @@ let schedule t ~at f =
   if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:at Trace.Sched;
   Heap.push t.events ~time:at f
 
+exception Step_limit_exceeded
+
+(* Fire the next event: pop the heap minimum, count it, advance [now] to
+   its time and run its thunk.  The one firing step, shared by [run],
+   [run_until] and the direct handoff below, so the three cannot drift.
+   Allocates nothing itself (the thunk may): [top_time]/[pop_min] avoid
+   the [Some (time, thunk)] boxing of [Heap.pop], and they inline here —
+   the build compiles without -opaque (DESIGN.md Sec. 7) — so [time]
+   stays an unboxed float instead of coming back boxed from an
+   out-of-line call.  [thunk ()] is a tail call. *)
+let[@inline] fire t =
+  let time = Heap.top_time t.events in
+  let thunk = Heap.pop_min t.events in
+  t.steps <- t.steps + 1;
+  if t.steps > t.step_limit then raise Step_limit_exceeded;
+  Float.Array.unsafe_set t.now_ 0 time;
+  thunk ()
+
+(* Direct handoff: a thread that has just parked (its [Delay] or
+   [Suspend] handler has queued its continuation or handed out its
+   waker) or finished ([retc]) fires the next due event itself instead
+   of returning to the run loop, which would only pop that same event
+   and fire it.  [fire] does what the loop does, in the same order, so
+   only the stack frame that runs the next thunk changes: every trace
+   event, digest and counter is the same by construction.  What it
+   saves is the stack switch back to the loop: a continuation resumed
+   from inside the handler costs a fraction of one resumed from the
+   loop (DESIGN.md Sec. 7).
+
+   It falls back to the loop (returns) when the heap is empty, when the
+   minimum lies past a [run_until] horizon (the event stays queued and
+   the loop sets [now] to the deadline) or when firing would trip the
+   step limit (the loop raises [Step_limit_exceeded], at the same step
+   as without the handoff).
+
+   Constant stack: handler -> [handoff] -> [fire] -> thunk ->
+   [continue k v] is a chain of tail calls, so each handoff replaces
+   the handler frame instead of stacking on it, and a chain of millions
+   of handoffs runs in a fixed stack.  Keep it that way — no statement
+   after a [handoff t] or [thunk ()], no [try] around them, or every
+   handoff leaves a frame behind (test/test_handoff_stack.ml pins this
+   under a 1 MB stack).  A spawn thunk ([exec] -> [match_with]) ends in
+   the runtime's fiber start, which OCaml 5.1 also enters and leaves
+   without keeping a frame on this stack: the same test spawns 100k
+   threads in one chain, half of them parking, in under 16 KB. *)
+let handoff t =
+  if
+    (not (Heap.is_empty t.events))
+    && Heap.top_time t.events <= t.horizon
+    && t.steps < t.step_limit
+  then fire t
+
 (* Run [f] as a simulated thread under the effect handler. *)
 let rec exec t f =
   let open Effect.Deep in
   match_with f ()
     {
-      retc = (fun () -> t.live <- t.live - 1);
+      retc =
+        (fun () ->
+          t.live <- t.live - 1;
+          handoff t);
       exnc =
         (fun exn ->
           t.live <- t.live - 1;
@@ -76,7 +131,8 @@ let rec exec t f =
           | Delay d ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  schedule t ~at:(now t +. d) (fun () -> continue k ()))
+                  schedule t ~at:(now t +. d) (fun () -> continue k ());
+                  handoff t)
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -93,7 +149,8 @@ let rec exec t f =
                           schedule t ~at:(now t) (fun () -> continue k v));
                     }
                   in
-                  register waker)
+                  register waker;
+                  handoff t)
           | Now -> Some (fun (k : (a, unit) continuation) -> continue k (now t))
           | _ -> None);
     }
@@ -112,8 +169,9 @@ let delay d = if d > 0. then Effect.perform (Delay d) else ()
    with a fast path that skips the effect round trip and the heap.
 
    The slow path is: perform Delay -> [schedule] emits a Sched event at
-   [at = now + d] and pushes the continuation -> the run loop pops the
-   heap minimum, bumps [steps], sets [now] and resumes.  When our event
+   [at = now + d] and pushes the continuation -> [fire] (from the
+   handoff or the run loop) pops the heap minimum, bumps [steps], sets
+   [now] and resumes.  When our event
    would be the strict minimum (heap empty or top strictly later — a tie
    loses to the earlier sequence number), nothing can run between push
    and pop, so emitting the same Sched event, bumping [steps] and
@@ -156,21 +214,9 @@ let resume waker v =
 
 (* --- driving the simulation --- *)
 
-exception Step_limit_exceeded
-
-(* The loop itself allocates nothing per event (the thunk it runs may):
-   [top_time]/[pop_min] avoid the [Some (time, thunk)] boxing of
-   [Heap.pop], and they are inlined here — the build compiles without
-   -opaque (DESIGN.md Sec. 7) — so [time] stays an unboxed float instead
-   of coming back boxed from an out-of-line call. *)
 let run t =
   while not (Heap.is_empty t.events) do
-    let time = Heap.top_time t.events in
-    let thunk = Heap.pop_min t.events in
-    t.steps <- t.steps + 1;
-    if t.steps > t.step_limit then raise Step_limit_exceeded;
-    Float.Array.unsafe_set t.now_ 0 time;
-    thunk ()
+    fire t
   done
 
 (* Run until virtual time [deadline]; events after it stay queued. *)
@@ -180,22 +226,15 @@ let run_until t deadline =
   let continue = ref true in
   while !continue do
     if Heap.is_empty t.events then continue := false
-    else begin
-      let time = Heap.top_time t.events in
-      if time > deadline then begin
-        set_now t deadline;
-        continue := false
-      end
-      else begin
-        let thunk = Heap.pop_min t.events in
-        t.steps <- t.steps + 1;
-        if t.steps > t.step_limit then raise Step_limit_exceeded;
-        Float.Array.unsafe_set t.now_ 0 time;
-        thunk ()
-      end
+    else if Heap.top_time t.events > deadline then begin
+      set_now t deadline;
+      continue := false
     end
+    else fire t
   done
 
 let pending t = Heap.length t.events
 
 let steps t = t.steps
+
+let live t = t.live

@@ -65,3 +65,7 @@ val pending : t -> int
 
 (** Events fired so far (across [run]/[run_until] calls). *)
 val steps : t -> int
+
+(** Threads spawned and not yet finished (a thread that raised counts
+    as finished). *)
+val live : t -> int

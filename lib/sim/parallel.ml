@@ -79,43 +79,6 @@ let run ?jobs tasks =
       slots
   end
 
-(* Lean sibling of [run] for the shard coordinator's window bodies
-   (Shard.run): one barrier per simulated window is on the critical
-   path, so this skips the id/wall/minor-words outcome plumbing — same
-   work-queue, same one-writer-per-slot discipline, same
-   lowest-submission-index exception propagation. *)
-let run_units ?jobs (units : (unit -> unit) array) =
-  let n = Array.length units in
-  if n > 0 then begin
-    let jobs =
-      let j = match jobs with Some j -> j | None -> default_jobs () in
-      max 1 (min j n)
-    in
-    let failures = Array.make n None in
-    let unit_loop next =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          match units.(i) () with
-          | () -> ()
-          | exception exn ->
-              failures.(i) <- Some (exn, Printexc.get_raw_backtrace ())
-      done
-    in
-    let next = Atomic.make 0 in
-    let helpers =
-      Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> unit_loop next))
-    in
-    unit_loop next;
-    Array.iter Domain.join helpers;
-    Array.iter
-      (function
-        | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt | None -> ())
-      failures
-  end
-
 let map ?jobs f xs =
   let tasks =
     Array.of_list (List.mapi (fun i x -> (string_of_int i, fun () -> f x)) xs)

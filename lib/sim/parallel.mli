@@ -35,13 +35,6 @@ val default_jobs : unit -> int
     too. *)
 val run : ?jobs:int -> (string * (unit -> 'a)) array -> 'a outcome array
 
-(** [run_units ?jobs units] is {!run} stripped to its synchronization
-    skeleton for latency-critical barriers (one call per shard window in
-    [Shard.run]): no outcome records, no per-task stats — just the
-    work queue, the one-writer-per-slot discipline and the
-    lowest-submission-index exception propagation. *)
-val run_units : ?jobs:int -> (unit -> unit) array -> unit
-
 (** [map ?jobs f xs]: {!run} over [f] applied to each element, returning
     plain values in input order. Ids are the element indices. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -358,7 +358,7 @@ let run_serial t =
    Lane l owns shards congruent to l mod lanes; the main domain is lane
    0 and also plays coordinator.  Worker failures are parked per shard
    and re-raised on the main domain for the lowest shard index — the
-   same deterministic contract as Parallel.run/run_units. *)
+   same deterministic contract as Parallel.run. *)
 let run_pool t ~lanes =
   let n = Array.length t.steppers in
   let counts = Array.make n 0 in

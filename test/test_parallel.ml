@@ -85,7 +85,7 @@ let test_per_run_stats_populated () =
 
 (* The serial reference is the committed baseline (test_golden pins the
    serial suite against it); here the same suite runs sharded, at two
-   job counts, and must land on the same 13 digests. *)
+   job counts, and must land on the same 37 digests. *)
 let test_suite_digests_jobs_invariant () =
   let pins = Golden.parse_file baseline_path in
   List.iter
@@ -146,8 +146,8 @@ let test_open_cells_shards_invariant () =
 
 (* Fault-injection matrix cross-section: full cell equality (digests,
    run/fault counts, rendered lines) between serial and sharded runs.
-   Stride 7 keeps 12 of the 83 cells, spanning both schedules, all
-   five primitives and both placements. *)
+   Stride 7 keeps 7 of the 43 cells: both schedules, both placements,
+   four of the five primitives (not urpc) and the netpipe cell. *)
 let test_matrix_cells_jobs_invariant () =
   let serial = Suite.matrix_results ~jobs:1 ~sample:7 () in
   let sharded = Suite.matrix_results ~jobs:4 ~sample:7 () in

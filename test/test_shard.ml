@@ -261,9 +261,9 @@ let test_stall_detected () =
 
 exception Boom of int
 
-let qcheck_run_units_lowest_index_exception =
+let qcheck_run_lowest_index_exception =
   QCheck.Test.make
-    ~name:"Parallel.run/run_units surface the lowest-index exception"
+    ~name:"Parallel.run raises the lowest-index failure"
     ~count:120
     QCheck.(
       triple (int_range 1 20) (int_range 1 8) (int_bound 1_000_000))
@@ -277,24 +277,17 @@ let qcheck_run_units_lowest_index_exception =
       match !lowest with
       | None -> true
       | Some want ->
-          let unit_of i () = if fails i then raise (Boom i) in
-          let got_units =
-            match
-              Parallel.run_units ~jobs (Array.init n (fun i -> unit_of i))
-            with
-            | () -> None
-            | exception Boom i -> Some i
-          in
-          let got_run =
+          let got =
             match
               Parallel.run ~jobs
                 (Array.init n (fun i ->
-                     (Printf.sprintf "task%d" i, fun () -> unit_of i ())))
+                     ( Printf.sprintf "task%d" i,
+                       fun () -> if fails i then raise (Boom i) )))
             with
             | _ -> None
             | exception Boom i -> Some i
           in
-          got_units = Some want && got_run = Some want)
+          got = Some want)
 
 let test_pool_exception_deterministic () =
   (* A raising shard must surface the lowest shard index on the main
@@ -367,5 +360,5 @@ let suites =
         Alcotest.test_case "heap capacity pre-sizing" `Quick
           test_heap_capacity_presize;
       ]
-      @ qsuite [ qcheck_run_units_lowest_index_exception ] );
+      @ qsuite [ qcheck_run_lowest_index_exception ] );
   ]

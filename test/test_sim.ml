@@ -10,6 +10,7 @@ module Memcost = Dipc_sim.Memcost
 module Engine = Dipc_sim.Engine
 module Waitq = Dipc_sim.Waitq
 module Histogram = Dipc_sim.Histogram
+module Trace = Dipc_sim.Trace
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -320,6 +321,132 @@ let test_engine_run_until () =
   Engine.run e;
   Alcotest.(check int) "rest continues" 2 !fired
 
+(* --- run loop semantics under the direct handoff --- *)
+
+(* A mixed, traced workload: workers on the slow and fast delay paths
+   that spawn short children, three waiters parked on a wait queue and a
+   thread broadcasting to it.  It runs past t = 1000, so a run to that
+   deadline leaves events queued. *)
+let mixed_engine () =
+  let e = Engine.create () in
+  let tr = Trace.create () in
+  Engine.set_trace e tr;
+  let rng = Rng.create ~seed:7 in
+  let q = Waitq.create () in
+  for _ = 1 to 4 do
+    Engine.spawn e (fun () ->
+        for i = 1 to 300 do
+          let d = Rng.float rng *. 10. in
+          if i mod 3 = 0 then Engine.delay_in e d else Engine.delay d;
+          if i mod 50 = 0 then Engine.spawn e (fun () -> Engine.delay 1.)
+        done)
+  done;
+  for _ = 1 to 3 do
+    Engine.spawn e (fun () ->
+        for _ = 1 to 100 do
+          Waitq.wait q
+        done)
+  done;
+  Engine.spawn e (fun () ->
+      for _ = 1 to 400 do
+        Engine.delay 3.;
+        ignore (Waitq.wake_all q ())
+      done);
+  (e, tr)
+
+(* Everything the run loop leaves behind, [now] printed exactly. *)
+let engine_state (e, tr) =
+  Printf.sprintf "steps %d, now %.17g, pending %d, digest %s" (Engine.steps e)
+    (Engine.now e) (Engine.pending e) (Trace.digest_hex tr)
+
+(* The benchmark times OLTP in 32 [run_until] slices: slicing must not
+   change what runs, when, or in which order. *)
+let test_engine_run_until_slices () =
+  let whole = mixed_engine () in
+  Engine.run_until (fst whole) 1000.;
+  let sliced = mixed_engine () in
+  for i = 1 to 32 do
+    Engine.run_until (fst sliced) (1000. *. float i /. 32.)
+  done;
+  let check = Alcotest.(check string) in
+  check "at the deadline" (engine_state whole) (engine_state sliced);
+  Alcotest.(check bool) "events left queued" true (Engine.pending (fst whole) > 0);
+  Engine.run (fst whole);
+  Engine.run (fst sliced);
+  check "drained" (engine_state whole) (engine_state sliced);
+  (* the figures of the loop without the handoff *)
+  check "pinned" "steps 1956, now 1521.5345396117725, pending 0, digest a3c30bc8c85bf673"
+    (engine_state sliced);
+  Alcotest.(check int) "every thread finished" 0 (Engine.live (fst sliced))
+
+(* The loop raises when it pops event n + 1, leaving the queue and the
+   clock as the loop without the handoff left them. *)
+let test_engine_step_limit () =
+  let ((e, _) as run) = mixed_engine () in
+  Engine.set_step_limit e 1000;
+  Alcotest.check_raises "limit" Engine.Step_limit_exceeded (fun () -> Engine.run e);
+  Alcotest.(check string)
+    "state" "steps 1001, now 593.14824236868344, pending 4, digest 5e6c359b3c46b2ac"
+    (engine_state run)
+
+(* A thread resumed by another thread's handoff raises: the exception
+   escapes [run] with the thread counted finished, and the engine keeps
+   working. *)
+let test_engine_exception_through_handoff () =
+  let e = Engine.create () in
+  Engine.spawn e (fun () ->
+      Engine.delay 1.;
+      failwith "boom");
+  (* Parks at 0.5 and 1.5 on the slow path: its handler fires the
+     raising thread's wakeup at 1. *)
+  Engine.spawn e (fun () ->
+      Engine.delay 0.5;
+      Engine.delay 1.);
+  Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run e);
+  Alcotest.(check int) "raiser finished" 1 (Engine.live e);
+  check_float "clock at the raise" 1. (Engine.now e);
+  Alcotest.(check int) "other thread still queued" 1 (Engine.pending e);
+  Engine.run e;
+  check_float "other thread ran on" 1.5 (Engine.now e);
+  let later = ref false in
+  Engine.spawn e (fun () ->
+      Engine.delay 2.;
+      later := true);
+  Engine.run e;
+  Alcotest.(check bool) "a later run works" true !later;
+  Alcotest.(check int) "no thread left" 0 (Engine.live e);
+  Alcotest.(check int) "steps" 7 (Engine.steps e)
+
+(* [register] resuming another thread's waker synchronously: the woken
+   thread is queued at [now] behind what was already due, exactly as
+   when the run loop fired the events. *)
+let test_engine_register_resumes () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let say s = log := s :: !log in
+  let parked_a = ref None and parked_b = ref None in
+  Engine.spawn e (fun () ->
+      say (Engine.suspend (fun w -> parked_a := Some w)));
+  Engine.spawn ~at:1. e (fun () ->
+      say "b parks";
+      let v =
+        Engine.suspend (fun w ->
+            parked_b := Some w;
+            Option.iter (fun wa -> Engine.resume wa "a woken by b") !parked_a)
+      in
+      say v);
+  Engine.spawn ~at:1. e (fun () ->
+      say "c runs";
+      Engine.delay 0.5;
+      say "c after delay";
+      Option.iter (fun wb -> Engine.resume wb "b woken by c") !parked_b);
+  Engine.schedule e ~at:1. (fun () -> say "raw event");
+  Engine.run e;
+  Alcotest.(check (list string))
+    "order"
+    [ "b parks"; "c runs"; "raw event"; "a woken by b"; "c after delay"; "b woken by c" ]
+    (List.rev !log)
+
 let test_waitq_fifo () =
   let e = Engine.create () in
   let q = Waitq.create () in
@@ -436,6 +563,12 @@ let suites =
         Alcotest.test_case "suspend/resume" `Quick test_engine_suspend_resume;
         Alcotest.test_case "double resume" `Quick test_engine_double_resume_rejected;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
+        Alcotest.test_case "run_until slices" `Quick test_engine_run_until_slices;
+        Alcotest.test_case "step limit" `Quick test_engine_step_limit;
+        Alcotest.test_case "exception through handoff" `Quick
+          test_engine_exception_through_handoff;
+        Alcotest.test_case "register resumes a waker" `Quick
+          test_engine_register_resumes;
         Alcotest.test_case "waitq fifo" `Quick test_waitq_fifo;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]
