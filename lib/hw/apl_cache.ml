@@ -64,18 +64,23 @@ let slot_of t tag =
   done;
   !i
 
-(* Hardware tag of [tag] if cached. *)
-let lookup t tag =
+(* Hardware tag of [tag] if cached, else -1: [lookup] without the
+   option box, for the machine's crossing path. *)
+let find t tag =
   let i = if tag = -1 then capacity else slot_of t tag in
   if i < capacity then begin
     t.hits <- t.hits + 1;
     t.last_use.(i) <- tick t;
-    Some i
+    i
   end
   else begin
     t.misses <- t.misses + 1;
-    None
+    -1
   end
+
+let lookup t tag =
+  let i = find t tag in
+  if i >= 0 then Some i else None
 
 (* Install [tag], evicting the least-recently-used entry; returns the
    hardware tag it landed on. *)
@@ -95,7 +100,16 @@ let install t tag =
 
 (* Lookup-or-install used by the machine in auto-fill mode. *)
 let ensure t tag =
-  match lookup t tag with Some hw -> (hw, true) | None -> (install t tag, false)
+  let i = find t tag in
+  if i >= 0 then (i, true) else (install t tag, false)
+
+(* [ensure] without the pair: the machine only needs the hit bit. *)
+let ensure_hit t tag =
+  find t tag >= 0
+  || begin
+       ignore (install t tag);
+       false
+     end
 
 let stats t = (t.hits, t.misses, t.refills)
 

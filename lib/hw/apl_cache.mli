@@ -23,6 +23,9 @@ val install : t -> int -> int
 (** Lookup-or-install; the boolean is true on a hit. *)
 val ensure : t -> int -> int * bool
 
+(** [snd (ensure t tag)], allocating nothing. *)
+val ensure_hit : t -> int -> bool
+
 (** (hits, misses, refills). *)
 val stats : t -> int * int * int
 

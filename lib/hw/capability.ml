@@ -48,17 +48,30 @@ let pp ppf c =
 (* --- revocation counters for asynchronous capabilities --- *)
 
 module Revocation = struct
-  type table = { counters : (int * int, int) Hashtbl.t }
+  (* Counters are keyed by (owner tag, program-chosen index), hashed and
+     compared as ints: no lookup calls the polymorphic hash or compare.
+     The table is never iterated, so the hash reaches no output. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = int * int
 
-  let create () = { counters = Hashtbl.create 64 }
+    let equal ((a : int), (b : int)) (c, d) = a = c && b = d
+
+    let hash (tag, counter) =
+      (((tag * 0x278DDE6E5FD29F05) + counter) * 0x278DDE6E5FD29F05)
+      lsr (Sys.int_size - 30)
+  end)
+
+  type table = { counters : int Tbl.t }
+
+  let create () = { counters = Tbl.create 64 }
 
   let value t ~tag ~counter =
-    match Hashtbl.find_opt t.counters (tag, counter) with
-    | Some v -> v
-    | None -> 0
+    match Tbl.find t.counters (tag, counter) with
+    | v -> v
+    | exception Not_found -> 0
 
   (* Immediate revocation: bump the counter; every capability stamped with
      the old value becomes invalid everywhere at once. *)
   let revoke t ~tag ~counter =
-    Hashtbl.replace t.counters (tag, counter) (value t ~tag ~counter + 1)
+    Tbl.replace t.counters (tag, counter) (value t ~tag ~counter + 1)
 end

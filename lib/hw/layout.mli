@@ -21,3 +21,8 @@ val offset_in_page : int -> int
 val align_up : int -> int -> int
 
 val is_aligned : int -> int -> bool
+
+(** Hash tables keyed by an address or a page number, with a
+    multiplicative int hash: no lookup calls the polymorphic hash or
+    compare. *)
+module Int_tbl : Hashtbl.S with type key = int

@@ -102,7 +102,13 @@ and ctx = {
   mutable dcs_saved : Dcs.saved list;
   mutable depth : int; (* call depth, for synchronous capability scope *)
   mutable epochs : int array; (* frame epoch per depth *)
-  mutable cost : float; (* accumulated ns *)
+  mutable cost : float;
+      (* accumulated ns: a mirror of [cost_acc], refreshed whenever
+         control leaves the machine (see [sync_cost]) *)
+  cost_acc : floatarray;
+      (* the running total itself, one unboxed slot: adding into it
+         allocates nothing, while every store to a float field of this
+         mixed record boxes the float and takes the write barrier *)
   mutable instret : int;
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
@@ -133,7 +139,7 @@ type t = {
          the tracer is off and no injector is installed); true forces
          the reference stepper throughout — the --reference triage
          escape hatch. *)
-  sblocks : (int, superblock) Hashtbl.t;
+  sblocks : superblock Layout.Int_tbl.t;
       (* superblock cache, keyed by entry pc; machine-wide (shared by
          every context) so [pretranslate] can warm it before any thread
          exists *)
@@ -263,7 +269,7 @@ let create () =
     tlb_refills = 0;
     inject = None;
     reference = Atomic.get default_reference;
-    sblocks = Hashtbl.create 64;
+    sblocks = Layout.Int_tbl.create 64;
     ras_pc = Array.make ras_capacity 0;
     ras_sb = Array.make ras_capacity ras_dummy;
     ras_uidx = Array.make ras_capacity 0;
@@ -286,31 +292,34 @@ let set_reference m v = m.reference <- v
 let set_posture m p = m.posture <- p
 
 (* Page-table lookup through the direct-mapped translation cache:
-   fetch/load/store into a warm page skips the page-table Hashtbl.  Two
+   fetch/load/store into a warm page skips the page-table lookup.  Two
    pages whose indexes collide still evict one another; the hashed
    [tlb_way] keeps the hot pages of the measured workloads apart (zero
    refills on a warm dIPC call), and [tlb_refills] counts the rest.
    Entries are invalidated by the table's generation counter (map/unmap)
    — a generation bump flushes the whole cache on the next miss — and
    in-place page mutation is observed through the shared record. *)
-let find_page m ~pc addr =
+let[@inline never] tlb_refill m ~pc addr ~page ~way =
+  let entry = Page_table.find_exn m.page_table ~pc addr in
+  m.tlb_refills <- m.tlb_refills + 1;
+  let gen = Page_table.generation m.page_table in
+  if gen <> m.tlb_gen then begin
+    Array.fill m.tlb_pages 0 tlb_ways (-1);
+    m.tlb_gen <- gen
+  end;
+  m.tlb_pages.(way) <- page;
+  m.tlb_entries.(way) <- entry;
+  entry
+
+(* The hit path inlines into every data-access and transfer check; the
+   refill stays out of line. *)
+let[@inline] find_page m ~pc addr =
   let page = Layout.page_of addr in
   let way = tlb_way page in
   if Array.unsafe_get m.tlb_pages way = page
      && Page_table.generation m.page_table = m.tlb_gen
   then Array.unsafe_get m.tlb_entries way
-  else begin
-    let entry = Page_table.find_exn m.page_table ~pc addr in
-    m.tlb_refills <- m.tlb_refills + 1;
-    let gen = Page_table.generation m.page_table in
-    if gen <> m.tlb_gen then begin
-      Array.fill m.tlb_pages 0 tlb_ways (-1);
-      m.tlb_gen <- gen
-    end;
-    m.tlb_pages.(way) <- page;
-    m.tlb_entries.(way) <- entry;
-    entry
-  end
+  else tlb_refill m ~pc addr ~page ~way
 
 let set_syscall_handler m f = m.on_syscall <- Some f
 
@@ -340,14 +349,27 @@ let new_ctx ?(dcs_capacity = Dcs.default_capacity) m ~pc ~sp_value =
     depth = 0;
     epochs = Array.make 64 0;
     cost = 0.;
+    cost_acc = Float.Array.make 1 0.;
     instret = 0;
     breakdown = Breakdown.create ();
     apl_cache = Apl_cache.create ();
     halted = false;
   }
 
+(* The context's accumulated cost.  Inside the machine it is read from
+   the accumulator; [ctx.cost] is the copy code outside reads, refreshed
+   by [sync_cost] on every way out: [charge]/[charge_as] (so an
+   [on_syscall] handler, which only runs after [Syscall]'s two charges,
+   and a caller that charges a context by hand both see it current) and
+   the return, normal or exceptional, from [run].  The compiled path adds
+   into the accumulator alone. *)
+let[@inline] cost_now ctx = Float.Array.unsafe_get ctx.cost_acc 0
+
+let[@inline] sync_cost ctx = ctx.cost <- cost_now ctx
+
 let charge m ctx ns =
-  ctx.cost <- ctx.cost +. ns;
+  Float.Array.unsafe_set ctx.cost_acc 0 (cost_now ctx +. ns);
+  sync_cost ctx;
   let cat = m.attr_of_tag ctx.cur_tag in
   Breakdown.charge ctx.breakdown cat ns;
   if Trace.enabled m.tracer then
@@ -355,7 +377,8 @@ let charge m ctx ns =
       Trace.Charge
 
 let charge_as m ctx category ns =
-  ctx.cost <- ctx.cost +. ns;
+  Float.Array.unsafe_set ctx.cost_acc 0 (cost_now ctx +. ns);
+  sync_cost ctx;
   Breakdown.charge ctx.breakdown category ns;
   if Trace.enabled m.tracer then
     Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~cat:category
@@ -372,7 +395,7 @@ let deny m ctx ?addr ~pc kind =
   else if m.posture = Fault.Audit then begin
     m.audited_faults <- m.audited_faults + 1;
     if Trace.enabled m.tracer then
-      Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~arg:pc
+      Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag ~arg:pc
         Trace.Fault
   end
 
@@ -405,7 +428,7 @@ let page_allows (page : Page_table.page) (perm : Perm.t) =
 let trace_authority m ctx ~(page : Page_table.page) ~apl_ok ~cap =
   if page.tag <> ctx.cur_tag then begin
     let code = if apl_ok then 2 else if cap <> None then 1 else 3 in
-    Trace.emit m.tracer ~ts:ctx.cost ~cpu:code ~tid:ctx.id ~tag:page.tag
+    Trace.emit m.tracer ~ts:(cost_now ctx) ~cpu:code ~tid:ctx.id ~tag:page.tag
       ~arg:ctx.cur_tag Trace.Xtag_access
   end;
   match cap with
@@ -414,9 +437,30 @@ let trace_authority m ctx ~(page : Page_table.page) ~apl_ok ~cap =
         Capability.scope = Capability.Asynchronous { owner_tag; counter; value };
         _;
       } ->
-      Trace.emit m.tracer ~ts:ctx.cost ~cpu:value ~tid:ctx.id ~tag:owner_tag
+      Trace.emit m.tracer ~ts:(cost_now ctx) ~cpu:value ~tid:ctx.id ~tag:owner_tag
         ~arg:counter Trace.Cap_use
   | _ -> ()
+
+(* The first capability register whose capability covers [len] bytes at
+   [addr], grants [perm] and is valid, or -1.  The range and rights tests
+   run before [cap_valid], whose asynchronous case looks up a revocation
+   counter; all three are pure, so the order changes no result.  An index
+   rather than the capability keeps the scan from allocating a [Some]. *)
+let granting_creg m ctx ~addr ~len ~perm =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Isa.num_cregs do
+    (match ctx.cregs.(!i) with
+    | Some cap
+      when Capability.covers cap ~addr ~len
+           && Capability.grants cap perm
+           && cap_valid m ctx cap ->
+        found := !i
+    | Some _ | None -> ());
+    incr i
+  done;
+  !found
+
+let creg_opt ctx i = if i < 0 then None else ctx.cregs.(i)
 
 (* Check that [ctx] may access [len] bytes at [addr] with [perm]; data
    accesses are satisfied by the APL of the current domain or by any of the
@@ -436,21 +480,10 @@ let check_data m ctx ~addr ~len ~perm =
       trace_authority m ctx ~page ~apl_ok:true ~cap:None
   end
   else begin
-    let granted = ref None in
-    for i = 0 to Isa.num_cregs - 1 do
-      match ctx.cregs.(i) with
-      | Some cap
-        when !granted = None
-             && cap_valid m ctx cap
-             && Capability.covers cap ~addr ~len
-             && Capability.grants cap perm ->
-          granted := Some cap
-      | Some _ | None -> ()
-    done;
-    if !granted = None then
-      deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
+    let g = granting_creg m ctx ~addr ~len ~perm in
+    if g < 0 then deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
     if Trace.enabled m.tracer then
-      trace_authority m ctx ~page ~apl_ok:false ~cap:!granted
+      trace_authority m ctx ~page ~apl_ok:false ~cap:(creg_opt ctx g)
   end;
   (* CODOMs honors the per-page protection bits (Sec. 4.1). *)
   if not (page_allows page perm) then begin
@@ -466,26 +499,14 @@ let check_cap_page m ctx ~addr ~perm =
       (Fault.Cap_storage "capability access to a regular page");
   let apl_perm = Apl.permission m.apl ~src:ctx.cur_tag ~dst:page.tag in
   let apl_ok = Perm.includes apl_perm perm in
-  let granted = ref None in
-  let allowed =
-    apl_ok
-    || begin
-         for i = 0 to Isa.num_cregs - 1 do
-           match ctx.cregs.(i) with
-           | Some cap
-             when !granted = None
-                  && cap_valid m ctx cap
-                  && Capability.covers cap ~addr ~len:Layout.cap_bytes
-                  && Capability.grants cap perm ->
-               granted := Some cap
-           | Some _ | None -> ()
-         done;
-         !granted <> None
-       end
+  let g =
+    if apl_ok then -1
+    else granting_creg m ctx ~addr ~len:Layout.cap_bytes ~perm
   in
-  if not allowed then deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
+  if not apl_ok && g < 0 then
+    deny m ctx ~pc:ctx.pc ~addr (Fault.No_permission perm);
   if Trace.enabled m.tracer then
-    trace_authority m ctx ~page ~apl_ok ~cap:!granted;
+    trace_authority m ctx ~page ~apl_ok ~cap:(creg_opt ctx g);
   if not (page_allows page perm) then
     deny m ctx ~pc:ctx.pc ~addr Fault.Write_to_readonly
 
@@ -501,15 +522,16 @@ let check_transfer m ctx target =
     let apl_perm = Apl.permission m.apl ~src:ctx.cur_tag ~dst:new_tag in
     let aligned = Layout.is_aligned target Layout.entry_align in
     let best = ref apl_perm in
-    let best_cap = ref None in
+    let best_creg = ref (-1) (* the register carrying [best], if any *) in
+    (* range test before [cap_valid], as in [granting_creg] *)
     for i = 0 to Isa.num_cregs - 1 do
       match ctx.cregs.(i) with
       | Some cap
-        when cap_valid m ctx cap
-             && Capability.covers cap ~addr:target ~len:Isa.instr_bytes ->
+        when Capability.covers cap ~addr:target ~len:Isa.instr_bytes
+             && cap_valid m ctx cap ->
           if Perm.rank cap.perm > Perm.rank !best then begin
             best := cap.perm;
-            best_cap := Some cap
+            best_creg := i
           end
       | Some _ | None -> ()
     done;
@@ -521,19 +543,19 @@ let check_transfer m ctx target =
     | Perm.Nil -> deny m ctx ~pc:target (Fault.No_permission Perm.Call));
     (* A crossing carried by an asynchronous capability leaves the same
        audit record as a capability-granted data access. *)
-    (if Trace.enabled m.tracer then
-       match !best_cap with
+    (if Trace.enabled m.tracer && !best_creg >= 0 then
+       match ctx.cregs.(!best_creg) with
        | Some
            {
              Capability.scope =
                Capability.Asynchronous { owner_tag; counter; value };
              _;
            } ->
-           Trace.emit m.tracer ~ts:ctx.cost ~cpu:value ~tid:ctx.id
+           Trace.emit m.tracer ~ts:(cost_now ctx) ~cpu:value ~tid:ctx.id
              ~tag:owner_tag ~arg:counter Trace.Cap_use
        | _ -> ());
     if Trace.enabled m.tracer then
-      Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:new_tag ~arg:ctx.cur_tag
+      Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:new_tag ~arg:ctx.cur_tag
         Trace.Domain_cross;
     (match m.inject with
     | Some inj ->
@@ -555,14 +577,13 @@ let check_transfer m ctx target =
     | None -> ());
     (* The instruction pointer now originates from the new domain; its APL
        becomes the active one, via the per-thread APL cache. *)
-    let _hw, hit = Apl_cache.ensure ctx.apl_cache new_tag in
-    if not hit then begin
+    if not (Apl_cache.ensure_hit ctx.apl_cache new_tag) then begin
       if m.strict_apl_cache then
         Fault.raise_fault ~pc:target (Fault.Apl_cache_miss new_tag)
       else charge_as m ctx Breakdown.Kernel apl_cache_refill_cost
     end
   end
-  else if ctx.cur_tag = -1 then ignore (Apl_cache.ensure ctx.apl_cache new_tag);
+  else if ctx.cur_tag = -1 then ignore (Apl_cache.ensure_hit ctx.apl_cache new_tag);
   ctx.cur_tag <- new_tag;
   ctx.cur_page <- Layout.page_of target;
   ctx.priv <- page.priv_cap
@@ -574,7 +595,7 @@ let check_transfer m ctx target =
 let require_priv m ctx =
   if not ctx.priv then deny m ctx ~pc:ctx.pc Fault.Privilege_required;
   if Trace.enabled m.tracer then
-    Trace.emit m.tracer ~ts:ctx.cost
+    Trace.emit m.tracer ~ts:(cost_now ctx)
       ~cpu:(if ctx.priv then 1 else 2)
       ~tid:ctx.id ~tag:ctx.cur_tag ~arg:ctx.pc Trace.Priv_op
 
@@ -649,7 +670,7 @@ let exec_instr m ctx instr ~pc ~next =
     | Isa.Trap n -> Fault.raise_fault ~pc (Fault.Software_trap n)
     | Isa.Syscall n -> begin
         if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~arg:n
+          Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag ~arg:n
             Trace.Syscall;
         charge_as m ctx Breakdown.Syscall_entry Costs.syscall_entry_exit;
         charge_as m ctx Breakdown.Dispatch Costs.syscall_dispatch;
@@ -787,7 +808,7 @@ let exec_instr m ctx instr ~pc ~next =
         let counter = reg ctx rctr in
         Capability.Revocation.revoke m.revocation ~tag:ctx.cur_tag ~counter;
         if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost
+          Trace.emit m.tracer ~ts:(cost_now ctx)
             ~cpu:(Capability.Revocation.value m.revocation ~tag:ctx.cur_tag ~counter)
             ~tid:ctx.id ~tag:ctx.cur_tag ~arg:counter Trace.Cap_revoke;
         ctx.pc <- next
@@ -797,13 +818,13 @@ let exec_instr m ctx instr ~pc ~next =
     | Isa.CapPush c ->
         Dcs.push ctx.dcs ~pc (valid_creg m ctx ~pc c);
         if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+          Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
             ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_push;
         ctx.pc <- next
     | Isa.CapPop c ->
         ctx.cregs.(c) <- Some (Dcs.pop ctx.dcs ~pc);
         if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+          Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
             ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_pop;
         ctx.pc <- next
     | Isa.CapLoad (c, rb, o) -> begin
@@ -835,7 +856,7 @@ let exec_instr m ctx instr ~pc ~next =
         require_priv m ctx;
         ctx.dcs_saved <- Dcs.switch ctx.dcs ~pc ~args:(reg ctx r) :: ctx.dcs_saved;
         if Trace.enabled m.tracer then
-          Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+          Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
             ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
         ctx.pc <- next
     | Isa.DcsRestore r -> begin
@@ -845,7 +866,7 @@ let exec_instr m ctx instr ~pc ~next =
             Dcs.restore ctx.dcs ~pc ~rets:(reg ctx r) saved;
             ctx.dcs_saved <- rest;
             if Trace.enabled m.tracer then
-              Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+              Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
                 ~arg:(Dcs.depth ctx.dcs) Trace.Dcs_adjust;
             ctx.pc <- next
         | [] -> Fault.raise_fault ~pc (Fault.Dcs_bounds "no saved DCS to restore")
@@ -871,7 +892,7 @@ let step m ctx =
   try step_unlogged m ctx
   with Fault.Fault f as exn ->
     if Trace.enabled m.tracer then
-      Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+      Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
         ~arg:f.Fault.pc Trace.Fault;
     raise exn
 
@@ -1010,13 +1031,13 @@ let max_superblock_units = 32
 let translate_superblock m ~pc ~tag ~priv =
   let units = ref [] in
   let count = ref 0 in
-  let index = Hashtbl.create 8 in
+  let index = Layout.Int_tbl.create 8 in
   let conts = Queue.create () in
   let rec next_seed () =
     match Queue.take_opt conts with
     | None -> None
     | Some ((spc, _, _) as seed) ->
-        if Hashtbl.mem index spc || !count >= max_superblock_units then
+        if Layout.Int_tbl.mem index spc || !count >= max_superblock_units then
           next_seed ()
         else Some seed
   in
@@ -1025,7 +1046,7 @@ let translate_superblock m ~pc ~tag ~priv =
     let upc, utag, upriv =
       match !cur with Some c -> c | None -> assert false
     in
-    Hashtbl.replace index upc !count;
+    Layout.Int_tbl.replace index upc !count;
     (* straight-line body: same page, every slot fetchable, no
        terminators — pure reads, exactly the decodes the reference
        stepper performs per instruction *)
@@ -1083,7 +1104,7 @@ let translate_superblock m ~pc ~tag ~priv =
       match succ with
       | None -> (-1, -1, None)
       | Some next_pc -> (
-          match Hashtbl.find_opt index next_pc with
+          match Layout.Int_tbl.find_opt index next_pc with
           | Some idx -> (next_pc, idx, None) (* loop closed *)
           | None ->
               if !count + 1 >= max_superblock_units then (-1, -1, None)
@@ -1136,7 +1157,7 @@ let translate_superblock m ~pc ~tag ~priv =
     (fun u ->
       match u.u_term with
       | Some (Isa.Call _ | Isa.Callr _) -> (
-          match Hashtbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
+          match Layout.Int_tbl.find_opt index (u.u_term_pc + Isa.instr_bytes) with
           | Some i -> u.u_cont_idx <- i
           | None -> ())
       | _ -> ())
@@ -1160,15 +1181,14 @@ let sb_live m sb =
   && sb.s_apl_gen = Apl.generation m.apl
 
 let find_superblock m ctx pc =
-  match Hashtbl.find_opt m.sblocks pc with
-  | Some sb when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv && sb_live m sb
-    ->
+  match Layout.Int_tbl.find m.sblocks pc with
+  | sb when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv && sb_live m sb ->
       m.ctr_sb_hits <- m.ctr_sb_hits + 1;
       sb
-  | _ ->
+  | _ | (exception Not_found) ->
       let sb = translate_superblock m ~pc ~tag:ctx.cur_tag ~priv:ctx.priv in
       m.ctr_sb_translations <- m.ctr_sb_translations + 1;
-      Hashtbl.replace m.sblocks pc sb;
+      Layout.Int_tbl.replace m.sblocks pc sb;
       sb
 
 (* Push one predicted return continuation.  Overflow silently drops the
@@ -1254,6 +1274,10 @@ let exec_superblock m ctx sb0 remaining =
      A self-looping unit therefore charges a whole hot loop without a
      single closure re-resolution. *)
   let cat_i = ref (Breakdown.category_index (m.attr_of_tag ctx.cur_tag)) in
+  (* Costs go into the unboxed accumulator only; [run] refreshes the
+     [ctx.cost] mirror when it returns or raises.  A [check_transfer]
+     refill charge refreshes it too, harmlessly. *)
+  let acc = ctx.cost_acc in
   let continue_ = ref true in
   while !continue_ do
     let u = Array.unsafe_get !units !idx in
@@ -1265,7 +1289,7 @@ let exec_superblock m ctx sb0 remaining =
     for i = 0 to k - 1 do
       ctx.instret <- ctx.instret + 1;
       let c = Array.unsafe_get costs i in
-      ctx.cost <- ctx.cost +. c;
+      Float.Array.unsafe_set acc 0 (Float.Array.unsafe_get acc 0 +. c);
       Breakdown.charge_idx ctx.breakdown ci c;
       (Array.unsafe_get code i) ctx
     done;
@@ -1282,7 +1306,7 @@ let exec_superblock m ctx sb0 remaining =
             decr remaining;
             ctx.instret <- ctx.instret + 1;
             let c = u.u_term_cost in
-            ctx.cost <- ctx.cost +. c;
+            Float.Array.unsafe_set acc 0 (Float.Array.unsafe_get acc 0 +. c);
             Breakdown.charge_idx ctx.breakdown ci c;
             u.u_term_code ctx;
             (* A call that completed predicts its return. *)
@@ -1399,8 +1423,8 @@ let exec_superblock m ctx sb0 remaining =
                     (* stale or cold pointer: refill from the
                        machine-wide table without disturbing the
                        dispatcher-probe counter *)
-                    match Hashtbl.find_opt m.sblocks target with
-                    | Some sb
+                    match Layout.Int_tbl.find m.sblocks target with
+                    | sb
                       when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv
                            && sb.s_code_gen = g_code && sb.s_pt_gen = g_pt
                            && sb.s_apl_gen = g_apl ->
@@ -1413,7 +1437,7 @@ let exec_superblock m ctx sb0 remaining =
                         cur_sb := sb;
                         units := sb.s_units;
                         idx := 0
-                    | Some _ | None ->
+                    | _ | (exception Not_found) ->
                         m.ctr_ic_misses <- m.ctr_ic_misses + 1;
                         m.ctr_side_exits <- m.ctr_side_exits + 1;
                         continue_ := false)
@@ -1447,7 +1471,7 @@ let pretranslate m ~pc =
             ~priv:page.Page_table.priv_cap
         in
         m.ctr_sb_translations <- m.ctr_sb_translations + 1;
-        Hashtbl.replace m.sblocks pc sb
+        Layout.Int_tbl.replace m.sblocks pc sb
     | Some _ | None -> ()
 
 (* The compiled path is only observably identical to the reference
@@ -1460,7 +1484,7 @@ let block_path_ok m =
   && (not (Trace.enabled m.tracer))
   && match m.inject with None -> true | Some _ -> false
 
-let run ?(fuel = 10_000_000) m ctx =
+let run_loop fuel m ctx =
   let remaining = ref fuel in
   let running = ref true in
   while !running do
@@ -1500,6 +1524,16 @@ let run ?(fuel = 10_000_000) m ctx =
     end
   done
 
+(* The compiled path leaves [ctx.cost] behind the accumulator, so bring
+   the mirror up to date on the way out, also when a fault or
+   [Out_of_fuel] escapes. *)
+let run ?(fuel = 10_000_000) m ctx =
+  match run_loop fuel m ctx with
+  | () -> sync_cost ctx
+  | exception e ->
+      sync_cost ctx;
+      raise e
+
 (* --- conveniences used by the OS layer and tests --- *)
 
 (* Kernel-privilege control transfer: used when the OS redirects a thread
@@ -1512,7 +1546,7 @@ let force_transfer m ctx ~target =
   ctx.cur_page <- Layout.page_of target;
   ctx.priv <- page.priv_cap;
   ctx.halted <- false;
-  ignore (Apl_cache.ensure ctx.apl_cache page.tag)
+  ignore (Apl_cache.ensure_hit ctx.apl_cache page.tag)
 
 (* Kernel-privilege frame adjustment for unwinding: drop to [depth],
    invalidating every synchronous capability created in the dropped

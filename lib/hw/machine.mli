@@ -32,7 +32,15 @@ type ctx = {
   mutable dcs_saved : Dcs.saved list;
   mutable depth : int;  (** call depth (synchronous capability scope) *)
   mutable epochs : int array;  (** frame epoch per depth *)
-  mutable cost : float;  (** accumulated simulated ns *)
+  mutable cost : float;
+      (** accumulated simulated ns.  Only [Machine] writes it, and it is
+          current whenever [Machine] is not running: after {!run} returns
+          or raises, after {!step}, {!charge} and {!charge_as}, and inside
+          an [on_syscall] handler.  While {!run} executes compiled code
+          the running total lives in [cost_acc]. *)
+  cost_acc : floatarray;
+      (** the machine's own running total (one unboxed slot, so adding
+          to it allocates nothing); read [cost] instead *)
   mutable instret : int;
   breakdown : Breakdown.t;
   apl_cache : Apl_cache.t;
@@ -66,7 +74,7 @@ type t = {
           default) it dispatches through compiled superblocks unless the
           tracer is enabled or an injector is installed.  See
           {!set_reference}. *)
-  sblocks : (int, superblock) Hashtbl.t;
+  sblocks : superblock Layout.Int_tbl.t;
       (** superblock cache, keyed by entry pc; machine-wide so
           {!pretranslate} can warm it before any context exists *)
   ras_pc : int array;

@@ -8,12 +8,13 @@
    - [code]: one instruction per 4-byte slot.
 
    Representation: page-granular chunked arrays.  Each store maps a page
-   number to a flat array covering that page, allocated on first store;
+   number ([Layout.Int_tbl], int-hashed) to a flat array covering that
+   page, allocated on first store;
    within a page an access is a direct array index.  A one-entry
    last-page cache per store keeps straight-line execution (fetch at
    consecutive pcs, loads/stores into the same buffer) off the page
-   Hashtbl entirely, and a matching one-entry absent-page cache keeps
-   repeated reads from an untouched page off the Hashtbl too (allocating
+   table entirely, and a matching one-entry absent-page cache keeps
+   repeated reads from an untouched page off the table too (allocating
    nothing: the store's neutral element 0 / None is returned directly).
    The absent-page entry is dropped as soon as a chunk is allocated for
    any page of that store, so a first store to the page is immediately
@@ -27,6 +28,8 @@
    All protection checks happen in [Machine]; this module is the raw
    backing store. *)
 
+module Tbl = Layout.Int_tbl
+
 let page_mask = Layout.page_size - 1
 
 let words_per_page = Layout.page_size / Layout.word_size
@@ -36,9 +39,9 @@ let caps_per_page = Layout.page_size / Layout.cap_bytes
 let instrs_per_page = Layout.page_size / Isa.instr_bytes
 
 type t = {
-  words : (int, int array) Hashtbl.t;
-  caps : (int, Capability.t option array) Hashtbl.t;
-  code : (int, Isa.instr option array) Hashtbl.t;
+  words : int array Tbl.t;
+  caps : Capability.t option array Tbl.t;
+  code : Isa.instr option array Tbl.t;
   mutable last_wpage : int;
   mutable last_wchunk : int array;
   mutable last_cpage : int;
@@ -58,9 +61,9 @@ type t = {
    negative: -1 is a safe "no page cached" sentinel. *)
 let create () =
   {
-    words = Hashtbl.create 64;
-    caps = Hashtbl.create 16;
-    code = Hashtbl.create 16;
+    words = Tbl.create 64;
+    caps = Tbl.create 16;
+    code = Tbl.create 16;
     last_wpage = -1;
     last_wchunk = [||];
     last_cpage = -1;
@@ -80,14 +83,14 @@ let[@inline never] unaligned_word addr =
 let[@inline] check_word_aligned addr = if addr land 7 <> 0 then unaligned_word addr
 
 let word_chunk t page =
-  match Hashtbl.find_opt t.words page with
-  | Some c ->
+  match Tbl.find t.words page with
+  | c ->
       t.last_wpage <- page;
       t.last_wchunk <- c;
       c
-  | None ->
+  | exception Not_found ->
       let c = Array.make words_per_page 0 in
-      Hashtbl.add t.words page c;
+      Tbl.add t.words page c;
       t.last_wpage <- page;
       t.last_wchunk <- c;
       t.miss_wpage <- -1;
@@ -99,12 +102,12 @@ let load_word t addr =
   if page = t.last_wpage then t.last_wchunk.((addr land page_mask) lsr 3)
   else if page = t.miss_wpage then 0
   else
-    match Hashtbl.find_opt t.words page with
-    | Some c ->
+    match Tbl.find t.words page with
+    | c ->
         t.last_wpage <- page;
         t.last_wchunk <- c;
         c.((addr land page_mask) lsr 3)
-    | None ->
+    | exception Not_found ->
         t.miss_wpage <- page;
         0
 
@@ -119,14 +122,14 @@ let check_cap_aligned addr =
     invalid_arg (Printf.sprintf "unaligned capability access 0x%x" addr)
 
 let cap_chunk t page =
-  match Hashtbl.find_opt t.caps page with
-  | Some c ->
+  match Tbl.find t.caps page with
+  | c ->
       t.last_cpage <- page;
       t.last_cchunk <- c;
       c
-  | None ->
+  | exception Not_found ->
       let c = Array.make caps_per_page None in
-      Hashtbl.add t.caps page c;
+      Tbl.add t.caps page c;
       t.last_cpage <- page;
       t.last_cchunk <- c;
       t.miss_cpage <- -1;
@@ -138,12 +141,12 @@ let load_cap t addr =
   if page = t.last_cpage then t.last_cchunk.((addr land page_mask) lsr 5)
   else if page = t.miss_cpage then None
   else
-    match Hashtbl.find_opt t.caps page with
-    | Some c ->
+    match Tbl.find t.caps page with
+    | c ->
         t.last_cpage <- page;
         t.last_cchunk <- c;
         c.((addr land page_mask) lsr 5)
-    | None ->
+    | exception Not_found ->
         t.miss_cpage <- page;
         None
 
@@ -162,25 +165,25 @@ let fetch t addr =
     if page = t.last_ipage then t.last_ichunk.((addr land page_mask) lsr 2)
     else if page = t.miss_ipage then None
     else
-      match Hashtbl.find_opt t.code page with
-      | Some c ->
+      match Tbl.find t.code page with
+      | c ->
           t.last_ipage <- page;
           t.last_ichunk <- c;
           c.((addr land page_mask) lsr 2)
-      | None ->
+      | exception Not_found ->
           t.miss_ipage <- page;
           None
   end
 
 let code_chunk t page =
-  match Hashtbl.find_opt t.code page with
-  | Some c ->
+  match Tbl.find t.code page with
+  | c ->
       t.last_ipage <- page;
       t.last_ichunk <- c;
       c
-  | None ->
+  | exception Not_found ->
       let c = Array.make instrs_per_page None in
-      Hashtbl.add t.code page c;
+      Tbl.add t.code page c;
       t.last_ipage <- page;
       t.last_ichunk <- c;
       t.miss_ipage <- -1;

@@ -19,20 +19,22 @@ type page = {
    changes (map/unmap); [Machine]'s translation cache keys on it.
    In-place mutation of a [page] record (retag, set_protection) does
    not bump it: cached pointers to the record observe those writes. *)
-type t = { pages : (int, page) Hashtbl.t; mutable generation : int }
+module Tbl = Layout.Int_tbl
 
-let create () = { pages = Hashtbl.create 1024; generation = 0 }
+type t = { pages : page Tbl.t; mutable generation : int }
+
+let create () = { pages = Tbl.create 1024; generation = 0 }
 
 let generation t = t.generation
 
-let find t addr = Hashtbl.find_opt t.pages (Layout.page_of addr)
+let find t addr = Tbl.find_opt t.pages (Layout.page_of addr)
 
 let find_exn t ~pc addr =
-  match find t addr with
-  | Some p -> p
-  | None -> Fault.raise_fault ~pc ~addr Fault.Unmapped
+  match Tbl.find t.pages (Layout.page_of addr) with
+  | p -> p
+  | exception Not_found -> Fault.raise_fault ~pc ~addr Fault.Unmapped
 
-let is_mapped t addr = Hashtbl.mem t.pages (Layout.page_of addr)
+let is_mapped t addr = Tbl.mem t.pages (Layout.page_of addr)
 
 (* Map [count] pages starting at the page containing [addr]. *)
 let map t ~addr ~count ~tag ?(readable = true) ?(writable = true)
@@ -40,9 +42,9 @@ let map t ~addr ~count ~tag ?(readable = true) ?(writable = true)
   t.generation <- t.generation + 1;
   let first = Layout.page_of addr in
   for i = first to first + count - 1 do
-    if Hashtbl.mem t.pages i then
+    if Tbl.mem t.pages i then
       invalid_arg (Printf.sprintf "Page_table.map: page %d already mapped" i);
-    Hashtbl.replace t.pages i
+    Tbl.replace t.pages i
       { tag; readable; writable; executable; priv_cap; cap_store }
   done
 
@@ -50,7 +52,7 @@ let unmap t ~addr ~count =
   t.generation <- t.generation + 1;
   let first = Layout.page_of addr in
   for i = first to first + count - 1 do
-    Hashtbl.remove t.pages i
+    Tbl.remove t.pages i
   done
 
 (* Reassign selected pages from one domain tag to another (dom_remap of
@@ -58,20 +60,20 @@ let unmap t ~addr ~count =
 let retag t ~addr ~count ~from_tag ~to_tag =
   let first = Layout.page_of addr in
   for i = first to first + count - 1 do
-    match Hashtbl.find_opt t.pages i with
+    match Tbl.find_opt t.pages i with
     | None -> invalid_arg "Page_table.retag: unmapped page"
     | Some p ->
         if p.tag <> from_tag then
           invalid_arg "Page_table.retag: page not in source domain"
   done;
   for i = first to first + count - 1 do
-    (Hashtbl.find t.pages i).tag <- to_tag
+    (Tbl.find t.pages i).tag <- to_tag
   done
 
 let set_protection t ~addr ~count ?readable ?writable ?executable () =
   let first = Layout.page_of addr in
   for i = first to first + count - 1 do
-    match Hashtbl.find_opt t.pages i with
+    match Tbl.find_opt t.pages i with
     | None -> invalid_arg "Page_table.set_protection: unmapped page"
     | Some p ->
         Option.iter (fun v -> p.readable <- v) readable;
@@ -79,8 +81,4 @@ let set_protection t ~addr ~count ?readable ?writable ?executable () =
         Option.iter (fun v -> p.executable <- v) executable
   done
 
-let mapped_page_count t = Hashtbl.length t.pages
-
-(* Pages belonging to a tag; used by dIPC domain teardown. *)
-let pages_of_tag t tag =
-  Hashtbl.fold (fun pn p acc -> if p.tag = tag then pn :: acc else acc) t.pages []
+let mapped_page_count t = Tbl.length t.pages

@@ -58,5 +58,3 @@ val mapped_page_count : t -> int
     translation caches key their entries on it.  In-place page mutation
     (retag, protection bits) does not bump it. *)
 val generation : t -> int
-
-val pages_of_tag : t -> int -> int list

@@ -742,6 +742,184 @@ let test_reference_reaches_experiments () =
         (List.exists (fun (_, v) -> v > 0) (dispatch c)))
     compiled reference
 
+(* --- the cost accumulator --- *)
+
+(* The compiled path adds instruction costs into an unboxed accumulator,
+   so retiring an instruction allocates nothing.  A straight-line loop
+   of loads, stores and adds (the bench's machine_hotloop shape) runs
+   ~1.4M instructions; a boxed float store per instruction would read
+   ~2 words per instruction. *)
+let test_hotloop_allocates_nothing () =
+  let m = Machine.create () in
+  Alcotest.(check bool) "the default path is the compiled one" false
+    m.Machine.reference;
+  let tag = Apl.fresh_tag m.Machine.apl in
+  let code = 0x100000 and data = 0x200000 and iters = 200_000 in
+  Page_table.map m.Machine.page_table ~addr:code ~count:1 ~tag ~writable:false
+    ~executable:true ();
+  Page_table.map m.Machine.page_table ~addr:data ~count:1 ~tag ();
+  let loop = code + (3 * Isa.instr_bytes) in
+  ignore
+    (Memory.place_code m.Machine.mem ~addr:code
+       [
+         Isa.Const (1, data);
+         Isa.Const (2, 0);
+         Isa.Const (3, iters);
+         Isa.Load (4, 1, 0);
+         Isa.Addi (4, 4, 1);
+         Isa.Store (1, 8, 4);
+         Isa.Load (5, 1, 8);
+         Isa.Store (1, 0, 5);
+         Isa.Addi (2, 2, 1);
+         Isa.Blt (2, 3, loop);
+         Isa.Halt;
+       ]);
+  let ctx = Machine.new_ctx m ~pc:code ~sp_value:(data + Layout.page_size) in
+  let w0 = Gc.minor_words () in
+  Machine.run ~fuel:(iters * 8) m ctx;
+  let words = Gc.minor_words () -. w0 in
+  let instret = ctx.Machine.instret in
+  Alcotest.(check bool) "ran past 1M instructions" true (instret >= 1_000_000);
+  Alcotest.(check int) "loop result" iters (Machine.peek_word m ~addr:data);
+  let per_instr = words /. float_of_int instret in
+  if per_instr > 0.01 then
+    Alcotest.failf "%.0f minor words over %d instructions (%.3f per instruction)"
+      words instret per_instr
+
+(* [ctx.cost] must be current whenever the machine is not running, on
+   either path.  Each case stops the compiled path in the middle of a
+   superblock, after body instructions that only the accumulator saw;
+   the syscall handler records the cost it reads. *)
+let cost_after_both_paths ?fuel prog =
+  let run mode =
+    let u = setup ~mode prog in
+    let seen = ref [] in
+    Machine.set_syscall_handler u.m (fun ctx _ ->
+        seen := ctx.Machine.cost :: !seen);
+    let ctx = fresh_ctx u in
+    let o = run_outcome ?fuel u ctx in
+    (o, ctx.Machine.instret, ctx.Machine.cost, !seen)
+  in
+  let ((_, _, cost, _) as reference) = run Reference in
+  Alcotest.(check bool) "the run charged something" true (cost > 0.);
+  Alcotest.(check bool) "compiled path = reference path, costs bit for bit" true
+    (run Superblocks = reference);
+  reference
+
+let test_cost_after_out_of_fuel () =
+  let loop = code0 + (2 * Isa.instr_bytes) in
+  let o, _, _, _ =
+    cost_after_both_paths ~fuel:25
+      [
+        Isa.Const (1, data);
+        Isa.Const (2, 0);
+        Isa.Addi (2, 2, 1);
+        Isa.Store (1, 0, 2);
+        Isa.Mul (3, 2, 2);
+        Isa.Bnez (2, loop);
+        Isa.Halt;
+      ]
+  in
+  Alcotest.(check bool) "ran out of fuel" true (o = Fuel)
+
+let test_cost_after_fault () =
+  (* the Load's page is unmapped: the fault escapes [Machine.run] from
+     the middle of a compiled body *)
+  let o, _, _, _ =
+    cost_after_both_paths
+      [
+        Isa.Const (1, data);
+        Isa.Const (2, 3);
+        Isa.Store (1, 0, 2);
+        Isa.Const (4, 0x900000);
+        Isa.Load (5, 4, 0);
+        Isa.Halt;
+      ]
+  in
+  match o with
+  | Fault { Fault.kind = Fault.Unmapped; _ } -> ()
+  | _ -> Alcotest.fail "the load must fault on the unmapped page"
+
+let test_cost_in_syscall_handler () =
+  let loop = code0 + (2 * Isa.instr_bytes) in
+  let o, _, _, seen =
+    cost_after_both_paths
+      [
+        Isa.Const (1, data);
+        Isa.Const (2, 0);
+        Isa.Addi (2, 2, 1);
+        Isa.Store (1, 0, 2);
+        Isa.Const (3, 40);
+        Isa.Blt (2, 3, loop);
+        Isa.Syscall 7;
+        Isa.Addi (2, 2, 1);
+        Isa.Syscall 7;
+        Isa.Halt;
+      ]
+  in
+  Alcotest.(check bool) "completed" true (o = Done);
+  Alcotest.(check int) "the handler ran twice" 2 (List.length seen)
+
+(* Fig. 5's dIPC policies pinned exactly: the cost a warm call adds to
+   [ctx.cost] (the fourth call, after the three that fill the tracking
+   and APL caches) as a hex float, and its instruction count, identical
+   on the compiled path and the reference stepper.  The policy set is
+   the one the benchmark's dipc_calls workload checks. *)
+let fig5_pins =
+  [
+    ("low", true, false, false, "0x1.b3333333332p+3", 25);
+    ("high", true, false, true, "0x1.f99999999a08p+5", 141);
+    ("low+proc", false, false, false, "0x1.2999999999bp+6", 79);
+    ("high+proc", false, false, true, "0x1.a60000000038p+6", 152);
+    ("low+proc+tls", false, true, false, "0x1.14ccccccccf8p+5", 73);
+    ("high+proc+tls", false, true, true, "0x1.06cccccccd04p+6", 146);
+  ]
+
+let test_fig5_costs_pinned () =
+  let module Scenario = Dipc_core.Scenario in
+  let module Types = Dipc_core.Types in
+  let module System = Dipc_core.System in
+  let measure (name, same_process, tls_optimized, high, _, _) =
+    let props = if high then Types.props_high else Types.props_low in
+    let sc =
+      Scenario.make ~same_process ~tls_optimized ~caller_props:props
+        ~callee_props:props ()
+    in
+    let ctx = sc.Scenario.thread.System.t_ctx in
+    let call a b =
+      let c0 = ctx.Machine.cost and i0 = ctx.Machine.instret in
+      (match Scenario.call sc ~args:[ a; b ] with
+      | Ok v when v = a + b -> ()
+      | Ok v -> Alcotest.failf "%s: %d + %d returned %d" name a b v
+      | Error f -> Alcotest.failf "%s: %s" name (Fault.to_string f));
+      (ctx.Machine.cost -. c0, ctx.Machine.instret - i0)
+    in
+    for i = 1 to 3 do
+      ignore (call i i)
+    done;
+    let ns, instrs = call 20 22 in
+    let later = List.init 4 (fun i -> snd (call i (i + 1))) in
+    Alcotest.(check (list int))
+      (name ^ ": every warm call retires as many instructions")
+      (List.init 4 (fun _ -> instrs))
+      later;
+    (Printf.sprintf "%h" ns, instrs)
+  in
+  let compiled = List.map measure fig5_pins in
+  Machine.set_default_reference true;
+  let reference =
+    Fun.protect
+      ~finally:(fun () -> Machine.set_default_reference false)
+      (fun () -> List.map measure fig5_pins)
+  in
+  List.iter2
+    (fun (name, _, _, _, ns, instrs) (got, got_ref) ->
+      Alcotest.(check (pair string int)) (name ^ ": compiled path") (ns, instrs) got;
+      Alcotest.(check (pair string int)) (name ^ ": reference path") (ns, instrs)
+        got_ref)
+    fig5_pins
+    (List.combine compiled reference)
+
 let suites =
   [
     ( "blocks.differential",
@@ -776,5 +954,18 @@ let suites =
         Alcotest.test_case "IC invalidation on retag" `Quick
           test_ic_invalidation_retag;
         Alcotest.test_case "counter invariants" `Quick test_counter_invariants;
+      ] );
+    ( "blocks.cost",
+      [
+        Alcotest.test_case "hot loop allocates nothing per instruction" `Quick
+          test_hotloop_allocates_nothing;
+        Alcotest.test_case "cost current after Out_of_fuel" `Quick
+          test_cost_after_out_of_fuel;
+        Alcotest.test_case "cost current after a fault escapes run" `Quick
+          test_cost_after_fault;
+        Alcotest.test_case "cost current in a syscall handler" `Quick
+          test_cost_in_syscall_handler;
+        Alcotest.test_case "Fig. 5 warm-call costs pinned" `Quick
+          test_fig5_costs_pinned;
       ] );
   ]
