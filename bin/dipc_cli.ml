@@ -8,21 +8,22 @@
      dune exec bin/dipc_cli.exe -- trace --primitive sem --out trace.json
      dune exec bin/dipc_cli.exe -- open --primitive sem --load 0.95 --shards 2
 
-   The suite modes (digest suite, fault matrix, open-arrival sweep) run
-   from bench/main.exe: --json, --matrix, --open ARRIVAL.
+   [ipc --all] and [oltp --sweep] run their grids through the bench
+   suite's cell runner ([Suite.run_cells]), built from the same cell
+   functions as the single runs.  The suite modes (digest suite, fault
+   matrix, posture matrix, open-arrival sweep) run from bench/main.exe:
+   --json, --matrix, --security, --open ARRIVAL.
 *)
 
 module Costs = Dipc_sim.Costs
 module Stats = Dipc_sim.Stats
 module Trace = Dipc_sim.Trace
 module Inject = Dipc_sim.Inject
-module Checker = Dipc_sim.Checker
 module Parallel = Dipc_sim.Parallel
 module Suite = Dipc_bench_suite.Suite
 module Types = Dipc_core.Types
 module Scenario = Dipc_core.Scenario
 module Proxy = Dipc_core.Proxy
-module Asm = Dipc_core.Asm
 module Isa = Dipc_hw.Isa
 module M = Dipc_workloads.Microbench
 module O = Dipc_workloads.Oltp
@@ -34,15 +35,7 @@ open Cmdliner
 (* --- shared arguments --- *)
 
 let policy_conv =
-  let parse = function
-    | "low" -> Ok Types.props_low
-    | "high" -> Ok Types.props_high
-    | s -> Error (`Msg (Printf.sprintf "unknown policy %S (low|high)" s))
-  in
-  let print ppf p =
-    Fmt.string ppf (if p = Types.props_high then "high" else "low")
-  in
-  Arg.conv (parse, print)
+  Arg.enum [ ("low", Types.props_low); ("high", Types.props_high) ]
 
 let policy =
   Arg.(value & opt policy_conv Types.props_low & info [ "policy" ] ~doc:"low or high")
@@ -80,8 +73,6 @@ let jobs_arg =
            recommended core); per-run digests and printed results are \
            identical at any $(docv)")
 
-let resolve_jobs n = if n = 0 then Parallel.default_jobs () else n
-
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -93,55 +84,68 @@ let shards_arg =
            byte-identical at any $(docv).  1 (the default) is the serial \
            reference path, 0 means one shard per recommended core")
 
-let resolve_shards n = if n = 0 then Parallel.default_jobs () else n
+let resolve n = if n = 0 then Parallel.default_jobs () else n
+
+(* The options of a run and its grid, parsed once: [Suite.run_cells]
+   applies them to every cell. *)
+let opts =
+  Term.(
+    const (fun check inject_seed jobs ->
+        { Suite.default_opts with check; inject_seed; jobs = resolve jobs })
+    $ check_arg $ inject_arg $ jobs_arg)
 
 (* The interpreter escape hatch: --reference forces the reference
    stepper instead of the compiled superblock path.  Machines are
-   created inside the workloads, so each command flips the process-wide
-   creation default before any run starts.  Results and digests are
+   created inside the workloads, so the term flips the process-wide
+   creation default before the command runs.  Results and digests are
    identical either way. *)
-let reference_arg =
-  Arg.(
-    value & flag
-    & info [ "reference" ]
-        ~doc:
-          "force the machine's reference interpreter: disable the compiled \
-           superblock path.  Results and digests are identical either way; \
-           this is a triage escape hatch")
+let reference =
+  Term.(
+    const Dipc_hw.Machine.set_default_reference
+    $ Arg.(
+        value & flag
+        & info [ "reference" ]
+            ~doc:
+              "force the machine's reference interpreter: disable the \
+               compiled superblock path.  Results and digests are \
+               identical either way; this is a triage escape hatch"))
 
-(* One injector per run from the CLI seed; [None] leaves every hook a
-   no-op. *)
-let mk_inject = Option.map (fun seed -> Inject.create ~seed ())
+(* A single run's checker verdict, printed before its report. *)
+let report_checker (o : Suite.obs) =
+  Option.iter
+    (Printf.printf "  checker: %d events seen, all invariants hold\n")
+    o.Suite.seen
 
-let mk_checker check =
-  if not check then (None, None)
-  else begin
-    let tr = Trace.create () in
-    let c = Checker.create () in
-    Checker.attach c tr;
-    (Some tr, Some c)
-  end
+(* A single run's injection tally and replay digest. *)
+let report_obs (o : Suite.obs) =
+  Option.iter
+    (fun inj -> Fmt.pr "  injected: %a@." Inject.pp_stats (Inject.stats inj))
+    o.Suite.inj;
+  Option.iter
+    (fun tr -> Printf.printf "  replay digest %s\n" (Trace.digest_hex tr))
+    o.Suite.tr
 
-(* Silent variant for parallel grid cells: output is pre-rendered on the
-   worker and printed by the main domain in submission order. *)
-let finish_checker_silent ?quiescent ?expect tr chk =
-  match (tr, chk) with
-  | Some tr, Some c ->
-      Checker.finish ?quiescent ?expect c;
-      Checker.detach tr;
-      Some (Checker.events_seen c)
-  | _ -> None
+(* A grid cell: [run] returns the run's report line body, to which the
+   replay digest of a traced run and the checker's verdict are added. *)
+let grid_cell name run =
+  let run o =
+    let line, (obs : Suite.obs) = run o in
+    Suite.line_row name ~digest:(Suite.digest obs)
+      (line
+      ^ (match obs.Suite.tr with
+        | Some tr -> "  digest=" ^ Trace.digest_hex tr
+        | None -> "")
+      ^ (match obs.Suite.seen with
+        | Some n -> Printf.sprintf "  checker=%d events ok" n
+        | None -> "")
+      ^ "\n")
+  in
+  { Suite.name; family = Suite.Grid; run }
 
-let finish_checker ?quiescent ?expect tr chk =
-  match finish_checker_silent ?quiescent ?expect tr chk with
-  | Some seen ->
-      Printf.printf "  checker: %d events seen, all invariants hold\n" seen
-  | None -> ()
-
-let report_inject inject =
-  match inject with
-  | Some inj -> Fmt.pr "  injected: %a@." Inject.pp_stats (Inject.stats inj)
-  | None -> ()
+(* Run a grid's cells under [header]. *)
+let run_grid (o : Suite.opts) header cells =
+  Printf.printf "%s (%d jobs):\n" header o.Suite.jobs;
+  ignore (Suite.run_cells o cells)
 
 (* --- call: measure one dIPC configuration --- *)
 
@@ -167,79 +171,40 @@ let call_cmd =
 
 (* --- ipc: measure a baseline primitive --- *)
 
-let primitive_conv =
-  let parse = function
-    | "sem" -> Ok M.Sem
-    | "pipe" -> Ok M.Pipe
-    | "l4" -> Ok M.L4
-    | "rpc" -> Ok M.Local_rpc
-    | "user-rpc" -> Ok M.User_rpc_prim
-    | s -> Error (`Msg (Printf.sprintf "unknown primitive %S" s))
-  in
-  Arg.conv (parse, fun ppf p -> Fmt.string ppf (M.primitive_name p))
+let primitives =
+  [ ("sem", M.Sem); ("pipe", M.Pipe); ("l4", M.L4); ("rpc", M.Local_rpc); ("user-rpc", M.User_rpc_prim) ]
 
-(* The full primitive x placement grid as independent runner tasks: each
-   cell builds its own trace/checker/injector and returns a pre-rendered
-   line, so output is identical at any --jobs. *)
-let run_ipc_all bytes inject_seed check jobs =
-  let prims =
-    [
-      (M.Sem, "sem");
-      (M.Pipe, "pipe");
-      (M.L4, "l4");
-      (M.Local_rpc, "rpc");
-      (M.User_rpc_prim, "user-rpc");
-    ]
-  in
-  let cell (prim, name) same_cpu =
-    ( Printf.sprintf "%s/%s" name (if same_cpu then "=CPU" else "!=CPU"),
-      fun () ->
-        let inject = mk_inject inject_seed in
-        let tr, chk = mk_checker check in
-        let r = M.run ~bytes ?trace:tr ?inject ~same_cpu prim in
-        let seen =
-          finish_checker_silent ~quiescent:(prim <> M.L4) ~expect:r.M.lifetime
-            tr chk
-        in
-        Printf.sprintf "  %-9s %-6s %9.1f ns%s%s\n" name
-          (if same_cpu then "=CPU" else "!=CPU")
-          r.M.mean_ns
-          (match tr with
-          | Some tr -> "  digest=" ^ Trace.digest_hex tr
-          | None -> "")
-          (match seen with
-          | Some n -> Printf.sprintf "  checker=%d events ok" n
-          | None -> "") )
-  in
-  let cells =
-    List.concat_map
-      (fun p -> List.map (cell p) [ true; false ])
-      prims
-  in
-  let jobs = resolve_jobs jobs in
-  Printf.printf "IPC primitive grid, %d-byte argument (%d jobs):\n" bytes jobs;
-  let out = Parallel.run ~jobs (Array.of_list cells) in
-  Array.iter (fun o -> print_string o.Parallel.o_value) out;
-  flush stdout
+let primitive_conv = Arg.enum primitives
 
-let run_ipc primitive same_cpu bytes inject_seed check all jobs reference =
-  Dipc_hw.Machine.set_default_reference reference;
-  if all then run_ipc_all bytes inject_seed check jobs
+(* The single run and every cell of the --all grid. *)
+let ipc_run ~bytes (o : Suite.opts) prim ~same_cpu =
+  Suite.observe_micro ~traced:false ~bytes ~check:o.Suite.check
+    ?inject_seed:o.Suite.inject_seed prim ~same_cpu
+
+let ipc_grid ~bytes =
+  List.concat_map
+    (fun (pname, prim) ->
+      List.map
+        (fun same_cpu ->
+          let place = Suite.placement same_cpu in
+          grid_cell ("ipc/" ^ pname ^ "/" ^ place) (fun o ->
+              let r, obs = ipc_run ~bytes o prim ~same_cpu in
+              (Printf.sprintf "  %-9s %-6s %9.1f ns" pname place r.M.mean_ns, obs)))
+        [ true; false ])
+    primitives
+
+let run_ipc primitive same_cpu bytes all o () =
+  if all then
+    run_grid o
+      (Printf.sprintf "IPC primitive grid, %d-byte argument" bytes)
+      (ipc_grid ~bytes)
   else begin
-    let inject = mk_inject inject_seed in
-    let tr, chk = mk_checker check in
-    let r = M.run ~bytes ?trace:tr ?inject ~same_cpu primitive in
-    (* The L4 server's final reply_and_wait parks it forever by design:
-       skip the quiescence assertion for that primitive only. *)
-    finish_checker ~quiescent:(primitive <> M.L4) ~expect:r.M.lifetime tr chk;
+    let r, obs = ipc_run ~bytes o primitive ~same_cpu in
+    report_checker obs;
     Printf.printf "%s (%s), %d-byte argument:\n" (M.primitive_name primitive)
-      (if same_cpu then "=CPU" else "!=CPU")
-      bytes;
+      (Suite.placement same_cpu) bytes;
     Printf.printf "  %.1f ns per synchronous round trip\n" r.M.mean_ns;
-    report_inject inject;
-    (match tr with
-    | Some tr -> Printf.printf "  replay digest %s\n" (Trace.digest_hex tr)
-    | None -> ());
+    report_obs obs;
     Array.iteri
       (fun i bd ->
         if Dipc_sim.Breakdown.total bd > 1. then
@@ -266,73 +231,43 @@ let ipc_cmd =
   in
   Cmd.v
     (Cmd.info "ipc" ~doc:"measure a baseline IPC primitive on the kernel model")
-    Term.(
-      const run_ipc $ primitive $ same_cpu $ bytes $ inject_arg $ check_arg
-      $ all $ jobs_arg $ reference_arg)
+    Term.(const run_ipc $ primitive $ same_cpu $ bytes $ all $ opts $ reference)
 
 (* --- oltp: one macro-benchmark cell --- *)
 
-(* All three configurations as independent runner tasks (the Figure 8
-   column at one thread count). *)
-let run_oltp_sweep threads on_disk inject_seed check jobs =
-  let db_mode = if on_disk then O.On_disk else O.In_memory in
-  let cell config =
-    ( O.config_name config,
-      fun () ->
-        let inject = mk_inject inject_seed in
-        let tr, chk = mk_checker check in
-        let r = O.run ?trace:tr ?inject ~config ~db_mode ~threads () in
-        let seen = finish_checker_silent ~quiescent:false tr chk in
-        Printf.sprintf
-          "  %-6s tput=%8.0f opm  lat=%6.2f ms  user/kern/idle = \
-           %4.1f/%4.1f/%4.1f%%%s%s\n"
-          (O.config_name config) r.O.r_throughput_opm
-          (r.O.r_latency_ns.Stats.s_mean /. 1e6)
-          (100. *. r.O.r_user_frac)
-          (100. *. r.O.r_kernel_frac)
-          (100. *. r.O.r_idle_frac)
-          (match tr with
-          | Some tr -> "  digest=" ^ Trace.digest_hex tr
-          | None -> "")
-          (match seen with
-          | Some n -> Printf.sprintf "  checker=%d events ok" n
-          | None -> "") )
-  in
-  let jobs = resolve_jobs jobs in
-  Printf.printf "OLTP sweep, %d threads/component, %s DB (%d jobs):\n" threads
-    (if on_disk then "on-disk" else "in-memory")
-    jobs;
-  let out =
-    Parallel.run ~jobs (Array.of_list (List.map cell [ O.Linux; O.Dipc; O.Ideal ]))
-  in
-  Array.iter (fun o -> print_string o.Parallel.o_value) out;
-  flush stdout
+(* The single run and every cell of the --sweep grid. *)
+let oltp_run (o : Suite.opts) ~config ~db_mode ~threads =
+  Suite.observe_oltp ~traced:false ~check:o.Suite.check
+    ?inject_seed:o.Suite.inject_seed ~config ~db_mode ~threads ()
 
-let run_oltp config threads on_disk inject_seed check sweep jobs reference =
-  Dipc_hw.Machine.set_default_reference reference;
-  if sweep then run_oltp_sweep threads on_disk inject_seed check jobs
+let oltp_grid ~threads ~db_mode =
+  List.map
+    (fun config ->
+      grid_cell ("oltp/" ^ O.config_name config) (fun o ->
+          let r, obs = oltp_run o ~config ~db_mode ~threads in
+          ( Printf.sprintf
+              "  %-6s tput=%8.0f opm  lat=%6.2f ms  user/kern/idle = \
+               %4.1f/%4.1f/%4.1f%%"
+              (O.config_name config) r.O.r_throughput_opm
+              (r.O.r_latency_ns.Stats.s_mean /. 1e6)
+              (100. *. r.O.r_user_frac) (100. *. r.O.r_kernel_frac)
+              (100. *. r.O.r_idle_frac),
+            obs )))
+    [ O.Linux; O.Dipc; O.Ideal ]
+
+let run_oltp config threads on_disk sweep o () =
+  let db_mode = if on_disk then O.On_disk else O.In_memory in
+  let db = if on_disk then "on-disk" else "in-memory" in
+  if sweep then
+    run_grid o
+      (Printf.sprintf "OLTP sweep, %d threads/component, %s DB" threads db)
+      (oltp_grid ~threads ~db_mode)
   else begin
-    let config =
-      match config with
-      | "linux" -> O.Linux
-      | "dipc" -> O.Dipc
-      | "ideal" -> O.Ideal
-      | s -> failwith ("unknown config " ^ s)
-    in
-    let db_mode = if on_disk then O.On_disk else O.In_memory in
-    let inject = mk_inject inject_seed in
-    let tr, chk = mk_checker check in
-    let r = O.run ?trace:tr ?inject ~config ~db_mode ~threads () in
-    (* OLTP stops at a deadline with workers still parked: structural
-       invariants only, no quiescence. *)
-    finish_checker ~quiescent:false tr chk;
+    let r, obs = oltp_run o ~config ~db_mode ~threads in
+    report_checker obs;
     Printf.printf "%s, %d threads/component, %s DB:\n" (O.config_name config)
-      threads
-      (if on_disk then "on-disk" else "in-memory");
-    report_inject inject;
-    (match tr with
-    | Some tr -> Printf.printf "  replay digest %s\n" (Trace.digest_hex tr)
-    | None -> ());
+      threads db;
+    report_obs obs;
     Printf.printf "  throughput %.0f ops/min, latency %.2f ms\n"
       r.O.r_throughput_opm
       (r.O.r_latency_ns.Stats.s_mean /. 1e6);
@@ -343,7 +278,10 @@ let run_oltp config threads on_disk inject_seed check sweep jobs reference =
 
 let oltp_cmd =
   let config =
-    Arg.(value & opt string "dipc" & info [ "config" ] ~doc:"linux|dipc|ideal")
+    Arg.(
+      value
+      & opt (enum [ ("linux", O.Linux); ("dipc", O.Dipc); ("ideal", O.Ideal) ]) O.Dipc
+      & info [ "config" ] ~doc:"linux|dipc|ideal")
   in
   let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"per component") in
   let on_disk = Arg.(value & flag & info [ "on-disk" ] ~doc:"on-disk database") in
@@ -355,35 +293,16 @@ let oltp_cmd =
   in
   Cmd.v
     (Cmd.info "oltp" ~doc:"run one cell of the Figure 8 macro-benchmark")
-    Term.(
-      const run_oltp $ config $ threads $ on_disk $ inject_arg $ check_arg
-      $ sweep $ jobs_arg $ reference_arg)
+    Term.(const run_oltp $ config $ threads $ on_disk $ sweep $ opts $ reference)
 
 (* --- open: open-arrival load generator (millions of sessions) --- *)
 
-let arrival_conv =
-  let parse s =
-    match OL.arrival_of_string s with
-    | Some a -> Ok a
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown arrival %S (poisson|bursty|diurnal)" s))
-  in
-  Arg.conv (parse, fun ppf a -> Fmt.string ppf (OL.arrival_name a))
-
-let run_open prim arrival load sessions seed shards reference =
-  Dipc_hw.Machine.set_default_reference reference;
-  let shards = resolve_shards shards in
-  let service_ns =
-    match List.assoc_opt prim (Suite.open_costs ()) with
-    | Some s -> s
-    | None ->
-        Printf.eprintf "unknown primitive %S (sem|pipe|l4|rpc|dipc)\n" prim;
-        exit 2
-  in
+let run_open prim arrival load sessions seed shards () =
+  let service_ns = List.assoc prim (Suite.open_costs ()) in
   let p =
     OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns ()
   in
-  let r = OL.run_sharded ~shards p in
+  let r = OL.run_sharded ~shards:(resolve shards) p in
   let pc q = Histogram.percentile r.OL.r_latency q in
   Printf.printf "%s, %s arrivals, offered load %.2f, %d sessions:\n" prim
     (OL.arrival_name arrival) load sessions;
@@ -402,13 +321,19 @@ let run_open prim arrival load sessions seed shards reference =
 let open_cmd =
   let prim =
     Arg.(
-      value & opt string "dipc"
+      value
+      & opt (enum (List.map (fun p -> (p, p)) Suite.open_prims)) "dipc"
       & info [ "primitive" ] ~doc:"sem|pipe|l4|rpc|dipc")
   in
   let arrival =
     Arg.(
       value
-      & opt arrival_conv OL.Poisson
+      & opt
+          (enum
+             (List.map
+                (fun a -> (OL.arrival_name a, a))
+                [ OL.Poisson; OL.Bursty; OL.Diurnal ]))
+          OL.Poisson
       & info [ "arrival" ] ~doc:"poisson|bursty|diurnal")
   in
   let load =
@@ -429,12 +354,11 @@ let open_cmd =
           tail latency percentiles")
     Term.(
       const run_open $ prim $ arrival $ load $ sessions $ seed $ shards_arg
-      $ reference_arg)
+      $ reference)
 
 (* --- trace: export a Chrome trace of a microbench run --- *)
 
-let run_trace primitive same_cpu bytes iters out reference =
-  Dipc_hw.Machine.set_default_reference reference;
+let run_trace primitive same_cpu bytes iters out () =
   let tr = Trace.create () in
   let r = M.run ~bytes ~iters ~trace:tr ~same_cpu primitive in
   let oc = open_out out in
@@ -471,8 +395,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"run a microbench under event tracing and export Chrome trace JSON")
     Term.(
-      const run_trace $ primitive $ same_cpu $ bytes $ iters $ out
-      $ reference_arg)
+      const run_trace $ primitive $ same_cpu $ bytes $ iters $ out $ reference)
 
 (* --- disasm: show the generated proxy for a configuration --- *)
 

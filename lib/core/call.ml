@@ -31,10 +31,7 @@ let setup t (th : System.thread) ~fn ~args =
   ctx.Machine.dcs_saved <- [];
   (* Reinstall the thread's private stack capability (c6): a fault may
      have abandoned a callee-stack capability there. *)
-  ctx.Machine.cregs.(System.stack_creg) <-
-    Some
-      (System.stack_cap t ctx ~base:th.System.t_stack_base
-         ~bytes:(th.System.t_stack_top - th.System.t_stack_base));
+  ctx.Machine.cregs.(System.stack_creg) <- th.System.t_stack_cap;
   let sp = th.System.t_stack_top - 8 in
   Memory.store_word t.System.machine.System.Machine.mem sp t.System.halt_addr;
   ctx.Machine.regs.(Dipc_hw.Isa.sp) <- sp;
@@ -227,6 +224,8 @@ let split_timeout t (th : System.thread) =
       new_ctx.Machine.dcs.Dipc_hw.Dcs.top <- ctx.Machine.dcs.Dipc_hw.Dcs.top;
       Machine.force_transfer m new_ctx ~target:ctx.Machine.pc;
       let callee_proc = System.current_process t th in
+      let stack_base = System.load t (new_tstruct + Kobj.ts_stack_base) in
+      let stack_top = System.load t (new_tstruct + Kobj.ts_stack_limit) in
       let callee_th =
         {
           System.t_ctx = new_ctx;
@@ -234,8 +233,9 @@ let split_timeout t (th : System.thread) =
           t_kcs_base = new_kcs;
           t_kcs_limit = new_kcs + kcs_bytes;
           t_home = callee_proc;
-          t_stack_base = System.load t (new_tstruct + Kobj.ts_stack_base);
-          t_stack_top = System.load t (new_tstruct + Kobj.ts_stack_limit);
+          t_stack_base = stack_base;
+          t_stack_top = stack_top;
+          t_stack_cap = System.stack_cap new_ctx ~base:stack_base ~top:stack_top;
           t_stacks = Hashtbl.copy th.System.t_stacks;
         }
       in

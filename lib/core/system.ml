@@ -55,6 +55,9 @@ type thread = {
   t_home : process;
   t_stack_base : int;
   t_stack_top : int;
+  t_stack_cap : Dipc_hw.Capability.t option;
+      (* the thread-private stack capability, built once: what [Call.setup]
+         reinstalls in c6 *)
   (* Host mirror of lazily allocated per-domain stacks: the "per-thread
      tree, indexed by the domain tag" of Sec. 6.1.2. *)
   t_stacks : (int, int) Hashtbl.t; (* tag -> stack top *)
@@ -327,15 +330,16 @@ let alloc_stack t ~owner_pid =
 (* The thread-private stack capability (Sec. 5.2.1): a synchronous
    capability pinned to the thread's outermost frame, installed in c6 by
    the kernel when the thread is created or redirected. *)
-let stack_cap _t ctx ~base ~bytes =
-  {
-    Dipc_hw.Capability.base;
-    length = bytes;
-    perm = Perm.Write;
-    scope =
-      Dipc_hw.Capability.Synchronous
-        { thread = ctx.Machine.id; depth = 0; epoch = 0 };
-  }
+let stack_cap ctx ~base ~top =
+  Some
+    {
+      Dipc_hw.Capability.base;
+      length = top - base;
+      perm = Perm.Write;
+      scope =
+        Dipc_hw.Capability.Synchronous
+          { thread = ctx.Machine.id; depth = 0; epoch = 0 };
+    }
 
 let stack_creg = 6 (* ABI: c6 holds the thread's stack capability *)
 
@@ -365,8 +369,8 @@ let create_thread t proc =
             { owner_tag = t.universal_tag; counter = 0; value = 0 };
       };
   (* The thread-private stack capability. *)
-  ctx.Machine.cregs.(stack_creg) <-
-    Some (stack_cap t ctx ~base:stack_base ~bytes:stack_bytes);
+  let stack_cap = stack_cap ctx ~base:stack_base ~top:stack_top in
+  ctx.Machine.cregs.(stack_creg) <- stack_cap;
   store t (tstruct + Kobj.ts_kcs_top) kcs;
   store t (tstruct + Kobj.ts_kcs_base) kcs;
   store t (tstruct + Kobj.ts_kcs_limit) (kcs + kcs_bytes);
@@ -383,6 +387,7 @@ let create_thread t proc =
       t_home = proc;
       t_stack_base = stack_base;
       t_stack_top = stack_top;
+      t_stack_cap = stack_cap;
       t_stacks = Hashtbl.create 8;
     }
   in

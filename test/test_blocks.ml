@@ -716,19 +716,19 @@ let test_reference_reaches_experiments () =
   let module Suite = Dipc_bench_suite.Suite in
   let run () =
     List.map
-      (fun f -> f ())
-      Suite.[ bench_machine_hotloop; bench_machine_superblock; bench_machine_callret ]
+      (fun name -> (Option.get (Suite.find name)).Suite.run Suite.default_opts)
+      [ "machine_hotloop"; "machine_superblock"; "machine_callret" ]
   in
   let compiled = run () in
   Machine.set_default_reference true;
   let reference =
     Fun.protect ~finally:(fun () -> Machine.set_default_reference false) run
   in
-  let dispatch (r : Suite.bench_result) =
+  let dispatch (r : Suite.row) =
     List.remove_assoc "instret" r.Suite.b_counters
   in
   List.iter2
-    (fun (c : Suite.bench_result) (r : Suite.bench_result) ->
+    (fun (c : Suite.row) (r : Suite.row) ->
       let name = c.Suite.b_name in
       Alcotest.(check (pair string int))
         (name ^ ": digest and instret")

@@ -455,6 +455,28 @@ let test_warm_calls_take_no_tlb_refills () =
         (m.Machine.tlb_refills - r0))
     fig5_policies
 
+(* [Call.setup] reinstalls the thread's stack capability built once in
+   [System.create_thread]: setting a thread up for a call must not build
+   a capability (an option, a record and a scope block, 11 words) every
+   time.  1,000 set-ups of each Fig. 5 policy on a warm scenario. *)
+let test_call_setup_allocation () =
+  let args = [ 1; 2 ] in
+  List.iter
+    (fun ((name, _, _, _) as p) ->
+      let s = make_policy p in
+      ignore (call_ok s ~args);
+      let sys = s.Scenario.sys and th = s.Scenario.thread in
+      let fn = s.Scenario.stub in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        Call.setup sys th ~fn ~args
+      done;
+      let words = (Gc.minor_words () -. w0) /. 1_000. in
+      if words > 5. then
+        Alcotest.failf "%s: Call.setup allocates %.1f words per call (at most 5)"
+          name words)
+    fig5_policies
+
 (* DCS confidentiality across recycled stacks: a callee that leaves two
    capabilities on its DCS must not hand them to the next call, even
    though the next call's callee runs on the very same (recycled)
@@ -544,6 +566,8 @@ let suites =
       [
         Alcotest.test_case "warm calls take no TLB refills" `Quick
           test_warm_calls_take_no_tlb_refills;
+        Alcotest.test_case "Call.setup allocates at most 5 words" `Quick
+          test_call_setup_allocation;
         Alcotest.test_case "DCS confidentiality across calls" `Quick
           test_dcs_confidentiality_across_calls;
       ] );

@@ -67,7 +67,12 @@ let test_baseline_counters_present () =
    runtest critical path. *)
 let test_digests_match_baseline () =
   let pins = Golden.parse_file baseline_path in
-  let results = Suite.bench_suite ~jobs:(Parallel.default_jobs ()) () in
+  let results =
+    Suite.rows
+      (Suite.run_cells
+         { Suite.default_opts with jobs = Parallel.default_jobs () }
+         (Suite.cells_of Suite.Pinned))
+  in
   Alcotest.(check int) "suite covers the pinned corpus" (List.length pins)
     (List.length results);
   List.iter2
@@ -76,6 +81,22 @@ let test_digests_match_baseline () =
         r.Suite.b_name;
       Alcotest.(check string) ("digest: " ^ name) digest r.Suite.b_digest)
     pins results
+
+(* --- the cell registry --- *)
+
+let test_registry_names_unique () =
+  let names = List.map (fun c -> c.Suite.name) Suite.cells in
+  let sorted = List.sort_uniq String.compare names in
+  Alcotest.(check int) "every cell name is unique" (List.length names)
+    (List.length sorted)
+
+(* The [Pinned] family is exactly the committed corpus, in its order:
+   a cell added to the suite is a cell added to the baseline. *)
+let test_registry_pinned_is_baseline () =
+  Alcotest.(check (list string))
+    "pinned family = bench/BENCH_baseline.json, in order"
+    (List.map fst (Golden.parse_file baseline_path))
+    (List.map (fun c -> c.Suite.name) (Suite.cells_of Suite.Pinned))
 
 (* --- Comparator mutation smokes ----------------------------------------
 
@@ -277,6 +298,10 @@ let suites =
           test_baseline_counters_present;
         Alcotest.test_case "all 37 digests match the baseline" `Slow
           test_digests_match_baseline;
+        Alcotest.test_case "registry: cell names unique" `Quick
+          test_registry_names_unique;
+        Alcotest.test_case "registry: pinned family is the baseline" `Quick
+          test_registry_pinned_is_baseline;
         Alcotest.test_case "counter gate: identity" `Quick
           test_counters_identity;
         Alcotest.test_case "counter gate: corrupted cell named" `Quick

@@ -83,6 +83,11 @@ let test_per_run_stats_populated () =
 
 (* --- differential digest proofs --- *)
 
+let pinned = Suite.cells_of Suite.Pinned
+
+let run_rows ?(shards = 1) ~jobs cells =
+  Suite.rows (Suite.run_cells { Suite.default_opts with jobs; shards } cells)
+
 (* The serial reference is the committed baseline (test_golden pins the
    serial suite against it); here the same suite runs sharded, at two
    job counts, and must land on the same 37 digests. *)
@@ -90,22 +95,21 @@ let test_suite_digests_jobs_invariant () =
   let pins = Golden.parse_file baseline_path in
   List.iter
     (fun jobs ->
-      let results = Suite.bench_suite ~jobs () in
       List.iter2
         (fun (name, digest) r ->
           Alcotest.(check string)
             (Printf.sprintf "%s at jobs=%d" name jobs)
             digest r.Suite.b_digest)
-        pins results)
+        pins (run_rows ~jobs pinned))
     [ 2; 4 ]
 
 (* Shuffled submission: the work-queue hands out tasks in submission
    order, but nothing in the contract depends on what that order is —
-   permute the tasks, run sharded, un-permute, same digests. *)
+   permute the cells, run sharded, un-permute, same digests. *)
 let test_suite_digests_shuffle_invariant () =
   let pins = Array.of_list (Golden.parse_file baseline_path) in
-  let tasks = Suite.bench_tasks () in
-  let n = Array.length tasks in
+  let cells = Array.of_list pinned in
+  let n = Array.length cells in
   (* Fixed permutation (seeded LCG Fisher-Yates: no global RNG). *)
   let perm = Array.init n Fun.id in
   let state = ref 0x9e3779b9 in
@@ -116,56 +120,85 @@ let test_suite_digests_shuffle_invariant () =
     perm.(i) <- perm.(j);
     perm.(j) <- t
   done;
-  let shuffled = Array.map (fun i -> tasks.(i)) perm in
-  let out = Parallel.run ~jobs:3 shuffled in
-  Array.iteri
-    (fun slot o ->
+  let shuffled = Array.to_list (Array.map (fun i -> cells.(i)) perm) in
+  List.iteri
+    (fun slot r ->
       let name, digest = pins.(perm.(slot)) in
-      let r = o.Parallel.o_value in
       Alcotest.(check string) ("shuffled order: " ^ name) name r.Suite.b_name;
       Alcotest.(check string) ("shuffled digest: " ^ name) digest
         r.Suite.b_digest)
-    out
+    (run_rows ~jobs:3 shuffled)
 
 (* [--shards] reaches only the four open-arrival cells (the OLTP cells
    run on one engine): split at 2 shards, each must still land on its
    serial pin. *)
 let test_open_cells_shards_invariant () =
   let pins = Golden.parse_file baseline_path in
-  let open_tasks =
+  let open_cells =
     List.filter
-      (fun (name, _) -> String.starts_with ~prefix:"open_" name)
-      (Array.to_list (Suite.bench_tasks ~shards:2 ()))
+      (fun c -> String.starts_with ~prefix:"open_" c.Suite.name)
+      pinned
   in
-  Alcotest.(check int) "four open-arrival cells" 4 (List.length open_tasks);
+  Alcotest.(check int) "four open-arrival cells" 4 (List.length open_cells);
   List.iter
-    (fun (name, run) ->
-      Alcotest.(check string) (name ^ " at --shards 2") (List.assoc name pins)
-        (run ()).Suite.b_digest)
-    open_tasks
+    (fun r ->
+      Alcotest.(check string) (r.Suite.b_name ^ " at --shards 2")
+        (List.assoc r.Suite.b_name pins) r.Suite.b_digest)
+    (run_rows ~shards:2 ~jobs:1 open_cells)
 
-(* Fault-injection matrix cross-section: full cell equality (digests,
-   run/fault counts, rendered lines) between serial and sharded runs.
-   Stride 7 keeps 7 of the 43 cells: both schedules, both placements,
-   four of the five primitives (not urpc) and the netpipe cell. *)
-let test_matrix_cells_jobs_invariant () =
-  let serial = Suite.matrix_results ~jobs:1 ~sample:7 () in
-  let sharded = Suite.matrix_results ~jobs:4 ~sample:7 () in
+(* Full row equality (names, digests, tallies, rendered lines) between
+   serial and sharded runs of every [stride]-th cell of a family. *)
+let check_rows_jobs_invariant family ~stride =
+  let cells =
+    List.filteri (fun i _ -> i mod stride = 0) (Suite.cells_of family)
+  in
+  let serial = run_rows ~jobs:1 cells and sharded = run_rows ~jobs:4 cells in
   Alcotest.(check int) "same cell count" (List.length serial)
     (List.length sharded);
   List.iter2
-    (fun (a : Suite.cell_result) (b : Suite.cell_result) ->
-      Alcotest.(check string) ("cell name: " ^ a.Suite.cr_name) a.Suite.cr_name
-        b.Suite.cr_name;
-      Alcotest.(check string) ("cell digest: " ^ a.Suite.cr_name)
-        a.Suite.cr_digest b.Suite.cr_digest;
-      Alcotest.(check int) ("cell runs: " ^ a.Suite.cr_name) a.Suite.cr_runs
-        b.Suite.cr_runs;
-      Alcotest.(check int) ("cell faults: " ^ a.Suite.cr_name)
-        a.Suite.cr_faults b.Suite.cr_faults;
-      Alcotest.(check string) ("cell line: " ^ a.Suite.cr_name) a.Suite.cr_line
-        b.Suite.cr_line)
-    serial sharded
+    (fun (a : Suite.row) (b : Suite.row) ->
+      let name = a.Suite.b_name in
+      Alcotest.(check string) ("cell name: " ^ name) name b.Suite.b_name;
+      Alcotest.(check string) ("cell digest: " ^ name) a.Suite.b_digest
+        b.Suite.b_digest;
+      Alcotest.(check (list (pair string int))) ("cell tallies: " ^ name)
+        a.Suite.b_counters b.Suite.b_counters;
+      Alcotest.(check (float 0.)) ("cell metric: " ^ name) a.Suite.b_metric
+        b.Suite.b_metric;
+      Alcotest.(check string) ("cell line: " ^ name) a.Suite.line b.Suite.line)
+    serial sharded;
+  serial
+
+(* Fault-injection matrix cross-section.  Stride 7 keeps 7 of the 43
+   cells: both schedules, both placements, four of the five primitives
+   (not urpc) and the netpipe cell; each carries its run and fault
+   counts. *)
+let test_matrix_cells_jobs_invariant () =
+  List.iter
+    (fun r ->
+      let tally k = List.assoc k r.Suite.b_counters in
+      Alcotest.(check bool) ("cell runs: " ^ r.Suite.b_name) true
+        (tally "runs" > 0);
+      Alcotest.(check bool) ("cell faults: " ^ r.Suite.b_name) true
+        (tally "faults" >= 0))
+    (check_rows_jobs_invariant Suite.Matrix ~stride:7)
+
+(* Posture-matrix cross-section: stride 5 keeps 4 of the 18 cells,
+   spanning all three backends, all three postures and both loads. *)
+let test_security_cells_jobs_invariant () =
+  Alcotest.(check int) "sampled cells" 4
+    (List.length (check_rows_jobs_invariant Suite.Security ~stride:5))
+
+(* Open-sweep cross-section: stride 6 keeps 6 of the 35 cells of each
+   arrival process, spanning all five primitives and six of the seven
+   loads. *)
+let test_open_sweep_cells_jobs_invariant () =
+  List.iter
+    (fun arrival ->
+      Alcotest.(check int) "sampled cells" 6
+        (List.length
+           (check_rows_jobs_invariant (Suite.Open arrival) ~stride:6)))
+    Suite.OL.[ Poisson; Bursty; Diurnal ]
 
 (* --- qcheck domain-safety stress --- *)
 
@@ -241,6 +274,10 @@ let suites =
           test_suite_digests_shuffle_invariant;
         Alcotest.test_case "open cells invariant under --shards" `Quick
           test_open_cells_shards_invariant;
+        Alcotest.test_case "security cells identical serial vs sharded" `Quick
+          test_security_cells_jobs_invariant;
+        Alcotest.test_case "open sweep cells identical serial vs sharded" `Quick
+          test_open_sweep_cells_jobs_invariant;
         Alcotest.test_case "matrix cells identical serial vs sharded" `Slow
           test_matrix_cells_jobs_invariant;
         QCheck_alcotest.to_alcotest qcheck_stress;
