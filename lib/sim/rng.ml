@@ -25,12 +25,17 @@ let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  let z = Int64.add (get_state t 0) golden in
-  set_state t 0 z;
+(* Splitmix64's output function: a bijective avalanche of one word.
+   [Trace.digest] applies it to the trace's fold state. *)
+let[@inline] finalise z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
+  finalise z
 
 (* Splitmix64's intended forking discipline: seed the child from the
    parent's next output.  The output function is a bijective mix of the

@@ -19,6 +19,12 @@ val split : t -> t
 
 val next_int64 : t -> int64
 
+(** Splitmix64's finaliser, the output function {!next_int64} applies
+    to its counter: a bijection of [int64] in which every input bit
+    affects every output bit.  {!Trace.digest} applies it to the
+    trace's fold state. *)
+val finalise : int64 -> int64
+
 (** Uniform float in [0, 1). *)
 val float : t -> float
 

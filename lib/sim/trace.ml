@@ -2,13 +2,35 @@
 
    Storage is struct-of-arrays: eight parallel flat arrays indexed by a
    ring cursor, so recording an event allocates nothing and the GC never
-   sees the hot path.  The FNV-1a digest is folded over every emitted
-   event (not just the ones the ring still holds), so it fingerprints the
+   sees the hot path.  The digest is folded over every emitted event
+   (not just the ones the ring still holds), so it fingerprints the
    whole run even when the buffer wraps.
 
-   Floats enter the digest through their IEEE-754 bit patterns
-   (Int64.bits_of_float): equality of digests means bit-identical event
-   streams, not approximately-equal ones. *)
+   The digest (v2).  Each event contributes its eight fields, in the
+   order ts, kind, cpu, tid, tag, cat, dur, arg, as eight 64-bit words:
+   floats by their IEEE-754 bit patterns (Int64.bits_of_float), ints
+   sign-extended (Int64.of_int), a missing category as -1.  Each word w
+   is folded into the 64-bit state h by one step
+
+     h <- (rotl h 23 lxor w) * K   mod 2^64,   K = 0x9E3779B97F4A7C15
+
+   starting from h = 0x243F6A8885A308D3, and [digest] returns
+   splitmix64's finaliser of h (shared with Rng, not copied).
+
+   Why this shape.  K is odd, so each step is a bijection in h for a
+   fixed w, and a bijection in w for a fixed h.  Changing any single
+   field of any event therefore changes the state at that step, and no
+   later step can map the two states back together: a single-field
+   change always changes the digest.  A product carries differences
+   only upward, so without the rotate a flip of bit 63 would stay in
+   bit 63 for ever and a second bit-63 flip in a later field would
+   cancel it; the rotate moves the high bits of h down to where the next
+   word and product meet them.  The finaliser spreads the last words of
+   the stream over every output bit.
+
+   Equal digests do not prove bit-identical streams: two streams that
+   differ in more than one field collide with probability about 2^-64,
+   as for any 64-bit hash. *)
 
 type kind =
   | Sched
@@ -74,7 +96,14 @@ let kind_name = function
   | Cap_revoke -> "cap-revoke"
   | Cap_use -> "cap-use"
 
-let kind_of_index i = List.nth all_kinds i
+(* Built once: the sink and [events] decode every stored index. *)
+let kinds_by_index = Array.of_list all_kinds
+
+let categories_by_index = Array.of_list Breakdown.all_categories
+
+let kind_of_index i = kinds_by_index.(i)
+
+let category_of_index ci = if ci < 0 then None else Some categories_by_index.(ci)
 
 type event = {
   e_ts : float;
@@ -101,124 +130,31 @@ type t = {
   mutable head : int; (* next write slot *)
   mutable len : int; (* valid entries, <= cap *)
   mutable count : int; (* lifetime emits *)
-  (* Streaming FNV-1a over all emits, stored as two 32-bit halves in
-     immediate ints.  [emit] computes the whole event's fold in unboxed
-     Int64 registers and stores the halves back as plain ints: an
-     [int64] field would box a fresh value (and write-barrier the store)
-     on every event.  [digest] reassembles the halves. *)
-  mutable hash_lo : int; (* bits 0..31 *)
-  mutable hash_hi : int; (* bits 32..63 *)
+  (* The digest state: one 64-bit word in an 8-byte [Bytes.t], read and
+     written through the unboxed primitives below (the idiom of
+     [Rng.t]).  A [mutable int64] field would box a fresh value, and
+     write-barrier the store, on every event. *)
+  state : Bytes.t;
   (* Optional online observer (the invariant checker).  Called after the
      event is digested and stored; it cannot influence the digest or the
      ring, only observe the stream. *)
   mutable sink : (event -> unit) option;
 }
 
-(* --- the digest ---
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-   FNV-1a, 64-bit: offset basis 0xCBF29CE484222325, prime
-   p = 0x100000001B3.  One step is h <- (h lxor b) * p mod 2^64, folded
-   over the 64 bytes of every event (eight 8-byte fields).  The byte
-   fold is a serial dependency chain — each multiply waits on the last —
-   and at ~9M events per OLTP run it dominated traced simulations.
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-   The fast paths below shortcut the chain *exactly* (bit-identical
-   digests; the golden-digest test is the gate).  They rest on one
-   identity: xor only touches the low byte, and for any h and byte b,
+let seed = 0x243F6A8885A308D3L
 
-     h lxor b = h + d   where d = ((h land 0xff) lxor b) - (h land 0xff)
-
-   so one FNV step is (h + d) * p.  Folding a zero byte (b = 0) gives
-   d = 0: the step degenerates to h * p.  Hence
-
-     - an 8-byte field that is all zeros folds to      h * p^8
-     - a field with one significant low byte folds to  (h + d0) * p^8
-     - two significant low bytes fold to               (h + d0) * p^8 + d1 * p^7
-
-   where d1 needs the low byte of the intermediate hash: low8((h+d0)*p)
-   = (y0 * 0xB3) land 0xff with y0 = low8(h) lxor b0, because
-   p land 0xff = 0xB3 and the higher terms of the product are multiples
-   of 256.  An all-0xff field (an int -1) folds through a 256-entry
-   table indexed by low8(h): mix(h, -1) = h * p^8 + d_ff.(low8 h), the
-   table filled once from the reference fold.
-
-   Trace fields are overwhelmingly small non-negative ints, -1
-   ("missing"), or 0.0 durations, so most events take a handful of
-   multiplies instead of 64.  Arbitrary values (timestamps, real
-   durations, large args) fall back to the unrolled serial chain, which
-   the compiler keeps in unboxed Int64 registers (a chain of [let]s, no
-   [ref] — a boxed accumulator costs an allocation per byte).
-
-   The serial chains are written *inline* inside the emit functions for
-   the float fields and the two-byte int case: the compiler (Closure
-   mode, no flambda) does not inline the out-of-line helpers, and a
-   call with an [int64] argument boxes it — one allocation and a call
-   per event on the timestamp fold alone.  The named helpers below
-   remain as the reference implementations and serve the cold paths. *)
-
-let fnv_offset = 0xCBF29CE484222325L
-
-let fnv_prime = 0x100000001B3L
-
-(* Reference byte-at-a-time fold; ground truth for the fast paths (the
-   property tests compare against it) and source of the [d_ff] table. *)
-let mix64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime
-  done;
-  !h
-
-let fnv_prime_2 = Int64.mul fnv_prime fnv_prime
-
-let fnv_prime_4 = Int64.mul fnv_prime_2 fnv_prime_2
-
-let fnv_prime_7 = Int64.mul fnv_prime_4 (Int64.mul fnv_prime_2 fnv_prime)
-
-let fnv_prime_8 = Int64.mul fnv_prime_4 fnv_prime_4
-
-(* d_ff.(l) = mix64 h (-1L) - h * p^8  for any h with low byte [l]: the
-   correction term only depends on the low byte, so tabulating it from
-   h = l is exact for every h. *)
-let d_ff =
-  Array.init 256 (fun l ->
-      let h = Int64.of_int l in
-      Int64.sub (mix64 h (-1L)) (Int64.mul h fnv_prime_8))
-
-(* Serial fold of the 8 bytes of native int [v] (sign-extended, as
-   Int64.of_int would give), unrolled so the hash stays in unboxed
-   registers end to end. *)
-let mix_int_slow h v =
-  let p = fnv_prime in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int (v land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 8) land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 16) land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 24) land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 32) land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 40) land 0xff))) p in
-  let h = Int64.mul (Int64.logxor h (Int64.of_int ((v asr 48) land 0xff))) p in
-  Int64.mul (Int64.logxor h (Int64.of_int ((v asr 56) land 0xff))) p
-
-(* Fold one int field, out-of-line tail of the inline dispatch in
-   [emit]: fast path for 256..65535 per the identities above, serial
-   chain otherwise (the 0..255 and -1 cases are inlined at the call
-   sites — without flambda, a call per field would dominate). *)
-let mix_int_any h v =
-  if v land -65536 = 0 then begin
-    (* bytes [b0, b1, 0 x6] *)
-    let l0 = Int64.to_int h land 0xff in
-    let y0 = l0 lxor (v land 0xff) in
-    let l1 = y0 * 0xB3 land 0xff in
-    let d1 = (l1 lxor (v lsr 8)) - l1 in
-    Int64.add
-      (Int64.mul (Int64.add h (Int64.of_int (y0 - l0))) fnv_prime_8)
-      (Int64.mul (Int64.of_int d1) fnv_prime_7)
-  end
-  else mix_int_slow h v
+let[@inline] mix h w =
+  let r = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+  Int64.mul (Int64.logxor r w) 0x9E3779B97F4A7C15L
 
 let make ~on ~capacity =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
+  let state = Bytes.create 8 in
+  set_state state 0 seed;
   {
     on;
     cap = capacity;
@@ -233,8 +169,7 @@ let make ~on ~capacity =
     head = 0;
     len = 0;
     count = 0;
-    hash_lo = Int64.to_int (Int64.logand fnv_offset 0xFFFFFFFFL);
-    hash_hi = Int64.to_int (Int64.shift_right_logical fnv_offset 32);
+    state;
     sink = None;
   }
 
@@ -246,11 +181,40 @@ let enabled t = t.on
 
 let set_sink t sink = t.sink <- sink
 
-(* Ring store shared by the emit entry points.  [head] is always a
-   valid index (< cap, every array is [cap] long), so the stores skip
-   the bounds checks; the wrap is a compare instead of a [mod] — an
-   integer divide would cost more than the rest of the store. *)
-let store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+(* Out-of-line sink dispatch: the event record is only materialised
+   when an observer is installed, so the sink-free hot path pays one
+   load and branch. *)
+let feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  match t.sink with
+  | None -> ()
+  | Some f ->
+      f
+        {
+          e_ts = ts;
+          e_kind = kind_of_index ki;
+          e_cpu = cpu;
+          e_tid = tid;
+          e_tag = tag;
+          e_cat = category_of_index ci;
+          e_dur = dur;
+          e_arg = arg;
+        }
+
+(* Fold one event into the digest, store it in the ring and hand it to
+   the sink: the whole of every emit entry point, inlined into each so
+   the fold runs in unboxed registers.  [head] is always a valid index
+   (< cap, every array is [cap] long), so the stores skip the bounds
+   checks; the wrap is a compare, not a [mod]. *)
+let[@inline] record t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  let h = get_state t.state 0 in
+  let h = mix h (Int64.bits_of_float ts) in
+  let h = mix h (Int64.of_int ki) in
+  let h = mix h (Int64.of_int cpu) in
+  let h = mix h (Int64.of_int tid) in
+  let h = mix h (Int64.of_int tag) in
+  let h = mix h (Int64.of_int ci) in
+  let h = mix h (Int64.bits_of_float dur) in
+  set_state t.state 0 (mix h (Int64.of_int arg));
   let i = t.head in
   Array.unsafe_set t.ts i ts;
   Array.unsafe_set t.kinds i ki;
@@ -263,351 +227,42 @@ let store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
   let i1 = i + 1 in
   t.head <- (if i1 = t.cap then 0 else i1);
   if t.len < t.cap then t.len <- t.len + 1;
-  t.count <- t.count + 1
-
-(* Out-of-line sink dispatch shared by the emit entry points: the event
-   record is only materialised when an observer is installed, so the
-   sink-free hot path pays one load and branch. *)
-let feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  t.count <- t.count + 1;
   match t.sink with
   | None -> ()
-  | Some f ->
-      f
-        {
-          e_ts = ts;
-          e_kind = kind_of_index ki;
-          e_cpu = cpu;
-          e_tid = tid;
-          e_tag = tag;
-          e_cat =
-            (if ci < 0 then None
-             else Some (List.nth Breakdown.all_categories ci));
-          e_dur = dur;
-          e_arg = arg;
-        }
+  | Some _ -> feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
 
 let emit t ~ts ?(cpu = -1) ?(tid = -1) ?(tag = -1) ?cat ?(dur = 0.) ?(arg = 0) kind =
-  if t.on then begin
+  if t.on then
     let ci = match cat with None -> -1 | Some c -> Breakdown.category_index c in
-    let ki = kind_index kind in
-    (* Fold the event into the digest.  The whole fold runs on a local
-       [h] in unboxed Int64 registers — one reassembly at entry, one
-       halves store at exit, zero allocation.  Per int field the
-       dispatch is inlined: small non-negative (the common case: kind,
-       cpu, tid, most tags/args) is one add+multiply, -1 ("missing") one
-       multiply and a table lookup, anything else goes out of line. *)
-    let h =
-      Int64.logor
-        (Int64.shift_left (Int64.of_int t.hash_hi) 32)
-        (Int64.of_int t.hash_lo)
-    in
-    let h =
-      let bits = Int64.bits_of_float ts in
-      if bits = 0L then Int64.mul h fnv_prime_8
-      else begin
-        let p = fnv_prime in
-        let lo32 = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-        if lo32 = 0 then begin
-          let w = Int64.to_int (Int64.shift_right_logical bits 32) in
-          let h = Int64.mul h fnv_prime_4 in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (w land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 16) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 24) land 0xff))) p
-        end
-        else begin
-          let low = Int64.to_int (Int64.logand bits 0xFFFFFFFFFFFFFFL) in
-          let b7 = Int64.to_int (Int64.shift_right_logical bits 56) land 0xff in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (low land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 16) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 24) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 32) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 40) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 48) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int b7)) p
-        end
-      end
-    in
-    (* ki is always a small kind index: unconditional fast path. *)
-    let h =
-      let l0 = Int64.to_int h land 0xff in
-      Int64.mul (Int64.add h (Int64.of_int ((l0 lxor ki) - l0))) fnv_prime_8
-    in
-    let h =
-      if cpu land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor cpu) - l0))) fnv_prime_8
-      else if cpu = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else mix_int_any h cpu
-    in
-    let h =
-      if tid land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor tid) - l0))) fnv_prime_8
-      else if tid = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else if tid land -65536 = 0 then begin
-        let l0 = Int64.to_int h land 0xff in
-        let y0 = l0 lxor (tid land 0xff) in
-        let l1 = y0 * 0xB3 land 0xff in
-        let d1 = (l1 lxor (tid lsr 8)) - l1 in
-        Int64.add
-          (Int64.mul (Int64.add h (Int64.of_int (y0 - l0))) fnv_prime_8)
-          (Int64.mul (Int64.of_int d1) fnv_prime_7)
-      end
-      else mix_int_any h tid
-    in
-    let h =
-      if tag land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor tag) - l0))) fnv_prime_8
-      else if tag = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else mix_int_any h tag
-    in
-    (* ci is always -1 or a small category index. *)
-    let h =
-      if ci >= 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor ci) - l0))) fnv_prime_8
-      else Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-    in
-    let h =
-      let bits = Int64.bits_of_float dur in
-      if bits = 0L then Int64.mul h fnv_prime_8
-      else begin
-        let p = fnv_prime in
-        let lo32 = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-        if lo32 = 0 then begin
-          let w = Int64.to_int (Int64.shift_right_logical bits 32) in
-          let h = Int64.mul h fnv_prime_4 in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (w land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 16) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 24) land 0xff))) p
-        end
-        else begin
-          let low = Int64.to_int (Int64.logand bits 0xFFFFFFFFFFFFFFL) in
-          let b7 = Int64.to_int (Int64.shift_right_logical bits 56) land 0xff in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (low land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 16) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 24) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 32) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 40) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 48) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int b7)) p
-        end
-      end
-    in
-    let h =
-      if arg land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor arg) - l0))) fnv_prime_8
-      else if arg = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else mix_int_any h arg
-    in
-    t.hash_lo <- Int64.to_int (Int64.logand h 0xFFFFFFFFL);
-    t.hash_hi <- Int64.to_int (Int64.shift_right_logical h 32);
-    store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg;
-    match t.sink with
-    | None -> ()
-    | Some _ -> feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
-  end
+    record t ~ts ~ki:(kind_index kind) ~cpu ~tid ~tag ~ci ~dur ~arg
 
-(* Lean hot-path variants of [emit].  Digest- and ring-identical to the
-   equivalent [emit] call; they exist because their call sites fire
-   millions of times per run and the general entry point's optional
-   arguments (a [Some] box per present option, a boxed default per
-   absent one) plus the generic per-field dispatch were measurable
-   there.  Every defaulted field still folds into the digest — as the
-   same -1/0/0.0 the general path would fold — so a run traced through
-   these produces the same fingerprint byte for byte. *)
+(* Lean hot-path variants of [emit], digest- and ring-identical to the
+   equivalent [emit] call.  Their call sites fire millions of times per
+   run, and there the general entry point's optional arguments (a
+   [Some] box per present option, a boxed default per absent one) were
+   measurable.  Every defaulted field still folds into the digest as
+   the same -1/0/0.0 the general path folds. *)
 
 (* [emit t ~ts kind]: every optional field defaulted (the engine's
-   scheduling events).  The 0/0.0 fields fold to bare multiplies
-   (d = 0); the four -1 fields walk the correction table. *)
+   scheduling events). *)
 let emit_bare t ~ts kind =
-  if t.on then begin
-    let ki = kind_index kind in
-    let h =
-      Int64.logor
-        (Int64.shift_left (Int64.of_int t.hash_hi) 32)
-        (Int64.of_int t.hash_lo)
-    in
-    let h =
-      let bits = Int64.bits_of_float ts in
-      if bits = 0L then Int64.mul h fnv_prime_8
-      else begin
-        let p = fnv_prime in
-        let lo32 = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-        if lo32 = 0 then begin
-          let w = Int64.to_int (Int64.shift_right_logical bits 32) in
-          let h = Int64.mul h fnv_prime_4 in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (w land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 16) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 24) land 0xff))) p
-        end
-        else begin
-          let low = Int64.to_int (Int64.logand bits 0xFFFFFFFFFFFFFFL) in
-          let b7 = Int64.to_int (Int64.shift_right_logical bits 56) land 0xff in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (low land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 16) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 24) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 32) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 40) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 48) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int b7)) p
-        end
-      end
-    in
-    (* ki is always a small kind index *)
-    let h =
-      let l0 = Int64.to_int h land 0xff in
-      Int64.mul (Int64.add h (Int64.of_int ((l0 lxor ki) - l0))) fnv_prime_8
-    in
-    (* cpu, tid, tag, ci = -1 *)
-    let h = Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff) in
-    let h = Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff) in
-    let h = Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff) in
-    let h = Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff) in
-    (* dur = 0., arg = 0 *)
-    let h = Int64.mul h fnv_prime_8 in
-    let h = Int64.mul h fnv_prime_8 in
-    t.hash_lo <- Int64.to_int (Int64.logand h 0xFFFFFFFFL);
-    t.hash_hi <- Int64.to_int (Int64.shift_right_logical h 32);
-    store t ~ts ~ki ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0. ~arg:0;
-    match t.sink with
-    | None -> ()
-    | Some _ -> feed_sink t ~ts ~ki ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0. ~arg:0
-  end
+  if t.on then
+    record t ~ts ~ki:(kind_index kind) ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0.
+      ~arg:0
 
 (* [emit t ~ts ~cpu ~tid ~cat ~dur Charge] (tag and arg defaulted): the
    cost-attribution event every [Kernel.charge] emits. *)
 let emit_charge t ~ts ~cpu ~tid ~cat ~dur =
-  if t.on then begin
-    let ci = Breakdown.category_index cat in
-    let h =
-      Int64.logor
-        (Int64.shift_left (Int64.of_int t.hash_hi) 32)
-        (Int64.of_int t.hash_lo)
-    in
-    let h =
-      let bits = Int64.bits_of_float ts in
-      if bits = 0L then Int64.mul h fnv_prime_8
-      else begin
-        let p = fnv_prime in
-        let lo32 = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-        if lo32 = 0 then begin
-          let w = Int64.to_int (Int64.shift_right_logical bits 32) in
-          let h = Int64.mul h fnv_prime_4 in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (w land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 16) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 24) land 0xff))) p
-        end
-        else begin
-          let low = Int64.to_int (Int64.logand bits 0xFFFFFFFFFFFFFFL) in
-          let b7 = Int64.to_int (Int64.shift_right_logical bits 56) land 0xff in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (low land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 16) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 24) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 32) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 40) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 48) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int b7)) p
-        end
-      end
-    in
-    (* ki = 9 (Charge) *)
-    let h =
-      let l0 = Int64.to_int h land 0xff in
-      Int64.mul (Int64.add h (Int64.of_int ((l0 lxor 9) - l0))) fnv_prime_8
-    in
-    let h =
-      if cpu land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor cpu) - l0))) fnv_prime_8
-      else if cpu = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else mix_int_any h cpu
-    in
-    let h =
-      if tid land -256 = 0 then
-        let l0 = Int64.to_int h land 0xff in
-        Int64.mul (Int64.add h (Int64.of_int ((l0 lxor tid) - l0))) fnv_prime_8
-      else if tid = -1 then
-        Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff)
-      else if tid land -65536 = 0 then begin
-        let l0 = Int64.to_int h land 0xff in
-        let y0 = l0 lxor (tid land 0xff) in
-        let l1 = y0 * 0xB3 land 0xff in
-        let d1 = (l1 lxor (tid lsr 8)) - l1 in
-        Int64.add
-          (Int64.mul (Int64.add h (Int64.of_int (y0 - l0))) fnv_prime_8)
-          (Int64.mul (Int64.of_int d1) fnv_prime_7)
-      end
-      else mix_int_any h tid
-    in
-    (* tag = -1 *)
-    let h = Int64.add (Int64.mul h fnv_prime_8) d_ff.(Int64.to_int h land 0xff) in
-    (* ci: a category index, always small and non-negative *)
-    let h =
-      let l0 = Int64.to_int h land 0xff in
-      Int64.mul (Int64.add h (Int64.of_int ((l0 lxor ci) - l0))) fnv_prime_8
-    in
-    let h =
-      let bits = Int64.bits_of_float dur in
-      if bits = 0L then Int64.mul h fnv_prime_8
-      else begin
-        let p = fnv_prime in
-        let lo32 = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-        if lo32 = 0 then begin
-          let w = Int64.to_int (Int64.shift_right_logical bits 32) in
-          let h = Int64.mul h fnv_prime_4 in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (w land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 16) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int ((w lsr 24) land 0xff))) p
-        end
-        else begin
-          let low = Int64.to_int (Int64.logand bits 0xFFFFFFFFFFFFFFL) in
-          let b7 = Int64.to_int (Int64.shift_right_logical bits 56) land 0xff in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int (low land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 8) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 16) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 24) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 32) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 40) land 0xff))) p in
-          let h = Int64.mul (Int64.logxor h (Int64.of_int ((low lsr 48) land 0xff))) p in
-          Int64.mul (Int64.logxor h (Int64.of_int b7)) p
-        end
-      end
-    in
-    (* arg = 0 *)
-    let h = Int64.mul h fnv_prime_8 in
-    t.hash_lo <- Int64.to_int (Int64.logand h 0xFFFFFFFFL);
-    t.hash_hi <- Int64.to_int (Int64.shift_right_logical h 32);
-    store t ~ts ~ki:9 ~cpu ~tid ~tag:(-1) ~ci ~dur ~arg:0;
-    match t.sink with
-    | None -> ()
-    | Some _ -> feed_sink t ~ts ~ki:9 ~cpu ~tid ~tag:(-1) ~ci ~dur ~arg:0
-  end
+  if t.on then
+    record t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1)
+      ~ci:(Breakdown.category_index cat) ~dur ~arg:0
 
 let total t = t.count
 
 let dropped t = t.count - t.len
 
-let digest t =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.hash_hi) 32)
-    (Int64.of_int t.hash_lo)
+let digest t = Rng.finalise (get_state t.state 0)
 
 let digest_hex t = Printf.sprintf "%016Lx" (digest t)
 
@@ -619,9 +274,7 @@ let nth_event t j =
     e_cpu = t.cpus.(i);
     e_tid = t.tids.(i);
     e_tag = t.tags.(i);
-    e_cat =
-      (if t.cats.(i) < 0 then None
-       else Some (List.nth Breakdown.all_categories t.cats.(i)));
+    e_cat = category_of_index t.cats.(i);
     e_dur = t.durs.(i);
     e_arg = t.args.(i);
   }

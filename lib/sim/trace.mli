@@ -1,11 +1,24 @@
 (** Structured event tracing with deterministic replay fingerprints.
 
     A trace is a fixed-capacity ring buffer of flat event records plus a
-    streaming FNV-1a digest over the {e entire} event stream (including
-    events the ring has already overwritten).  Two runs with the same RNG
-    seeds produce byte-identical event streams and therefore identical
-    digests, which makes the digest a replay fingerprint the determinism
+    streaming digest over the {e entire} event stream (including events
+    the ring has already overwritten).  Two runs with the same RNG seeds
+    produce bit-identical event streams and therefore identical digests,
+    which makes the digest a replay fingerprint the determinism
     regression tests can assert on.
+
+    The digest (v2) folds each event's eight fields (ts, kind, cpu, tid,
+    tag, cat, dur, arg) as eight 64-bit words — floats by their IEEE-754
+    bit patterns, ints sign-extended, a missing category as [-1] — one
+    step per word, [h <- (rotl h 23 lxor w) * 0x9E3779B97F4A7C15], from
+    [h = 0x243F6A8885A308D3], and {!digest} applies splitmix64's
+    finaliser ({!Rng.finalise}) to [h].  Each step is a bijection, so
+    changing any single field of any event always changes the digest;
+    the rotate keeps two flips of bit 63 from cancelling, and the
+    finaliser lets every output bit depend on the last words folded.
+    Equal digests mean equal streams only with high probability: streams
+    that differ in several fields collide with probability about
+    2{^-64}.
 
     Tracing is strictly observational: emitting events never advances
     simulated time, so enabling a trace must not change any simulated
@@ -114,7 +127,7 @@ val total : t -> int
 (** Events overwritten by ring wrap-around (still digested). *)
 val dropped : t -> int
 
-(** Streaming FNV-1a digest of every event emitted so far. *)
+(** The v2 digest of every event emitted so far (see above). *)
 val digest : t -> int64
 
 (** The digest as a 16-hex-digit replay fingerprint. *)

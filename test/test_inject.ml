@@ -94,7 +94,7 @@ let test_checker_preserves_golden_digest () =
     checked_micro ~name:"golden" ~quiescent:true ~same_cpu:true M.Sem
   in
   Alcotest.(check string) "golden digest with checker attached"
-    "60d65ec18e0e97d7" digest
+    Test_trace.golden_digest digest
 
 (* A zero-probability injector still draws decisions but never perturbs:
    byte-identical to the clean (golden) run. *)
@@ -116,7 +116,7 @@ let test_zero_probability_injector_is_clean () =
       ~same_cpu:true M.Sem
   in
   Alcotest.(check string) "zero-probability injection = golden digest"
-    "60d65ec18e0e97d7" digest;
+    Test_trace.golden_digest digest;
   Alcotest.(check int) "no faults injected" 0 (Inject.total_faults inj)
 
 (* --- injected runs: deterministic, perturbing, invariant-preserving --- *)

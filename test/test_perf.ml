@@ -363,47 +363,72 @@ let test_memory_alignment_faults () =
   Alcotest.(check bool) "unaligned fetch is None, not a fault" true
     (Memory.fetch m 0x1002 = None)
 
-(* --- trace digest: optimized fold equals the byte-at-a-time reference --- *)
+(* --- trace digest: the inlined fold equals the v2 definition --- *)
 
-(* Independent FNV-1a implementation (the straightforward one the digest
-   documents); nothing here is shared with lib/sim/trace.ml. *)
-let fnv_offset = 0xCBF29CE484222325L
+(* The v2 digest exactly as lib/sim/trace.ml's header defines it, as a
+   plain list fold: one 64-bit word per field, h <- (rotl h 23 lxor w) *
+   K from a fixed seed, splitmix64's finaliser at the end.  Nothing here
+   is shared with lib/sim/trace.ml or lib/sim/rng.ml. *)
+let v2_seed = 0x243F6A8885A308D3L
 
-let fnv_prime = 0x100000001B3L
+let v2_step h w =
+  let rotl = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+  Int64.mul (Int64.logxor rotl w) 0x9E3779B97F4A7C15L
 
-let ref_mix h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime
-  done;
-  !h
+let splitmix_finaliser z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-let all_kinds =
-  [
-    Trace.Sched; Trace.Spawn; Trace.Resume; Trace.Suspend; Trace.Ctxsw; Trace.Ipi;
-    Trace.Syscall; Trace.Domain_cross; Trace.Fault; Trace.Charge;
-  ]
+type ev = {
+  ts : float;
+  kind : Trace.kind;
+  cpu : int;
+  tid : int;
+  tag : int;
+  cat : Breakdown.category option;
+  dur : float;
+  arg : int;
+}
 
-let kind_index kind =
+let all_cats = None :: List.map (fun c -> Some c) Breakdown.all_categories
+
+let index_of x l =
   let rec go i = function
     | [] -> assert false
-    | k :: rest -> if k = kind then i else go (i + 1) rest
+    | y :: rest -> if y = x then i else go (i + 1) rest
   in
-  go 0 all_kinds
+  go 0 l
 
-let ref_event h ~ts ~kind ~cpu ~tid ~tag ~ci ~dur ~arg =
-  let h = ref_mix h (Int64.bits_of_float ts) in
-  let h = ref_mix h (Int64.of_int (kind_index kind)) in
-  let h = ref_mix h (Int64.of_int cpu) in
-  let h = ref_mix h (Int64.of_int tid) in
-  let h = ref_mix h (Int64.of_int tag) in
-  let h = ref_mix h (Int64.of_int ci) in
-  let h = ref_mix h (Int64.bits_of_float dur) in
-  ref_mix h (Int64.of_int arg)
+let cat_index = function None -> -1 | Some c -> Breakdown.category_index c
 
-(* Ints spanning every digest dispatch tier: one-byte, -1, two-byte, and
-   arbitrary (including min_int/max_int sign-extension). *)
+let words e =
+  [
+    Int64.bits_of_float e.ts;
+    Int64.of_int (Test_trace.kind_index e.kind);
+    Int64.of_int e.cpu;
+    Int64.of_int e.tid;
+    Int64.of_int e.tag;
+    Int64.of_int (cat_index e.cat);
+    Int64.bits_of_float e.dur;
+    Int64.of_int e.arg;
+  ]
+
+let v2_digest events =
+  splitmix_finaliser
+    (List.fold_left (fun h e -> List.fold_left v2_step h (words e)) v2_seed events)
+
+let traced_digest events =
+  let tr = Trace.create ~capacity:4 () in
+  List.iter
+    (fun e ->
+      Trace.emit tr ~ts:e.ts ~cpu:e.cpu ~tid:e.tid ~tag:e.tag ?cat:e.cat ~dur:e.dur
+        ~arg:e.arg e.kind)
+    events;
+  Trace.digest tr
+
+(* Ints of every magnitude and sign: small, -1 ("missing"), 16-bit,
+   arbitrary, and the sign-extension extremes. *)
 let digest_int_gen =
   QCheck.oneof
     [
@@ -414,8 +439,8 @@ let digest_int_gen =
       QCheck.oneofl [ min_int; max_int; -2; 1 lsl 40; -(1 lsl 40) ];
     ]
 
-(* Floats spanning the fast paths: exact zero, short-mantissa values
-   (low word of the pattern all zero) and arbitrary patterns. *)
+(* Floats: exact zero, integral values (low word of the bit pattern all
+   zero), fractions and arbitrary patterns. *)
 let digest_float_gen =
   QCheck.oneof
     [
@@ -425,31 +450,93 @@ let digest_float_gen =
       QCheck.float;
     ]
 
-let cat_gen = QCheck.oneofl (None :: List.map (fun c -> Some c) Breakdown.all_categories)
+let cat_gen = QCheck.oneofl all_cats
 
-let kind_gen = QCheck.oneofl all_kinds
+let kind_gen = QCheck.oneofl Test_trace.all_kinds
 
 let event_gen =
-  QCheck.pair
-    (QCheck.quad digest_float_gen kind_gen digest_int_gen digest_int_gen)
-    (QCheck.quad digest_int_gen cat_gen digest_float_gen digest_int_gen)
+  QCheck.map
+    (fun ((ts, kind, cpu, tid), (tag, cat, dur, arg)) ->
+      { ts; kind; cpu; tid; tag; cat; dur; arg })
+    (QCheck.pair
+       (QCheck.quad digest_float_gen kind_gen digest_int_gen digest_int_gen)
+       (QCheck.quad digest_int_gen cat_gen digest_float_gen digest_int_gen))
 
-let prop_digest_matches_reference =
-  QCheck.Test.make ~name:"emit digest equals byte-at-a-time FNV-1a" ~count:500
-    (QCheck.list_of_size QCheck.Gen.(1 -- 10) event_gen)
-    (fun events ->
-      let tr = Trace.create ~capacity:4 () in
-      let expected =
-        List.fold_left
-          (fun h ((ts, kind, cpu, tid), (tag, cat, dur, arg)) ->
-            Trace.emit tr ~ts ~cpu ~tid ~tag ?cat ~dur ~arg kind;
-            let ci =
-              match cat with None -> -1 | Some c -> Breakdown.category_index c
-            in
-            ref_event h ~ts ~kind ~cpu ~tid ~tag ~ci ~dur ~arg)
-          fnv_offset events
+let stream_gen lo = QCheck.list_of_size QCheck.Gen.(lo -- 10) event_gen
+
+let prop_digest_matches_definition =
+  QCheck.Test.make ~name:"emit digest equals a plain list fold of the v2 definition"
+    ~count:500 (stream_gen 1) (fun events ->
+      traced_digest events = v2_digest events)
+
+let flip_float x bit =
+  Int64.float_of_bits (Int64.logxor (Int64.bits_of_float x) (Int64.shift_left 1L bit))
+
+(* [other x l k]: a member of [l] other than [x], chosen by [k]. *)
+let other x l k =
+  let n = List.length l in
+  List.nth l ((index_of x l + 1 + (k mod (n - 1))) mod n)
+
+(* Change field [field] of [e] by one bit: bit [bit] of a float's
+   pattern or of an int (an OCaml int has 63 bits; bit 62 is its sign,
+   which reaches bits 62 and 63 of the folded word).  The enumerated
+   fields, kind and category, change to another value. *)
+let flip_field e field bit =
+  let flip_int x = x lxor (1 lsl (bit mod 63)) in
+  match field with
+  | 0 -> { e with ts = flip_float e.ts bit }
+  | 1 -> { e with kind = other e.kind Test_trace.all_kinds bit }
+  | 2 -> { e with cpu = flip_int e.cpu }
+  | 3 -> { e with tid = flip_int e.tid }
+  | 4 -> { e with tag = flip_int e.tag }
+  | 5 -> { e with cat = other e.cat all_cats bit }
+  | 6 -> { e with dur = flip_float e.dur bit }
+  | _ -> { e with arg = flip_int e.arg }
+
+let prop_single_field_flip =
+  QCheck.Test.make ~name:"flipping one bit of one field changes the digest" ~count:1000
+    (QCheck.pair (stream_gen 1)
+       (QCheck.triple QCheck.small_nat (QCheck.int_range 0 7) (QCheck.int_range 0 63)))
+    (fun (events, (i, field, bit)) ->
+      (* Shrinking may empty the stream despite [stream_gen]'s bound. *)
+      QCheck.assume (events <> []);
+      let i = i mod List.length events in
+      let flipped =
+        List.mapi (fun j e -> if j = i then flip_field e field bit else e) events
       in
-      Trace.digest tr = expected)
+      traced_digest flipped <> traced_digest events)
+
+(* Two sign-bit flips: a fold without the rotate keeps a bit-63
+   difference in bit 63 (an odd multiplier maps x lxor 2^63 to
+   x*K lxor 2^63), so the second flip cancels the first. *)
+let prop_two_sign_flips =
+  QCheck.Test.make ~name:"flipping bit 63 of two fields changes the digest" ~count:1000
+    (QCheck.triple (stream_gen 1) QCheck.small_nat QCheck.small_nat)
+    (fun (events, a, b) ->
+      QCheck.assume (events <> []);
+      (* Position p is field (ts if p even, dur if odd) of event p/2. *)
+      let n = 2 * List.length events in
+      let a = a mod n and b = b mod n in
+      QCheck.assume (a <> b);
+      let negate p j e =
+        if p / 2 <> j then e
+        else if p mod 2 = 0 then { e with ts = flip_float e.ts 63 }
+        else { e with dur = flip_float e.dur 63 }
+      in
+      let flipped = List.mapi (fun j e -> negate b j (negate a j e)) events in
+      traced_digest flipped <> traced_digest events)
+
+let prop_adjacent_swap =
+  QCheck.Test.make ~name:"swapping two adjacent distinct events changes the digest"
+    ~count:1000 (QCheck.pair (stream_gen 2) QCheck.small_nat) (fun (events, i) ->
+      QCheck.assume (List.length events >= 2);
+      let i = i mod (List.length events - 1) in
+      let arr = Array.of_list events in
+      let x = arr.(i) and y = arr.(i + 1) in
+      QCheck.assume (words x <> words y);
+      arr.(i) <- y;
+      arr.(i + 1) <- x;
+      traced_digest (Array.to_list arr) <> traced_digest events)
 
 let prop_emit_bare_equivalent =
   QCheck.Test.make ~name:"emit_bare digest-equivalent to emit" ~count:300
@@ -502,7 +589,10 @@ let suites =
     ( "perf.digest",
       qsuite
         [
-          prop_digest_matches_reference;
+          prop_digest_matches_definition;
+          prop_single_field_flip;
+          prop_two_sign_flips;
+          prop_adjacent_swap;
           prop_emit_bare_equivalent;
           prop_emit_charge_equivalent;
         ] );

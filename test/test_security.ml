@@ -553,9 +553,9 @@ let test_wrong_signature_refused () =
    interpreter paths, per posture. *)
 let posture_pins =
   [
-    (Fault.Strict, "0a834554efb934da");
-    (Fault.Audit, "d250229e97a92f17");
-    (Fault.Permissive, "d1f15a20199dc816");
+    (Fault.Strict, "ce8a66a10c4bf372");
+    (Fault.Audit, "bd52cc53eb252658");
+    (Fault.Permissive, "53bfc397d2e0580f");
   ]
 
 let test_posture_digest_pins () =
