@@ -35,11 +35,6 @@
      --jobs N           spread the cells over N domains (0 = one per
                         recommended core); digests and printed results are
                         identical at any N
-     --shards N         split each open-arrival simulation (the four
-                        open_* cells of --json, every cell of --open) into
-                        N conservative-DES shards (0 = one per recommended
-                        core); no other cell is split, and digests and
-                        printed results are identical at any N
      --reference        force the machine's reference interpreter (disable
                         the compiled superblock path); results and digests
                         are identical either way — triage only *)
@@ -71,11 +66,9 @@ let rec parse (o : Suite.opts) acc = function
       | Some seed -> parse { o with inject_seed = Some seed } acc rest
       | None -> die "--inject needs an integer seed, got %S" s)
   | "--jobs" :: s :: rest -> parse { o with jobs = count "--jobs" s } acc rest
-  | "--shards" :: s :: rest ->
-      parse { o with shards = count "--shards" s } acc rest
   | [ "--posture" ] -> die "--posture needs strict | audit | permissive"
   | [ "--inject" ] -> die "--inject needs an integer seed"
-  | [ (("--jobs" | "--shards") as flag) ] -> die "%s needs an integer count" flag
+  | [ "--jobs" ] -> die "--jobs needs an integer count"
   | x :: rest -> parse o (x :: acc) rest
 
 (* Each mode flag selects one family; its optional argument is the

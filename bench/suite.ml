@@ -527,11 +527,10 @@ module OL = Dipc_workloads.Openload
 type opts = {
   check : bool;  (* attach the online invariant checker to traced runs *)
   inject_seed : int option;  (* install a seeded fault injector *)
-  shards : int;  (* conservative-DES shards per open-arrival simulation *)
   jobs : int;  (* runner domains the cells are spread over *)
 }
 
-let default_opts = { check = false; inject_seed = None; shards = 1; jobs = 1 }
+let default_opts = { check = false; inject_seed = None; jobs = 1 }
 
 type row = {
   b_name : string;
@@ -549,7 +548,7 @@ type row = {
          body entries, superblock hits/translations, side exits) for the
          machine-interpreter experiments; [] for kernel-model cells.
          Pure functions of the simulated execution — identical at any
-         --jobs/--shards — but *dispatch-path-dependent* by design
+         --jobs — but *dispatch-path-dependent* by design
          (--reference reports zeros), so they are emitted as their own
          JSON column and never enter a digest: the reference-path
          byte-diff job compares digests only, while the counter-equality
@@ -715,8 +714,7 @@ let micro_cell ~warmup ~iters name prim ~same_cpu =
         r.M.mean_ns)
 
 (* The closed OLTP model: one engine, driven by [Oltp.run]'s default
-   [Engine.run_until].  It is not split across shards: [--shards] only
-   partitions the open-arrival cells (DESIGN.md Sec. 14.4). *)
+   [Engine.run_until]. *)
 let oltp_cell name config =
   pinned name (fun o ->
       let (r, obs), wall =
@@ -1056,20 +1054,18 @@ let open_sweep_sessions = 30_000
 
 (* One (primitive, load) cell of the `--open` sweep.  Its seed is a
    fixed function of the cell's coordinates, never a shared stream, so
-   cells are independent of execution order.  [opts.shards] partitions
-   the cell's simulation internally (conservative windows, DESIGN.md
-   Sec. 14) — orthogonal to [jobs], which spreads *cells* over domains;
-   rows are byte-identical at any combination. *)
+   cells are independent of execution order, and rows are byte-identical
+   at any [jobs]. *)
 let open_sweep_cell arrival prim_idx prim load_idx load =
   let name = Printf.sprintf "open/%s/%s/rho=%.2f" (OL.arrival_name arrival) prim load in
-  let run o =
+  let run _ =
     let service_ns = List.assoc prim (open_costs ()) in
     let p =
       OL.default_params
         ~seed:(0xD1BC + (97 * prim_idx) + load_idx)
         ~sessions:open_sweep_sessions ~offered_load:load ~arrival ~service_ns ()
     in
-    let r = OL.run_sharded ~shards:o.shards p in
+    let r = OL.run p in
     let pc q = Histogram.percentile r.OL.r_latency q in
     let p50 = pc 50. and p99 = pc 99. and p999 = pc 99.9 in
     line_row name ~digest:r.OL.r_digest ~metric:p99
@@ -1093,15 +1089,15 @@ let open_sweep_cells arrival =
 (* Four fixed open-arrival cells ride in the --json digest suite, one
    per arrival process family plus an overload point: their digests pin
    the generator, the HDR histogram layout and the unbiased sampler
-   against unintended drift.  [--shards] splits them too. *)
+   against unintended drift. *)
 let open_bench_sessions = 20_000
 
 let open_pinned name prim arrival load =
-  pinned name (fun o ->
+  pinned name (fun _ ->
       let service_ns = List.assoc prim (open_costs ()) in
       let r, wall =
         timed (fun () ->
-            OL.run_sharded ~shards:o.shards
+            OL.run
               (OL.default_params ~seed:42 ~sessions:open_bench_sessions
                  ~offered_load:load ~arrival ~service_ns ()))
       in
@@ -1401,9 +1397,6 @@ let bench_report o out =
     o.inject_seed;
   if o.check then Printf.printf "  invariant checker attached to every traced run\n";
   if o.jobs > 1 then Printf.printf "  sharded across %d domains\n" o.jobs;
-  if o.shards > 1 then
-    Printf.printf "  intra-run sharding: %d shards per open-arrival cell\n"
-      o.shards;
   let t0 = Unix.gettimeofday () in
   let outcomes = run_cells o (cells_of Pinned) in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -1454,8 +1447,8 @@ let bench_report o out =
   Printf.printf "  wrote %s\n%!" out;
   if o.inject_seed = None then append_history ~out results
 
-let bench_json ?(check = false) ?inject_seed ?(shards = 1) ?(jobs = 1) out =
-  bench_report { check; inject_seed; shards; jobs } out
+let bench_json ?(check = false) ?inject_seed ?(jobs = 1) out =
+  bench_report { check; inject_seed; jobs } out
 
 (* ================= the report families ================= *)
 

@@ -6,7 +6,7 @@
      dune exec bin/dipc_cli.exe -- oltp --config dipc --threads 16
      dune exec bin/dipc_cli.exe -- disasm --policy high
      dune exec bin/dipc_cli.exe -- trace --primitive sem --out trace.json
-     dune exec bin/dipc_cli.exe -- open --primitive sem --load 0.95 --shards 2
+     dune exec bin/dipc_cli.exe -- open --primitive sem --load 0.95
 
    [ipc --all] and [oltp --sweep] run their grids through the bench
    suite's cell runner ([Suite.run_cells]), built from the same cell
@@ -73,17 +73,6 @@ let jobs_arg =
            recommended core); per-run digests and printed results are \
            identical at any $(docv)")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "partition a single simulation into $(docv) shards advanced in \
-           conservative lookahead windows on separate OCaml domains \
-           (DESIGN.md Sec. 14); digests and printed results are \
-           byte-identical at any $(docv).  1 (the default) is the serial \
-           reference path, 0 means one shard per recommended core")
-
 let resolve n = if n = 0 then Parallel.default_jobs () else n
 
 (* The options of a run and its grid, parsed once: [Suite.run_cells]
@@ -91,7 +80,7 @@ let resolve n = if n = 0 then Parallel.default_jobs () else n
 let opts =
   Term.(
     const (fun check inject_seed jobs ->
-        { Suite.default_opts with check; inject_seed; jobs = resolve jobs })
+        { Suite.check; inject_seed; jobs = resolve jobs })
     $ check_arg $ inject_arg $ jobs_arg)
 
 (* The interpreter escape hatch: --reference forces the reference
@@ -297,12 +286,12 @@ let oltp_cmd =
 
 (* --- open: open-arrival load generator (millions of sessions) --- *)
 
-let run_open prim arrival load sessions seed shards () =
+let run_open prim arrival load sessions seed () =
   let service_ns = List.assoc prim (Suite.open_costs ()) in
   let p =
     OL.default_params ~seed ~sessions ~offered_load:load ~arrival ~service_ns ()
   in
-  let r = OL.run_sharded ~shards:(resolve shards) p in
+  let r = OL.run p in
   let pc q = Histogram.percentile r.OL.r_latency q in
   Printf.printf "%s, %s arrivals, offered load %.2f, %d sessions:\n" prim
     (OL.arrival_name arrival) load sessions;
@@ -353,8 +342,7 @@ let open_cmd =
          "drive the system with an open-arrival session stream and report \
           tail latency percentiles")
     Term.(
-      const run_open $ prim $ arrival $ load $ sessions $ seed $ shards_arg
-      $ reference)
+      const run_open $ prim $ arrival $ load $ sessions $ seed $ reference)
 
 (* --- trace: export a Chrome trace of a microbench run --- *)
 

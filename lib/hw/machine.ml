@@ -168,7 +168,7 @@ type t = {
       (* ...and mid-chain exits: speculation misses, junction tag/priv
          guard failures, and dynamic junctions (Ret/Jmpr/Callr) that
          failed to chain.  Pure functions of the simulated execution —
-         identical at any --jobs/--shards — and never part of any
+         identical at any --jobs — and never part of any
          digest (they are path-dependent by design: the reference
          interpreter reports zeros). *)
   mutable ctr_ras_hits : int;

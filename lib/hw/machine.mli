@@ -90,7 +90,7 @@ type t = {
   mutable ras_len : int;  (** live entries (overflow drops the oldest) *)
   mutable ctr_block_entries : int;
       (** deterministic perf counters — pure functions of the simulated
-          execution, identical at any [--jobs]/[--shards], and never
+          execution, identical at any [--jobs], and never
           part of any digest (they are dispatch-path-dependent by
           design: the reference interpreter reports zeros).
           [ctr_block_entries] counts translated-body entries (one per

@@ -62,23 +62,8 @@ let max_seq = max_int lsr slot_bits
    alive, and [Array.make] with it builds a uniform (non-float) array. *)
 let nil : any = Obj.magic 0
 
-(* [capacity] pre-sizes the arrays: a caller expecting a known burst
-   (e.g. the sharded open-arrival station receiving batch-sized barrier
-   deliveries) skips the doubling regrowth.  Capacity is invisible to
-   every observation, so it can never affect a digest. *)
-let create ?(capacity = 0) () =
-  let capacity = min (max 0 capacity) (slot_mask + 1) in
-  let keys = Array.make capacity 0 in
-  for i = 0 to capacity - 1 do
-    Array.unsafe_set keys i i
-  done;
-  {
-    times = Array.make capacity 0.;
-    keys;
-    payloads = Array.make capacity nil;
-    size = 0;
-    next_seq = 0;
-  }
+let create () =
+  { times = [||]; keys = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 

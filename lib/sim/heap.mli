@@ -5,9 +5,8 @@
 
 type 'a t
 
-(** An empty heap; [capacity] pre-sizes the backing arrays (purely a
-    regrowth-avoidance hint, invisible to every observation). *)
-val create : ?capacity:int -> unit -> 'a t
+(** An empty heap. *)
+val create : unit -> 'a t
 
 (** Number of queued entries. *)
 val length : 'a t -> int

@@ -144,17 +144,17 @@ let fnv_offset = 0xCBF29CE484222325L
 
 let fnv_prime = 0x100000001B3L
 
+let[@inline] fold h v = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime
+
+(* A loop over a local [int64 ref], which the compiler keeps unboxed: a
+   closure capturing [h] would box a fresh int64 per fold. *)
 let digest t =
-  let h = ref fnv_offset in
-  let fold v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
-  fold t.total;
-  Array.iteri
-    (fun b c ->
-      if c > 0 then begin
-        fold b;
-        fold c
-      end)
-    t.counts;
+  let h = ref (fold fnv_offset t.total) in
+  let counts = t.counts in
+  for b = 0 to Array.length counts - 1 do
+    let c = Array.unsafe_get counts b in
+    if c > 0 then h := fold (fold !h b) c
+  done;
   !h
 
 let digest_hex t = Printf.sprintf "%016Lx" (digest t)

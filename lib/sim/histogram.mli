@@ -30,6 +30,9 @@ val percentile : t -> float -> float
 (** FNV-1a digest of the integer bucket state (total + non-empty
     buckets).  Equal iff the recorded distributions are identical;
     insensitive to merge order. *)
+val digest : t -> int64
+
+(** {!digest} as 16 lowercase hex digits. *)
 val digest_hex : t -> string
 
 val pp : Format.formatter -> t -> unit

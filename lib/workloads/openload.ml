@@ -30,7 +30,6 @@
 module Rng = Dipc_sim.Rng
 module Heap = Dipc_sim.Heap
 module Histogram = Dipc_sim.Histogram
-module Shard = Dipc_sim.Shard
 
 type arrival = Poisson | Bursty | Diurnal
 
@@ -92,8 +91,15 @@ let throughput_rps r =
 
 (* --- arrival processes ---
 
-   Each returns the next arrival instant after [t], drawing only from
-   its own stream.  Rates are in arrivals per nanosecond. *)
+   [advance] moves [clock.next] in place from one arrival instant to the
+   next, drawing only from its own stream.  Rates are in arrivals per
+   nanosecond.  Nothing here boxes a float: [clock] is an all-float
+   record, stored flat (a [mutable float] field of a mixed record, or a
+   [float ref] captured by a closure, boxes a fresh float on every
+   store), and no float crosses a call: without flambda, a
+   [float -> float] closure boxes its result on every call, and a
+   recursive helper its float arguments (2 to 6 minor words per
+   request). *)
 
 (* MMPP on/off shape: bursts at 4x the base rate for a fifth of the
    time, a 0.25x trickle otherwise — the time-average rate is exactly
@@ -112,42 +118,68 @@ let bursty_off_mean = 800.
    run of [sessions] arrivals spans about three day-night cycles. *)
 let diurnal_amp = 0.8
 
+type clock = {
+  mutable next : float;  (* the next arrival instant *)
+  mutable phase_end : float;  (* Bursty: end of the current phase *)
+}
+
+type arrivals = {
+  arrival : arrival;
+  rng : Rng.t;
+  rate : float;
+  period : float;  (* Diurnal: length of one day-night cycle *)
+  clock : clock;
+  mutable on : bool;  (* Bursty: in an on-phase *)
+}
+
 let make_arrivals arrival ~rate ~sessions rng =
-  match arrival with
-  | Poisson ->
-      let mean = 1. /. rate in
-      fun t -> t +. Rng.exponential rng ~mean
+  {
+    arrival;
+    rng;
+    rate;
+    period = float_of_int sessions /. rate /. 3.;
+    clock = { next = 0.; phase_end = 0. };
+    on = true;
+  }
+
+let advance g =
+  let c = g.clock and rng = g.rng and rate = g.rate in
+  match g.arrival with
+  | Poisson -> c.next <- c.next +. Rng.exponential rng ~mean:(1. /. rate)
   | Bursty ->
-      let on = ref true in
-      let phase_end = ref 0. in
-      let phase_mean b = (if b then bursty_on_mean else bursty_off_mean) /. rate in
-      let rec next t =
-        if t >= !phase_end then begin
+      let t = ref c.next and searching = ref true in
+      while !searching do
+        if !t >= c.phase_end then begin
           (* Entering a fresh phase; the first call initialises it. *)
-          if !phase_end > 0. then on := not !on;
-          phase_end := t +. Rng.exponential rng ~mean:(phase_mean !on);
-          next t
+          if c.phase_end > 0. then g.on <- not g.on;
+          let mean = if g.on then bursty_on_mean else bursty_off_mean in
+          c.phase_end <- !t +. Rng.exponential rng ~mean:(mean /. rate)
         end
         else begin
-          let r = rate *. if !on then bursty_boost else bursty_trickle in
-          let t' = t +. Rng.exponential rng ~mean:(1. /. r) in
+          let r = rate *. if g.on then bursty_boost else bursty_trickle in
+          let t' = !t +. Rng.exponential rng ~mean:(1. /. r) in
           (* An exponential is memoryless: a draw crossing the phase
              boundary restarts from the boundary at the new rate. *)
-          if t' <= !phase_end then t' else next !phase_end
+          if t' <= c.phase_end then begin
+            c.next <- t';
+            searching := false
+          end
+          else t := c.phase_end
         end
-      in
-      fun t -> next t
+      done
   | Diurnal ->
-      let period = float_of_int sessions /. rate /. 3. in
-      let rate_at t =
-        rate *. (1. +. (diurnal_amp *. sin (2. *. Float.pi *. t /. period)))
-      in
       let peak = rate *. (1. +. diurnal_amp) in
-      let rec next t =
-        let t' = t +. Rng.exponential rng ~mean:(1. /. peak) in
-        if Rng.float rng < rate_at t' /. peak then t' else next t'
-      in
-      fun t -> next t
+      let t = ref c.next in
+      let accepted = ref false in
+      while not !accepted do
+        t := !t +. Rng.exponential rng ~mean:(1. /. peak);
+        let rate_t =
+          rate
+          *. (1. +. (diurnal_amp *. sin (2. *. Float.pi *. !t /. g.period)))
+        in
+        accepted := Rng.float rng < rate_t /. peak
+      done;
+      c.next <- !t
 
 (* --- deterministic digest ---
 
@@ -166,18 +198,16 @@ let digest_of ~sessions ~requests ~hist ~makespan =
   fold sessions;
   fold requests;
   fold64 (Int64.bits_of_float makespan);
-  fold64 (Int64.of_string ("0x" ^ Histogram.digest_hex hist));
+  fold64 (Histogram.digest hist);
   Printf.sprintf "%016Lx" !h
 
 (* --- the service station ---
 
-   Everything the per-request loop touches, shared by [run] and the
-   sharded station.  A queued session is only its remaining request
-   count, keyed by the instant its next request is ready: an immediate
-   payload, so neither a push nor a pop allocates.  [busy] and
-   [makespan] live in an all-float record, stored flat, because a
-   [float ref] captured by a closure (or a [mutable float] field of a
-   mixed record) boxes a fresh float on every store. *)
+   Everything the per-request loop touches.  A queued session is only
+   its remaining request count, keyed by the instant its next request is
+   ready: an immediate payload, so neither a push nor a pop allocates.
+   [busy] and [makespan] live in an all-float record, stored flat, like
+   the arrival clock. *)
 
 type totals = { mutable busy : float; mutable makespan : float }
 
@@ -195,8 +225,8 @@ type station = {
 
 (* Serve the request of a session with [left] requests to go, ready at
    [ready], on the earliest-free server; queue the session's next
-   request after a think pause.  Inlined into both loops so [ready] is
-   never boxed for a call. *)
+   request after a think pause.  Inlined into both branches of the loop
+   so [ready] is never boxed for a call. *)
 let[@inline] serve st ready left =
   let free = st.free in
   let srv = ref 0 in
@@ -217,59 +247,12 @@ let[@inline] serve st ready left =
       ~time:(fin +. Rng.exponential st.rng_think ~mean:st.think_ns)
       (left - 1)
 
-let result p st =
-  let { hist; requests; totals = { busy; makespan }; _ } = st in
-  {
-    r_sessions = p.sessions;
-    r_requests = requests;
-    r_latency = hist;
-    r_makespan_ns = makespan;
-    r_busy_ns = busy;
-    r_digest = digest_of ~sessions:p.sessions ~requests ~hist ~makespan;
-  }
-
-(* The run's four streams, forked off the seed in a fixed order (the
-   stream assignment is part of the digest contract): the arrival and
-   session-length generators draw from the first and third, the
-   station from the other two. *)
-let setup ?capacity name (p : params) =
-  if p.sessions <= 0 then invalid_arg (name ^ ": sessions must be positive");
-  if p.servers <= 0 then invalid_arg (name ^ ": servers must be positive");
-  if p.offered_load <= 0. then
-    invalid_arg (name ^ ": offered_load must be positive");
-  let root = Rng.create ~seed:p.seed in
-  let rng_arrival = Rng.split root in
-  let rng_service = Rng.split root in
-  let rng_len = Rng.split root in
-  let rng_think = Rng.split root in
-  let mean_reqs = 1. +. (float_of_int p.max_extra_reqs /. 2.) in
-  (* offered_load = request_rate * service / servers, and each session
-     contributes [mean_reqs] requests. *)
-  let request_rate = p.offered_load *. float_of_int p.servers /. p.service_ns in
-  let session_rate = request_rate /. mean_reqs in
-  let next_arrival =
-    make_arrivals p.arrival ~rate:session_rate ~sessions:p.sessions rng_arrival
-  in
-  let session_len () =
-    if p.max_extra_reqs = 0 then 1
-    else 1 + Rng.int_unbiased rng_len (p.max_extra_reqs + 1)
-  in
-  let station =
-    {
-      service_ns = p.service_ns;
-      think_ns = p.think_ns;
-      rng_service;
-      rng_think;
-      queue = Heap.create ?capacity ();
-      free = Array.make p.servers 0.;
-      hist = Histogram.create ();
-      totals = { busy = 0.; makespan = 0. };
-      requests = 0;
-    }
-  in
-  (next_arrival, session_len, station)
-
 (* --- the generator/queue loop ---
+
+   The run's four streams are forked off the seed in a fixed order (the
+   stream assignment is part of the digest contract): the arrival and
+   session-length generators draw from the first and third, the station
+   from the other two.
 
    Admit-and-serve: the admission branch is taken only when the queue
    is empty or its earliest entry is strictly later than [arr_t], and
@@ -281,12 +264,42 @@ let setup ?capacity name (p : params) =
    unchanged. *)
 
 let run p =
-  let next_arrival, session_len, st = setup "Openload.run" p in
+  if p.sessions <= 0 then invalid_arg "Openload.run: sessions must be positive";
+  if p.servers <= 0 then invalid_arg "Openload.run: servers must be positive";
+  if p.offered_load <= 0. then
+    invalid_arg "Openload.run: offered_load must be positive";
+  let root = Rng.create ~seed:p.seed in
+  let rng_arrival = Rng.split root in
+  let rng_service = Rng.split root in
+  let rng_len = Rng.split root in
+  let rng_think = Rng.split root in
+  let mean_reqs = 1. +. (float_of_int p.max_extra_reqs /. 2.) in
+  (* offered_load = request_rate * service / servers, and each session
+     contributes [mean_reqs] requests. *)
+  let request_rate = p.offered_load *. float_of_int p.servers /. p.service_ns in
+  let arrivals =
+    make_arrivals p.arrival ~rate:(request_rate /. mean_reqs)
+      ~sessions:p.sessions rng_arrival
+  in
+  let clock = arrivals.clock in
+  let st =
+    {
+      service_ns = p.service_ns;
+      think_ns = p.think_ns;
+      rng_service;
+      rng_think;
+      queue = Heap.create ();
+      free = Array.make p.servers 0.;
+      hist = Histogram.create ();
+      totals = { busy = 0.; makespan = 0. };
+      requests = 0;
+    }
+  in
   let queue = st.queue in
   let admitted = ref 0 in
-  let next_arr = ref (next_arrival 0.) in
+  advance arrivals;
   while !admitted < p.sessions || not (Heap.is_empty queue) do
-    let arr_t = if !admitted < p.sessions then !next_arr else infinity in
+    let arr_t = if !admitted < p.sessions then clock.next else infinity in
     if (not (Heap.is_empty queue)) && Heap.top_time queue <= arr_t then begin
       let ready = Heap.top_time queue in
       serve st ready (Heap.pop_min queue)
@@ -294,153 +307,29 @@ let run p =
     else begin
       (* Admit the next session; its first request is ready on arrival.
          Draw order (length, then next arrival) is fixed. *)
-      let len = session_len () in
+      let len =
+        if p.max_extra_reqs = 0 then 1
+        else 1 + Rng.int_unbiased rng_len (p.max_extra_reqs + 1)
+      in
       incr admitted;
       serve st arr_t len;
-      next_arr := next_arrival arr_t
+      advance arrivals
     end
   done;
-  result p st
+  let { hist; requests; totals = { busy; makespan }; _ } = st in
+  {
+    r_sessions = p.sessions;
+    r_requests = requests;
+    r_latency = hist;
+    r_makespan_ns = makespan;
+    r_busy_ns = busy;
+    r_digest = digest_of ~sessions:p.sessions ~requests ~hist ~makespan;
+  }
 
-(* --- sharded execution (ROADMAP item 2) ---
-
-   [run] above is the serial reference; [run_sharded] decomposes the
-   same simulation along its only dependence cut into two shards under
-   the conservative coordinator (DESIGN.md Sec. 14):
-
-     shard 0, the admission source: owns the arrival and session-length
-       streams.  Its messages are admissions timestamped at the arrival
-       instant, so its lookahead is 0 and the window bound is its next
-       undrawn arrival.  Nobody ever sends to it, so it is input-free
-       and may legally run a whole batch of admissions *ahead* of the
-       window.  That pipelining overlaps only the source's own work,
-       measured at 5-10% of the serial run's, so it cannot buy much.
-
-     shard 1, the service station: owns the ready-queue heap, the
-       free-server array, the service and think streams and the
-       histogram.  It consumes admissions at barriers and never emits,
-       so its lookahead is infinite.
-
-   Determinism: each stochastic stream is drawn by exactly one shard in
-   the same per-stream order as the serial loop (arrival/length in
-   admission order, service/think in heap-pop order), and the station
-   consumes its inbox — which barrier-merge delivers in arrival order —
-   through a cursor interleaved with the heap under the serial loop's
-   own [ready <= arr_t] comparison, admitting (and, like [run], serving
-   on the spot) each arrival exactly when the serial loop would.  The
-   station therefore performs the *identical* sequence of heap pushes
-   and pops (same seqnos, same tie resolutions) as [run]: digest equality is by
-   construction, not merely almost-sure, and the heap stays at the
-   serial run's in-flight size instead of swallowing whole batches
-   (pre-pushing the batch was measured to triple the heap depth and
-   double the run's wall clock).  The gates pin it: test_shard.ml, the
-   pinned open_* cells, CI's --shards 1 vs 2 byte-diff.
-
-   The model has exactly one cut, so [shards] above 2 cap at 2: extra
-   shards would own nothing.  (The arrival process is a sequential
-   recurrence — it cannot split — and moving the histogram out of the
-   station would ship one message per request, costing more than the
-   bucketing it offloads.) *)
-
-let batch_sessions = 8192
-
-let run_sharded ?(shards = 2) ?par ?jobs p =
-  (* A second domain can only overlap admission with service, so the
-     default uses one only on a machine with a second core; on a
-     single-core host the same sharded protocol runs on one domain —
-     byte-identical either way, [par] overrides in both directions.  On
-     a 2-core VM two domains have measured 0.9-1.2x the serial run's
-     speed (EXPERIMENTS.md, "Open-arrival station"). *)
-  let par =
-    match par with
-    | Some b -> b
-    | None -> Dipc_sim.Parallel.default_jobs () > 1
-  in
-  if shards <= 1 then run p
-  else begin
-    let next_arrival, session_len, st =
-      setup ~capacity:256 "Openload.run_sharded" p
-    in
-    (* shard 0: admission source *)
-    let admitted = ref 0 in
-    let next_arr = ref (next_arrival 0.) in
-    let source =
-      {
-        Shard.st_next =
-          (fun () -> if !admitted < p.sessions then !next_arr else infinity);
-        st_lookahead = 0.;
-        st_step =
-          (fun ~inbox_at:_ ~inbox_pay:_ ~inbox_len:_ ~upto:_ ~emit ->
-            let n0 = !admitted in
-            while !admitted < p.sessions && !admitted - n0 < batch_sessions do
-              let arr_t = !next_arr in
-              (* Draw order (length, then next arrival) as in [run].  The
-                 payload is the session length, the same immediate int
-                 the station queues, so the message path allocates no
-                 session (shipping a record was measured to promote
-                 every session to the major heap). *)
-              let len = session_len () in
-              incr admitted;
-              emit ~dst:1 ~at:arr_t len;
-              next_arr := next_arrival arr_t
-            done;
-            !admitted - n0);
-      }
-    in
-    (* shard 1: service station *)
-    let queue = st.queue in
-    let station =
-      {
-        Shard.st_next =
-          (fun () ->
-            if Heap.is_empty queue then infinity else Heap.top_time queue);
-        st_lookahead = infinity;
-        st_step =
-          (fun ~inbox_at ~inbox_pay ~inbox_len ~upto ~emit:_ ->
-            (* The serial generator/queue loop verbatim, with the inbox
-               cursor standing in for lazy admission: an arrival is
-               admitted (and served on the spot) exactly when [run]
-               would admit it, so the push and pop sequences (and their
-               tie-breaking seqnos) are identical to the serial run's. *)
-            let cursor = ref 0 in
-            let progressed = ref 0 in
-            let continue = ref true in
-            while !continue do
-              let arr_t =
-                if !cursor < inbox_len then inbox_at.(!cursor) else infinity
-              in
-              if (not (Heap.is_empty queue)) && Heap.top_time queue <= arr_t
-              then begin
-                let ready = Heap.top_time queue in
-                if ready > upto then continue := false
-                else begin
-                  serve st ready (Heap.pop_min queue);
-                  incr progressed
-                end
-              end
-              else if !cursor >= inbox_len || arr_t > upto then
-                continue := false
-              else begin
-                serve st arr_t inbox_pay.(!cursor);
-                incr cursor;
-                incr progressed
-              end
-            done;
-            (* The admission source's zero lookahead gates the window at
-               its next undrawn arrival, so every delivered arrival lies
-               inside the window; bank any leftovers all the same to
-               keep the stepper total for other bound derivations. *)
-            while !cursor < inbox_len do
-              Heap.push queue ~time:inbox_at.(!cursor) inbox_pay.(!cursor);
-              incr cursor;
-              incr progressed
-            done;
-            !progressed);
-      }
-    in
-    Shard.run ~par ?jobs (Shard.create [| source; station |]);
-    result p st
-  end
+(* Kept only for the benchmark's [open_million] workload, which calls
+   it by this name; the open-arrival model is one FIFO station and runs
+   serially (DESIGN.md Sec. 14). *)
+let run_sharded ?shards:_ p = run p
 
 (* --- saturation knee ---
 

@@ -58,14 +58,9 @@ type result = {
     sessions complete in well under a host second. *)
 val run : params -> result
 
-(** The same simulation decomposed into an admission-source shard and a
-    service-station shard under the conservative coordinator (DESIGN.md
-    Sec. 14), pipelined across OCaml domains when [par] (default: only
-    on a machine with more than one recommended domain — the overlap
-    cannot pay on a single core).  Byte-identical result and digest to
-    {!run} either way; [shards <= 1] *is* {!run}, and counts above 2
-    cap at the model's single dependence cut. *)
-val run_sharded : ?shards:int -> ?par:bool -> ?jobs:int -> params -> result
+(** {!run} under its former name, ignoring [shards]: kept only for the
+    benchmark's [open_million] workload, which calls it by this name. *)
+val run_sharded : ?shards:int -> params -> result
 
 val utilization : result -> servers:int -> float
 

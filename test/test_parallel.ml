@@ -74,6 +74,36 @@ let test_exception_propagates_lowest_index () =
             "boom2" msg)
     [ 1; 2; 4 ]
 
+exception Boom of int
+
+let qcheck_run_lowest_index_exception =
+  QCheck.Test.make
+    ~name:"Parallel.run raises the lowest-index failure"
+    ~count:120
+    QCheck.(
+      triple (int_range 1 20) (int_range 1 8) (int_bound 1_000_000))
+    (fun (n, jobs, salt) ->
+      (* salt picks a nonempty failing subset deterministically *)
+      let fails i = (i + salt) mod 3 = 0 in
+      let lowest = ref None in
+      for i = n - 1 downto 0 do
+        if fails i then lowest := Some i
+      done;
+      match !lowest with
+      | None -> true
+      | Some want ->
+          let got =
+            match
+              Parallel.run ~jobs
+                (Array.init n (fun i ->
+                     ( Printf.sprintf "task%d" i,
+                       fun () -> if fails i then raise (Boom i) )))
+            with
+            | _ -> None
+            | exception Boom i -> Some i
+          in
+          got = Some want)
+
 let test_per_run_stats_populated () =
   let out = Parallel.run ~jobs:2 [| ("alloc", fun () -> List.init 10_000 Fun.id) |] in
   let o = out.(0) in
@@ -85,8 +115,8 @@ let test_per_run_stats_populated () =
 
 let pinned = Suite.cells_of Suite.Pinned
 
-let run_rows ?(shards = 1) ~jobs cells =
-  Suite.rows (Suite.run_cells { Suite.default_opts with jobs; shards } cells)
+let run_rows ~jobs cells =
+  Suite.rows (Suite.run_cells { Suite.default_opts with jobs } cells)
 
 (* The serial reference is the committed baseline (test_golden pins the
    serial suite against it); here the same suite runs sharded, at two
@@ -128,23 +158,6 @@ let test_suite_digests_shuffle_invariant () =
       Alcotest.(check string) ("shuffled digest: " ^ name) digest
         r.Suite.b_digest)
     (run_rows ~jobs:3 shuffled)
-
-(* [--shards] reaches only the four open-arrival cells (the OLTP cells
-   run on one engine): split at 2 shards, each must still land on its
-   serial pin. *)
-let test_open_cells_shards_invariant () =
-  let pins = Golden.parse_file baseline_path in
-  let open_cells =
-    List.filter
-      (fun c -> String.starts_with ~prefix:"open_" c.Suite.name)
-      pinned
-  in
-  Alcotest.(check int) "four open-arrival cells" 4 (List.length open_cells);
-  List.iter
-    (fun r ->
-      Alcotest.(check string) (r.Suite.b_name ^ " at --shards 2")
-        (List.assoc r.Suite.b_name pins) r.Suite.b_digest)
-    (run_rows ~shards:2 ~jobs:1 open_cells)
 
 (* Full row equality (names, digests, tallies, rendered lines) between
    serial and sharded runs of every [stride]-th cell of a family. *)
@@ -272,14 +285,13 @@ let suites =
           test_suite_digests_jobs_invariant;
         Alcotest.test_case "suite digests invariant under shuffle" `Slow
           test_suite_digests_shuffle_invariant;
-        Alcotest.test_case "open cells invariant under --shards" `Quick
-          test_open_cells_shards_invariant;
         Alcotest.test_case "security cells identical serial vs sharded" `Quick
           test_security_cells_jobs_invariant;
         Alcotest.test_case "open sweep cells identical serial vs sharded" `Quick
           test_open_sweep_cells_jobs_invariant;
         Alcotest.test_case "matrix cells identical serial vs sharded" `Slow
           test_matrix_cells_jobs_invariant;
+        QCheck_alcotest.to_alcotest qcheck_run_lowest_index_exception;
         QCheck_alcotest.to_alcotest qcheck_stress;
       ] );
   ]

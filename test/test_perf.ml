@@ -69,23 +69,15 @@ let prop_matches_stable_sort =
    the hole-percolation paths with a heap that grows and shrinks.  Up to
    400 operations, pushes outnumbering pops about 7:3, carry the heap
    through several doublings with pops (and so recycled payload slots)
-   between them, from an empty or a pre-sized start.  Every payload is
-   a fresh id, so a recycled slot handing back a stale payload fails the
-   comparison; pops switch between [pop] and [top_time]/[pop_min] with
-   the parity of the pushes so far, and the heap is drained against the
-   model at the end. *)
+   between them.  Every payload is a fresh id, so a recycled slot
+   handing back a stale payload fails the comparison; pops switch
+   between [pop] and [top_time]/[pop_min] with the parity of the pushes
+   so far, and the heap is drained against the model at the end. *)
 let prop_push_pop_model =
   QCheck.Test.make ~name:"heap push/pop matches list model" ~count:200
-    QCheck.(
-      pair
-        (option (int_range 0 40))
-        (list_of_size Gen.(0 -- 400) (option ~ratio:0.7 time_gen)))
-    (fun (capacity, ops) ->
-      let h =
-        match capacity with
-        | None -> Heap.create ()
-        | Some capacity -> Heap.create ~capacity ()
-      in
+    QCheck.(list_of_size Gen.(0 -- 400) (option ~ratio:0.7 time_gen))
+    (fun ops ->
+      let h = Heap.create () in
       let model = ref [] (* sorted (time, seq, id); seq breaks ties *) in
       let seq = ref 0 in
       let ok = ref true in
