@@ -48,10 +48,18 @@ let pp ppf c =
 (* --- revocation counters for asynchronous capabilities --- *)
 
 module Revocation = struct
-  (* Counters are keyed by (owner tag, program-chosen index), hashed and
-     compared as ints: no lookup calls the polymorphic hash or compare.
-     The table is never iterated, so the hash reaches no output. *)
-  module Tbl = Hashtbl.Make (struct
+  (* Counters are keyed by (owner tag, program-chosen index).  When both
+     are below 2^half_bits — every tag, and every index a program in the
+     tree uses — the key is the one int [tag lsl half_bits lor counter],
+     held in an open-addressing table of plain int arrays: a lookup
+     builds nothing, calls nothing and goes through no write barrier.
+     Anything else (the index comes from a program register, so it may
+     be negative or huge) goes to a pair-keyed table; packing is
+     one-to-one on the ints it takes, so the two tables never share a
+     key.  Neither table is iterated, so no hash reaches an output. *)
+  let half_bits = (Sys.int_size - 1) / 2
+
+  module Wide = Hashtbl.Make (struct
     type t = int * int
 
     let equal ((a : int), (b : int)) (c, d) = a = c && b = d
@@ -61,17 +69,75 @@ module Revocation = struct
       lsr (Sys.int_size - 30)
   end)
 
-  type table = { counters : int Tbl.t }
+  (* Linear probing over a power-of-two array at most half full; an
+     empty cell holds -1, which no packed key is. *)
+  type table = {
+    mutable keys : int array;
+    mutable counts : int array;
+    mutable used : int;
+    wide : int Wide.t;
+  }
 
-  let create () = { counters = Tbl.create 64 }
+  let create () =
+    {
+      keys = Array.make 64 (-1);
+      counts = Array.make 64 0;
+      used = 0;
+      wide = Wide.create 1;
+    }
+
+  (* Negative values set the sign bit, so one shift tests both. *)
+  let[@inline] fits ~tag ~counter = (tag lor counter) lsr half_bits = 0
+
+  (* The cell holding [key], or the empty cell where it would go. *)
+  let[@inline] cell keys key =
+    let mask = Array.length keys - 1 in
+    let i = ref (((key * 0x278DDE6E5FD29F05) lsr (Sys.int_size - 30)) land mask) in
+    while
+      let k = Array.unsafe_get keys !i in
+      k <> key && k >= 0
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
 
   let value t ~tag ~counter =
-    match Tbl.find t.counters (tag, counter) with
-    | v -> v
-    | exception Not_found -> 0
+    if fits ~tag ~counter then begin
+      let key = (tag lsl half_bits) lor counter in
+      let i = cell t.keys key in
+      if Array.unsafe_get t.keys i = key then Array.unsafe_get t.counts i else 0
+    end
+    else
+      match Wide.find t.wide (tag, counter) with
+      | v -> v
+      | exception Not_found -> 0
+
+  let[@inline never] double t =
+    let okeys = t.keys and ocounts = t.counts in
+    let n = 2 * Array.length okeys in
+    t.keys <- Array.make n (-1);
+    t.counts <- Array.make n 0;
+    Array.iteri
+      (fun j key ->
+        if key >= 0 then begin
+          let i = cell t.keys key in
+          t.keys.(i) <- key;
+          t.counts.(i) <- ocounts.(j)
+        end)
+      okeys
 
   (* Immediate revocation: bump the counter; every capability stamped with
      the old value becomes invalid everywhere at once. *)
   let revoke t ~tag ~counter =
-    Tbl.replace t.counters (tag, counter) (value t ~tag ~counter + 1)
+    if fits ~tag ~counter then begin
+      if 2 * (t.used + 1) > Array.length t.keys then double t;
+      let key = (tag lsl half_bits) lor counter in
+      let i = cell t.keys key in
+      if t.keys.(i) <> key then begin
+        t.keys.(i) <- key;
+        t.used <- t.used + 1
+      end;
+      t.counts.(i) <- t.counts.(i) + 1
+    end
+    else Wide.replace t.wide (tag, counter) (value t ~tag ~counter + 1)
 end

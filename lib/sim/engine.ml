@@ -2,12 +2,12 @@
 
    Simulated threads are ordinary OCaml functions that perform effects to
    interact with virtual time.  An effect handler per thread turns blocking
-   operations into heap-scheduled continuations, which keeps workload code
+   operations into queued continuations, which keeps workload code
    in direct style (the whole point of using OCaml 5 here: kernel and IPC
    protocol code below reads like the real thing).
 
    One-shot continuations: every suspended thread is resumed exactly once,
-   either by the timer heap ([delay]) or by whoever holds its waker
+   either by the event queue ([delay]) or by whoever holds its waker
    ([suspend]/[resume]). *)
 
 type t = {
@@ -62,7 +62,7 @@ let schedule t ~at f =
 
 exception Step_limit_exceeded
 
-(* Fire the next event: pop the heap minimum, count it, advance [now] to
+(* Fire the next event: pop the queue minimum, count it, advance [now] to
    its time and run its thunk.  The one firing step, shared by [run],
    [run_until] and the direct handoff below, so the three cannot drift.
    Allocates nothing itself (the thunk may): [top_time]/[pop_min] avoid
@@ -89,7 +89,7 @@ let[@inline] fire t =
    from inside the handler costs a fraction of one resumed from the
    loop (DESIGN.md Sec. 7).
 
-   It falls back to the loop (returns) when the heap is empty, when the
+   It falls back to the loop (returns) when the queue is empty, when the
    minimum lies past a [run_until] horizon (the event stays queued and
    the loop sets [now] to the deadline) or when firing would trip the
    step limit (the loop raises [Step_limit_exceeded], at the same step
@@ -166,17 +166,17 @@ and spawn ?at t f =
 let delay d = if d > 0. then Effect.perform (Delay d) else ()
 
 (* [delay_in t d] = [delay d] for a thread running inside engine [t],
-   with a fast path that skips the effect round trip and the heap.
+   with a fast path that skips the effect round trip and the event queue.
 
    The slow path is: perform Delay -> [schedule] emits a Sched event at
    [at = now + d] and pushes the continuation -> [fire] (from the
-   handoff or the run loop) pops the heap minimum, bumps [steps], sets
+   handoff or the run loop) pops the queue minimum, bumps [steps], sets
    [now] and resumes.  When our event
-   would be the strict minimum (heap empty or top strictly later — a tie
+   would be the strict minimum (queue empty or top strictly later — a tie
    loses to the earlier sequence number), nothing can run between push
    and pop, so emitting the same Sched event, bumping [steps] and
    advancing [now] in place is observably identical: same trace stream
-   byte for byte, same heap pop order for every other event (eliding a
+   byte for byte, same queue pop order for every other event (eliding a
    push/pop pair preserves the relative insertion order of the rest).
    The guards delegate to the real path whenever popping would cross a
    [run_until] horizon (the event must stay queued) or trip the step
@@ -234,6 +234,8 @@ let run_until t deadline =
   done
 
 let pending t = Heap.length t.events
+
+let queue_pushes t = (Heap.pushes t.events, Heap.far_pushes t.events)
 
 let steps t = t.steps
 

@@ -1,7 +1,7 @@
 (** Discrete-event simulation engine.
 
     Simulated threads are ordinary OCaml functions run under an effect
-    handler that turns blocking operations into heap-scheduled
+    handler that turns blocking operations into queued
     continuations, so protocol code reads in direct style.  Continuations
     are one-shot: every suspended thread is resumed exactly once. *)
 
@@ -36,8 +36,8 @@ val spawn : ?at:float -> t -> (unit -> unit) -> unit
 val delay : float -> unit
 
 (** [delay_in t d] behaves exactly like {!delay} for a thread running
-    inside engine [t], but skips the effect round trip and the timer
-    heap when no other event is due before the wakeup (observably
+    inside engine [t], but skips the effect round trip and the
+    event queue when no other event is due before the wakeup (observably
     identical: same trace events, same event order). *)
 val delay_in : t -> float -> unit
 
@@ -62,6 +62,11 @@ val run_until : t -> float -> unit
 
 (** Number of queued events. *)
 val pending : t -> int
+
+(** Pushes into the event queue so far, and how many of them went to
+    its far-tier heap ({!Heap.far_pushes}).  [delay_in] fast-path hits
+    push nothing. *)
+val queue_pushes : t -> int * int
 
 (** Events fired so far (across [run]/[run_until] calls). *)
 val steps : t -> int

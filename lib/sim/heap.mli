@@ -1,11 +1,16 @@
-(** Binary min-heap keyed by (time, insertion order).
+(** Min-priority event queue keyed by (time, insertion order).
 
     Events scheduled for the same instant pop in insertion order, which
-    keeps the discrete-event engine deterministic. *)
+    keeps the discrete-event engine deterministic.
+
+    Two tiers split at a time: a small sorted ring holds the entries
+    before the split and a binary heap the rest, so only far-future
+    entries pay for the heap (DESIGN.md Sec. 7).  The pop order is that
+    of a single heap. *)
 
 type 'a t
 
-(** An empty heap. *)
+(** An empty queue. *)
 val create : unit -> 'a t
 
 (** Number of queued entries. *)
@@ -27,5 +32,16 @@ val top_time : 'a t -> float
 
 (** Remove and return the earliest payload; raises [Invalid_argument]
     when empty.  Allocation-free counterpart of {!pop}; the vacated slot
-    is nulled so the heap retains no popped payload. *)
+    is nulled so the queue retains no popped payload. *)
 val pop_min : 'a t -> 'a
+
+(** Entries in the near tier, a part of {!length}. *)
+val near_length : 'a t -> int
+
+(** Pushes so far. *)
+val pushes : 'a t -> int
+
+(** Entries sent to the far-tier heap so far, by a push at or after the
+    split or by a spill of the near tier.  Deterministic for a given
+    push/pop stream: a design guard, not a timing. *)
+val far_pushes : 'a t -> int

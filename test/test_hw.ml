@@ -256,6 +256,64 @@ let test_revocation () =
   Alcotest.(check int) "independent counters" 0
     (Capability.Revocation.value t ~tag:1 ~counter:1)
 
+(* The table keys a (tag, counter) pair on one packed int when both fit
+   in half a word and falls back to a pair-keyed table otherwise.  Keys
+   on both sides of that line, and pairs that would collide under a
+   careless packing, must each keep a counter of their own. *)
+let test_revocation_wide_keys () =
+  let t = Capability.Revocation.create () in
+  let half = 1 lsl ((Sys.int_size - 1) / 2) in
+  let keys =
+    [
+      (1, 0);
+      (0, half);  (* (1, 0) if a counter could carry into the tag *)
+      (1, half - 1);
+      (half - 1, half - 1);
+      (half, 0);
+      (2, -1);
+      (-2, 5);
+      (max_int, max_int);
+      (min_int, 0);
+      (0, 0);
+    ]
+  in
+  List.iteri
+    (fun i (tag, counter) ->
+      for _ = 0 to i do
+        Capability.Revocation.revoke t ~tag ~counter
+      done)
+    keys;
+  List.iteri
+    (fun i (tag, counter) ->
+      Alcotest.(check int)
+        (Printf.sprintf "revoked %d times: (%d, %d)" (i + 1) tag counter)
+        (i + 1)
+        (Capability.Revocation.value t ~tag ~counter))
+    keys;
+  Alcotest.(check int) "untouched neighbour" 0
+    (Capability.Revocation.value t ~tag:2 ~counter:(-2));
+  Alcotest.(check int) "untouched wide neighbour" 0
+    (Capability.Revocation.value t ~tag:max_int ~counter:0);
+  (* 300 more packed keys: the table doubles several times, and every
+     counter survives the rehashing. *)
+  let bumps tag counter = 1 + ((tag + counter) mod 3) in
+  for tag = 100 to 199 do
+    for counter = 0 to 2 do
+      for _ = 1 to bumps tag counter do
+        Capability.Revocation.revoke t ~tag ~counter
+      done
+    done
+  done;
+  for tag = 100 to 199 do
+    for counter = 0 to 3 do
+      Alcotest.(check int) "counter after growth"
+        (if counter = 3 then 0 else bumps tag counter)
+        (Capability.Revocation.value t ~tag ~counter)
+    done
+  done;
+  Alcotest.(check int) "earlier packed key kept" 4
+    (Capability.Revocation.value t ~tag:(half - 1) ~counter:(half - 1))
+
 (* --- DCS --- *)
 
 let dummy_cap = { Capability.base = 0; length = 8; perm = Perm.Read; scope = sync_scope }
@@ -753,6 +811,8 @@ let suites =
         Alcotest.test_case "covers" `Quick test_capability_covers;
         Alcotest.test_case "restrict" `Quick test_capability_restrict_no_amplify;
         Alcotest.test_case "revocation" `Quick test_revocation;
+        Alcotest.test_case "revocation keys past the packing" `Quick
+          test_revocation_wide_keys;
       ]
       @ qsuite [ prop_capability_restrict_shrinks ] );
     ( "hw.dcs",

@@ -7,6 +7,8 @@
    a shifted golden digest nobody can decode. *)
 
 module Heap = Dipc_sim.Heap
+module Engine = Dipc_sim.Engine
+module Oltp = Dipc_workloads.Oltp
 module Trace = Dipc_sim.Trace
 module Breakdown = Dipc_sim.Breakdown
 module Memory = Dipc_hw.Memory
@@ -133,11 +135,139 @@ let prop_pop_min_agrees =
       done;
       !ok && Heap.is_empty b)
 
-(* After 2^38 pushes into one heap the packed keys run out of sequence
+(* --- queue: engine-shaped streams against the list model ---
+
+   The queue keeps the entries before a time [split] in a small sorted
+   ring (the near tier) and the rest in a binary heap (the far tier);
+   a pop from an empty ring first refills it from the heap, and a push
+   into a full ring goes to the heap itself if it is the latest entry,
+   or else first spills the ring's latest equal-time run there.  The
+   streams below are shaped like the engine's, which is what makes the
+   tiers matter: a monotone clock (every push is at or after the last
+   popped time), most pushes a small offset ahead of it, a minority far
+   timers.  Times are whole numbers, so equal times are common. *)
+
+type qop =
+  | Near of int  (* push at now + offset, offset 0..3 *)
+  | Far of int  (* push at now + 50 + offset: a stall timer *)
+  | Burst of int * int  (* n pushes at now + offset, n up to 40 *)
+  | Pop
+  | Drain  (* pop everything *)
+
+let qop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun o -> Near o) (int_range 0 3));
+        (2, map (fun o -> Far o) (int_range 0 5));
+        (1, map2 (fun n o -> Burst (n, o)) (int_range 2 40) (int_range 0 60));
+        (8, return Pop);
+        (1, return Drain);
+      ])
+
+let print_qop = function
+  | Near o -> Printf.sprintf "Near %d" o
+  | Far o -> Printf.sprintf "Far %d" o
+  | Burst (n, o) -> Printf.sprintf "Burst (%d, %d)" n o
+  | Pop -> "Pop"
+  | Drain -> "Drain"
+
+(* The model is a list sorted by time, push order among equal times: a
+   push goes after every entry not later than it. *)
+let rec model_insert time id = function
+  | (t, _) :: _ as l when t > time -> (time, id) :: l
+  | e :: rest -> e :: model_insert time id rest
+  | [] -> [ (time, id) ]
+
+let prop_engine_shaped_streams =
+  QCheck.Test.make ~name:"queue matches list model on engine-shaped streams"
+    ~count:300
+    QCheck.(make ~print:Print.(list print_qop) Gen.(list_size (0 -- 300) qop_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and now = ref 0. and next_id = ref 0 in
+      let push time =
+        Heap.push h ~time !next_id;
+        model := model_insert time !next_id !model;
+        incr next_id
+      in
+      let pop () =
+        match (Heap.pop h, !model) with
+        | None, [] -> true
+        | Some (time, id), (mt, mid) :: rest when time = mt && id = mid ->
+            now := time;
+            model := rest;
+            true
+        | _ -> false
+      in
+      let step op =
+        let ok =
+          match op with
+          | Near o -> push (!now +. float_of_int o); true
+          | Far o -> push (!now +. 50. +. float_of_int o); true
+          | Burst (n, o) ->
+              for _ = 1 to n do
+                push (!now +. float_of_int o)
+              done;
+              true
+          | Pop -> pop ()
+          | Drain ->
+              let ok = ref true in
+              while !ok && !model <> [] do
+                ok := pop ()
+              done;
+              !ok && Heap.is_empty h
+        in
+        ok
+        && Heap.length h = List.length !model
+        && Heap.is_empty h = (!model = [])
+      in
+      List.for_all step ops
+      &&
+      let ok = ref true in
+      while !ok && !model <> [] do
+        ok := pop ()
+      done;
+      !ok && Heap.is_empty h)
+
+(* An equal-time burst of 80 pushes, two and a half rings: the first
+   32 fill the ring, the rest go to the far heap with the split at
+   their time.  Popping the ring empty and once more refills it with
+   the next 32 and leaves 16 in the heap at the split itself, so equal
+   times straddle the split, and a push at that time must queue behind
+   both tiers' entries while an earlier push goes first. *)
+let test_spill_refill_ties () =
+  let h = Heap.create () in
+  for i = 0 to 79 do
+    Heap.push h ~time:5. i
+  done;
+  Alcotest.(check int) "pushes past the full ring went far" 48
+    (Heap.far_pushes h);
+  Alcotest.(check (list int)) "the ring pops first" (List.init 33 Fun.id)
+    (List.init 33 (fun _ -> Heap.pop_min h));
+  Alcotest.(check (pair int int)) "refilled ring and the run's rest" (31, 47)
+    (Heap.near_length h, Heap.length h);
+  Heap.push h ~time:5. 80;
+  Heap.push h ~time:4. 81;
+  Alcotest.(check (option (pair (float 0.) int))) "earlier push first"
+    (Some (4., 81)) (Heap.pop h);
+  Alcotest.(check (list int)) "push order at the split time"
+    (List.init 48 (fun i -> i + 33))
+    (List.map snd (drain h))
+
+(* After 2^38 pushes into one queue the packed keys run out of sequence
    numbers and the live entries are renumbered in place.  Reaching that
    honestly takes hours, so jump the counter ([next_seq], field 4 of the
-   heap record) to just below the limit, then push and pop across the
-   renumbering: the pop order must still match a stable sort by time. *)
+   queue record) to the limit, then push and pop across the renumbering:
+   the pop order must still match a stable sort by time.  The field is
+   checked to hold the push count first, so a change of the record's
+   layout fails here instead of overwriting some other field.
+
+   The renumbering crosses entries in both tiers at the same time: a
+   ring full of entries at time 10, four more at 10 behind them in the
+   far heap.  The push right after it spills the ring's run into the
+   far heap, where the fresh numbers must still put it before those
+   four. *)
 let test_seq_renumbering () =
   let h = Heap.create () in
   let model = ref [] and id = ref 0 in
@@ -156,12 +286,23 @@ let test_seq_renumbering () =
         model := List.filter (fun e -> e != expected) l
     | _ -> Alcotest.fail "heap and model disagree on emptiness"
   in
-  List.iter push [ 3.; 1.; 3.; 2.; 1.; 3. ];
+  for _ = 0 to 35 do
+    push 10.
+  done;
+  push 100.;
   pop ();
+  Alcotest.(check (pair int int)) "31 near entries, 36 in all" (31, 36)
+    (Heap.near_length h, Heap.length h);
+  Alcotest.(check int) "field 4 holds the push count" !id
+    (Obj.obj (Obj.field (Obj.repr h) 4) : int);
   let seq_limit = 1 lsl (Sys.int_size - 1 - 24) in
-  Obj.set_field (Obj.repr h) 4 (Obj.repr (seq_limit - 3));
+  Obj.set_field (Obj.repr h) 4 (Obj.repr (seq_limit - 1));
+  push 1.;
+  push 2.;
+  Alcotest.(check bool) "both tiers after the renumbering" true
+    (Heap.near_length h > 0 && Heap.near_length h < Heap.length h);
   for i = 0 to 11 do
-    push (float_of_int (i mod 4));
+    push (float_of_int (i mod 4) +. 9.);
     if i mod 3 = 2 then pop ()
   done;
   while !model <> [] do
@@ -195,18 +336,23 @@ let live_payloads w =
   done;
   !live
 
-(* The heap grows (16 -> 64 slots), recycles slots through a partial
+let both_tiers h = Heap.near_length h > 0 && Heap.near_length h < Heap.length h
+
+(* The queue grows (16 -> 64 slots), recycles slots through a partial
    drain, grows again (-> 128) on top of the recycled slots and drains:
-   at every stage exactly the queued payloads stay reachable. *)
+   at every stage exactly the queued payloads stay reachable, with
+   payloads queued in both tiers at each check. *)
 let test_no_payload_retention () =
   let h = Heap.create () in
   let w = Weak.create 150 in
   fill_heap h w ~first:0 40;
   pop_heap h 25;
+  Alcotest.(check bool) "both tiers after a partial drain" true (both_tiers h);
   Alcotest.(check int) "only queued payloads live after a partial drain"
     (Heap.length h) (live_payloads w);
   fill_heap h w ~first:40 110;
   pop_heap h 60;
+  Alcotest.(check bool) "both tiers after regrowth" true (both_tiers h);
   Alcotest.(check int) "only queued payloads live after regrowth"
     (Heap.length h) (live_payloads w);
   drain_heap h;
@@ -214,6 +360,42 @@ let test_no_payload_retention () =
   (* The heap stays usable after the drain. *)
   Heap.push h ~time:1. (Bytes.make 1 'y');
   Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
+
+(* --- queue: the design guard on the Fig. 8 cells ---
+
+   The two tiers pay only if the common push stays out of the far heap.
+   The count of keys sent there is deterministic for a seeded run, so a
+   change that quietly routes the engine's common case through the heap
+   fails here, not only on a benchmark host.  Seed 41, 96 threads per
+   tier: the Linux cell queues ~86 events at the average push, most of
+   them stall timers, and the dIPC cell 3. *)
+let far_share config =
+  let engine = ref None in
+  let drive_until e deadline =
+    engine := Some e;
+    Engine.run_until e deadline
+  in
+  ignore
+    (Oltp.run ~seed:41 ~drive_until ~config ~db_mode:Oltp.In_memory
+       ~threads:96 ());
+  match !engine with
+  | None -> Alcotest.fail "the run never drove its engine"
+  | Some e ->
+      let pushes, far = Engine.queue_pushes e in
+      Alcotest.(check bool) "the run pushed events" true (pushes > 0);
+      float_of_int far /. float_of_int pushes
+
+let test_far_share_linux () =
+  let share = far_share Oltp.Linux in
+  if share > 0.15 then
+    Alcotest.failf "Linux cell sent %.1f%% of its pushes to the far heap (bound 15%%)"
+      (100. *. share)
+
+let test_far_share_dipc () =
+  let share = far_share Oltp.Dipc in
+  if share > 0.01 then
+    Alcotest.failf "dIPC cell sent %.2f%% of its pushes to the far heap (bound 1%%)"
+      (100. *. share)
 
 (* --- APL cache: reset, and LRU model equivalence --- *)
 
@@ -560,14 +742,24 @@ let suites =
           prop_matches_stable_sort;
           prop_push_pop_model;
           prop_pop_min_agrees;
+          prop_engine_shaped_streams;
         ]
       @ [
+          Alcotest.test_case "spill and refill split a tie" `Quick
+            test_spill_refill_ties;
           Alcotest.test_case "popped payloads not retained" `Quick
             test_no_payload_retention;
           Alcotest.test_case "sequence numbers renumbered" `Quick
             test_seq_renumbering;
         ]
     );
+    ( "perf.queue_guard",
+      [
+        Alcotest.test_case "Linux cell: far heap <= 15% of pushes" `Quick
+          test_far_share_linux;
+        Alcotest.test_case "dIPC cell: far heap <= 1% of pushes" `Quick
+          test_far_share_dipc;
+      ] );
     ( "perf.apl_cache",
       Alcotest.test_case "reset clears statistics" `Quick test_apl_reset_clears_stats
       :: qsuite [ prop_apl_matches_model; prop_apl_lookup_pure_miss ] );
