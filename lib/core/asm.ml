@@ -30,8 +30,6 @@ let bind a l = a.items <- Bind l :: a.items
 
 let align a n = a.items <- Align n :: a.items
 
-let emit_all a items = List.iter (ins a) items
-
 (* Number of instruction slots an item list occupies from [addr]. *)
 let rec layout addr = function
   | [] -> addr

@@ -25,8 +25,6 @@ val bind : t -> label -> unit
 (** Pad with Nop to the given alignment. *)
 val align : t -> int -> unit
 
-val emit_all : t -> Isa.instr list -> unit
-
 (** Resolved address of a label; only valid after {!assemble}. *)
 val target : label -> int
 

@@ -202,7 +202,8 @@ let symbol loaded ~proc ~name =
 let call t loaded th ~proc ~name ~args =
   Annot.call t loaded.l_resolver th (symbol loaded ~proc ~name) ~args
 
-let load t ?(resolver = Resolver.create ()) source =
+let load t source =
+  let resolver = Resolver.create () in
   let loaded =
     { l_images = Hashtbl.create 8; l_symbols = Hashtbl.create 16; l_resolver = resolver }
   in

@@ -20,9 +20,9 @@ exception Parse_error of int * string  (** (line, message) *)
 
 type loaded
 
-(** Parse and load [source] into the system; publishes entries on the
-    resolver (a fresh one unless provided). *)
-val load : System.t -> ?resolver:Resolver.t -> string -> loaded
+(** Parse and load [source] into the system; publishes entries on a
+    fresh resolver of its own. *)
+val load : System.t -> string -> loaded
 
 (** The image built for a process declared in the source. *)
 val image : loaded -> proc:string -> Annot.image

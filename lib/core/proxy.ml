@@ -372,7 +372,3 @@ let generate cache ~mem ~base ~target_addr ~target_tag config =
     g_bytes = last - base;
     g_config = config;
   }
-
-(* First address past a generated proxy; used to pack several proxies into
-   one domain. *)
-let end_of g ~base = base + g.g_bytes

@@ -41,5 +41,3 @@ val generate :
   target_tag:int ->
   config ->
   generated
-
-val end_of : generated -> base:int -> int

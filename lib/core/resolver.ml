@@ -16,8 +16,6 @@ let publish t ~path ?(mode = World_readable) handle =
     System.deny "resolver: %s already published" path;
   Hashtbl.replace t.sockets path (handle, mode)
 
-let unpublish t ~path = Hashtbl.remove t.sockets path
-
 let lookup t ~path ~(caller : System.process) =
   match Hashtbl.find_opt t.sockets path with
   | None -> Error (Printf.sprintf "resolver: no socket at %s" path)

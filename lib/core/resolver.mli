@@ -11,8 +11,6 @@ val create : unit -> t
 (** Publish an entry handle under [path]; denies duplicates. *)
 val publish : t -> path:string -> ?mode:mode -> Entry.entry_handle -> unit
 
-val unpublish : t -> path:string -> unit
-
 (** Fetch the handle at [path], subject to its access mode. *)
 val lookup :
   t -> path:string -> caller:System.process -> (Entry.entry_handle, string) result

@@ -76,27 +76,3 @@ let measure ?(warmup = 3) ?(iters = 50) t =
     Stats.add stats (ctx.Machine.cost -. c0)
   done;
   Stats.summary stats
-
-(* The cost of the bare function + harness without any proxy: calling the
-   callee function directly in its own process.  Subtracting it isolates
-   the primitive's added cost, like the paper's "added execution time". *)
-let measure_direct ?(iters = 50) () =
-  let sys = System.create () in
-  let proc = System.create_process sys ~name:"solo" in
-  let img = Annot.image sys proc in
-  let fn = Annot.declare_function sys img ~name:"fn" default_fn in
-  let th = System.create_thread sys proc in
-  (match Call.exec sys th ~fn ~args:[ 1; 2 ] with
-  | Ok 3 -> ()
-  | Ok v -> failwith (Printf.sprintf "direct call returned %d" v)
-  | Error f -> failwith (Dipc_hw.Fault.to_string f));
-  let ctx = th.System.t_ctx in
-  let stats = Stats.create () in
-  for _ = 1 to iters do
-    let c0 = ctx.Machine.cost in
-    (match Call.exec sys th ~fn ~args:[ 1; 2 ] with
-    | Ok _ -> ()
-    | Error f -> failwith (Dipc_hw.Fault.to_string f));
-    Stats.add stats (ctx.Machine.cost -. c0)
-  done;
-  Stats.summary stats

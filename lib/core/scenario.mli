@@ -31,6 +31,3 @@ val call : t -> args:int list -> (int, Dipc_hw.Fault.t) result
 
 (** Mean per-call simulated cost over [iters] warm calls. *)
 val measure : ?warmup:int -> ?iters:int -> t -> Dipc_sim.Stats.summary
-
-(** Baseline: the bare function + harness without any proxy. *)
-val measure_direct : ?iters:int -> unit -> Dipc_sim.Stats.summary

@@ -24,10 +24,6 @@ let signature_equal a b =
   a.args = b.args && a.rets = b.rets && a.stack_bytes = b.stack_bytes
   && a.cap_args = b.cap_args && a.cap_rets = b.cap_rets
 
-let pp_signature ppf s =
-  Fmt.pf ppf "sig(args=%d rets=%d stack=%dB caps=%d/%d)" s.args s.rets
-    s.stack_bytes s.cap_args s.cap_rets
-
 (* Isolation properties (Sec. 5.2.3).  Each one is independently requested
    by caller and/or callee; the effective set for a proxy is the union
    (Table 2: "per-entry policy is entries[i].policy U entry.entries[i].policy",
@@ -75,20 +71,6 @@ let props_union a b =
     dcs_integrity = a.dcs_integrity || b.dcs_integrity;
     dcs_confidentiality = a.dcs_confidentiality || b.dcs_confidentiality;
   }
-
-let pp_props ppf p =
-  let flags =
-    [
-      ("reg-int", p.reg_integrity);
-      ("reg-conf", p.reg_confidentiality);
-      ("stack-int", p.stack_integrity);
-      ("stack-conf", p.stack_confidentiality);
-      ("dcs-int", p.dcs_integrity);
-      ("dcs-conf", p.dcs_confidentiality);
-    ]
-  in
-  let on = List.filter_map (fun (n, b) -> if b then Some n else None) flags in
-  Fmt.pf ppf "{%s}" (String.concat "," on)
 
 (* Error codes delivered on cross-process fault unwinding (Sec. 5.2.1),
    stored in the thread struct's errno slot. *)

@@ -22,8 +22,6 @@ val signature :
 
 val signature_equal : signature -> signature -> bool
 
-val pp_signature : Format.formatter -> signature -> unit
-
 (** Isolation properties (Sec. 5.2.3), independently requested by caller
     and callee. *)
 type props = {
@@ -45,8 +43,6 @@ val props_low : props
 val props_high : props
 
 val props_union : props -> props -> props
-
-val pp_props : Format.formatter -> props -> unit
 
 (** Error codes delivered on fault unwinding (thread-struct errno). *)
 val err_none : int

@@ -14,7 +14,6 @@ type kind =
   | Cap_invalid (* revoked or out-of-scope capability *)
   | Cap_storage of string (* cap-storage-bit discipline violated *)
   | Dcs_bounds of string (* DCS under/overflow or base violation *)
-  | Apl_cache_miss of int (* strict mode only; payload = missing tag *)
   | Bad_instruction (* fetch decoded no instruction *)
   | Software_trap of int (* explicit Trap instruction, e.g. stack check *)
 
@@ -34,7 +33,6 @@ let kind_to_string = function
   | Cap_invalid -> "invalid/revoked capability"
   | Cap_storage s -> "capability storage violation: " ^ s
   | Dcs_bounds s -> "DCS bounds violation: " ^ s
-  | Apl_cache_miss t -> Printf.sprintf "APL cache miss (tag %d)" t
   | Bad_instruction -> "bad instruction"
   | Software_trap n -> Printf.sprintf "software trap %d" n
 
@@ -50,7 +48,7 @@ let to_string t = Fmt.str "%a" pp t
 (* Stable small code per fault class, for digestable fault summaries
    (payloads are dropped; the directed suites assert exact kinds).  The
    numbering is part of the adversarial golden pins: append, never
-   renumber. *)
+   renumber (9 belonged to a retired APL-cache-miss kind). *)
 let kind_code = function
   | Unmapped -> 0
   | No_permission _ -> 1
@@ -61,7 +59,6 @@ let kind_code = function
   | Cap_invalid -> 6
   | Cap_storage _ -> 7
   | Dcs_bounds _ -> 8
-  | Apl_cache_miss _ -> 9
   | Bad_instruction -> 10
   | Software_trap _ -> 11
 
@@ -102,8 +99,7 @@ let downgradeable = function
   | No_permission _ | Not_entry_point | Exec_violation | Write_to_readonly
   | Privilege_required | Cap_storage _ ->
       true
-  | Unmapped | Cap_invalid | Dcs_bounds _ | Apl_cache_miss _ | Bad_instruction
-  | Software_trap _ ->
+  | Unmapped | Cap_invalid | Dcs_bounds _ | Bad_instruction | Software_trap _ ->
       false
 
 (* Process-wide default posture, sampled at machine/model creation (the

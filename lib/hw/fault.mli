@@ -12,7 +12,6 @@ type kind =
   | Cap_invalid  (** revoked or out-of-scope capability *)
   | Cap_storage of string  (** capability-storage-bit discipline violated *)
   | Dcs_bounds of string
-  | Apl_cache_miss of int  (** strict mode only *)
   | Bad_instruction
   | Software_trap of int
 

@@ -23,10 +23,6 @@ let num_cregs = 8
 
 let sp = 15
 
-let arg_regs = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-
-let callee_saved = [ 8; 9; 10; 11 ]
-
 let scratch0 = 12
 
 let scratch1 = 13

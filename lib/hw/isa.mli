@@ -16,10 +16,6 @@ val num_cregs : int
 
 val sp : reg
 
-val arg_regs : reg list
-
-val callee_saved : reg list
-
 val scratch0 : reg
 
 val scratch1 : reg

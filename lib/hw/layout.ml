@@ -15,10 +15,6 @@ let cap_bytes = 32
 
 let page_of addr = addr lsr page_shift
 
-let page_base addr = addr land lnot (page_size - 1)
-
-let offset_in_page addr = addr land (page_size - 1)
-
 let align_up addr align = (addr + align - 1) land lnot (align - 1)
 
 let is_aligned addr align = addr land (align - 1) = 0

@@ -14,10 +14,6 @@ val cap_bytes : int
 
 val page_of : int -> int
 
-val page_base : int -> int
-
-val offset_in_page : int -> int
-
 val align_up : int -> int -> int
 
 val is_aligned : int -> int -> bool

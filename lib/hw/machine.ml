@@ -120,9 +120,7 @@ type t = {
   apl : Apl.t;
   mem : Memory.t;
   revocation : Capability.Revocation.table;
-  mutable strict_apl_cache : bool;
   mutable on_syscall : (ctx -> int -> unit) option;
-  mutable attr_of_tag : int -> Breakdown.category;
   mutable next_ctx_id : int;
   mutable tracer : Trace.t;
   tlb_pages : int array; (* direct-mapped translation cache: page per way *)
@@ -258,9 +256,7 @@ let create () =
     apl = Apl.create ();
     mem = Memory.create ();
     revocation = Capability.Revocation.create ();
-    strict_apl_cache = false;
     on_syscall = None;
-    attr_of_tag = (fun _ -> Breakdown.User_code);
     next_ctx_id = 0;
     tracer = Trace.null;
     tlb_pages = Array.make tlb_ways (-1);
@@ -327,8 +323,6 @@ let set_trace m tracer = m.tracer <- tracer
 
 let set_inject m inj = m.inject <- inj
 
-let set_attribution m f = m.attr_of_tag <- f
-
 let new_ctx ?(dcs_capacity = Dcs.default_capacity) m ~pc ~sp_value =
   let id = m.next_ctx_id in
   m.next_ctx_id <- m.next_ctx_id + 1;
@@ -370,11 +364,10 @@ let[@inline] sync_cost ctx = ctx.cost <- cost_now ctx
 let charge m ctx ns =
   Float.Array.unsafe_set ctx.cost_acc 0 (cost_now ctx +. ns);
   sync_cost ctx;
-  let cat = m.attr_of_tag ctx.cur_tag in
-  Breakdown.charge ctx.breakdown cat ns;
+  Breakdown.charge ctx.breakdown Breakdown.User_code ns;
   if Trace.enabled m.tracer then
-    Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~cat ~dur:ns
-      Trace.Charge
+    Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag
+      ~cat:Breakdown.User_code ~dur:ns Trace.Charge
 
 let charge_as m ctx category ns =
   Float.Array.unsafe_set ctx.cost_acc 0 (cost_now ctx +. ns);
@@ -560,9 +553,8 @@ let check_transfer m ctx target =
     (match m.inject with
     | Some inj ->
         (* Injected cold APL cache: the crossing must still succeed, just
-           through the (slow) refill path.  Skipped in strict mode, where
-           a miss is a fault by configuration, not a perturbation. *)
-        if (not m.strict_apl_cache) && Dipc_sim.Inject.apl_flush inj then
+           through the (slow) refill path. *)
+        if Dipc_sim.Inject.apl_flush inj then
           Apl_cache.reset ctx.apl_cache;
         (* Injected capability-register spill/refill around the crossing:
            the register file must survive a clobber-and-restore cycle,
@@ -577,11 +569,8 @@ let check_transfer m ctx target =
     | None -> ());
     (* The instruction pointer now originates from the new domain; its APL
        becomes the active one, via the per-thread APL cache. *)
-    if not (Apl_cache.ensure_hit ctx.apl_cache new_tag) then begin
-      if m.strict_apl_cache then
-        Fault.raise_fault ~pc:target (Fault.Apl_cache_miss new_tag)
-      else charge_as m ctx Breakdown.Kernel apl_cache_refill_cost
-    end
+    if not (Apl_cache.ensure_hit ctx.apl_cache new_tag) then
+      charge_as m ctx Breakdown.Kernel apl_cache_refill_cost
   end
   else if ctx.cur_tag = -1 then ignore (Apl_cache.ensure_hit ctx.apl_cache new_tag);
   ctx.cur_tag <- new_tag;
@@ -767,13 +756,9 @@ let exec_instr m ctx instr ~pc ~next =
             set_reg ctx d hw;
             ctx.pc <- next
         | None ->
-            if m.strict_apl_cache then
-              Fault.raise_fault ~pc (Fault.Apl_cache_miss (reg ctx s))
-            else begin
-              charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
-              set_reg ctx d (Apl_cache.install ctx.apl_cache (reg ctx s));
-              ctx.pc <- next
-            end
+            charge_as m ctx Breakdown.Kernel apl_cache_refill_cost;
+            set_reg ctx d (Apl_cache.install ctx.apl_cache (reg ctx s));
+            ctx.pc <- next
       end
     | Isa.CapAplDerive (c, rb, rl, perm) ->
         let cap =
@@ -1208,11 +1193,9 @@ let ras_push m ~cont_pc ~sb ~uidx =
    sb.s_pc] and the transfer check for the entry already performed.
 
    Charge order replays the reference interpreter exactly: per
-   instruction one [instret] bump, one [cost +. c] and one Breakdown
-   cell add — same floats, same sequence — then the effect closure.
-   The attribution category is resolved at entry and re-resolved only
-   after a junction crossing (attr_of_tag is mutable machine state, but
-   only a syscall — never chained — can change it).
+   instruction one [instret] bump, one [cost +. c] and one add to the
+   [User_code] Breakdown cell — same floats, same sequence — then the
+   effect closure.
 
    The junction protocol after a unit's terminator (or fall-through):
    stop on a planned end; stop (side exit) when the actual [ctx.pc]
@@ -1236,8 +1219,7 @@ let ras_push m ~cont_pc ~sb ~uidx =
      superblock's generations are live, and the landing unit's
      translated tag/priv match the live view.  Ordinary cross-domain
      returns (callee tag back to caller tag) chain like same-domain
-     ones — the attribution category is re-resolved when the tag moved
-     across the Ret.  Anything else is a counted miss + side exit; the
+     ones.  Anything else is a counted miss + side exit; the
      dIPC cross-crossing unwind never reaches here at all (it runs
      through [force_transfer] under Syscall/Trap, which are never
      chained).
@@ -1255,6 +1237,8 @@ let ras_push m ~cont_pc ~sb ~uidx =
    foreign code) are never chained, and data stores cannot touch the
    separate code store — so generation counters are checked at entry
    and at every cross-superblock hop, not per static junction. *)
+let user_code_idx = Breakdown.category_index Breakdown.User_code
+
 let exec_superblock m ctx sb0 remaining =
   let units = ref sb0.s_units in
   let cur_sb = ref sb0 in
@@ -1267,13 +1251,6 @@ let exec_superblock m ctx sb0 remaining =
   let g_code = Memory.code_generation m.mem in
   let g_pt = Page_table.generation m.page_table in
   let g_apl = Apl.generation m.apl in
-  (* The attribution category is a function of [cur_tag] and the
-     (mutable) [attr_of_tag] — both can only change across a junction
-     transfer check while a superblock runs (syscalls are never
-     chained), so resolve once here and again only after a crossing.
-     A self-looping unit therefore charges a whole hot loop without a
-     single closure re-resolution. *)
-  let cat_i = ref (Breakdown.category_index (m.attr_of_tag ctx.cur_tag)) in
   (* Costs go into the unboxed accumulator only; [run] refreshes the
      [ctx.cost] mirror when it returns or raises.  A [check_transfer]
      refill charge refreshes it too, harmlessly. *)
@@ -1284,21 +1261,16 @@ let exec_superblock m ctx sb0 remaining =
     m.ctr_block_entries <- m.ctr_block_entries + 1;
     let k = if u.u_len < !remaining then u.u_len else !remaining in
     remaining := !remaining - k;
-    let ci = !cat_i in
     let costs = u.u_costs and code = u.u_code in
     for i = 0 to k - 1 do
       ctx.instret <- ctx.instret + 1;
       let c = Array.unsafe_get costs i in
       Float.Array.unsafe_set acc 0 (Float.Array.unsafe_get acc 0 +. c);
-      Breakdown.charge_idx ctx.breakdown ci c;
+      Breakdown.charge_idx ctx.breakdown user_code_idx c;
       (Array.unsafe_get code i) ctx
     done;
     if k < u.u_len then continue_ := false (* out of fuel mid-body *)
     else begin
-      (* Snapshot the domain before the terminator: a Ret that crossed
-         domains must re-resolve the attribution category on a RAS
-         hit. *)
-      let tag0 = ctx.cur_tag in
       (match u.u_term with
       | Some _ ->
           if !remaining <= 0 then continue_ := false
@@ -1307,7 +1279,7 @@ let exec_superblock m ctx sb0 remaining =
             ctx.instret <- ctx.instret + 1;
             let c = u.u_term_cost in
             Float.Array.unsafe_set acc 0 (Float.Array.unsafe_get acc 0 +. c);
-            Breakdown.charge_idx ctx.breakdown ci c;
+            Breakdown.charge_idx ctx.breakdown user_code_idx c;
             u.u_term_code ctx;
             (* A call that completed predicts its return. *)
             if u.u_cont_idx >= 0 then
@@ -1333,10 +1305,7 @@ let exec_superblock m ctx sb0 remaining =
                   m.ctr_side_exits <- m.ctr_side_exits + 1;
                   continue_ := false
                 end
-                else begin
-                  cat_i := Breakdown.category_index (m.attr_of_tag ctx.cur_tag);
-                  idx := u.u_next_idx
-                end
+                else idx := u.u_next_idx
               end
               else if ctx.cur_tag <> v.u_tag || ctx.priv <> v.u_priv then begin
                 m.ctr_side_exits <- m.ctr_side_exits + 1;
@@ -1370,14 +1339,10 @@ let exec_superblock m ctx sb0 remaining =
                 then begin
                   let v = Array.unsafe_get psb.s_units m.ras_uidx.(slot) in
                   if ctx.cur_tag = v.u_tag && ctx.priv = v.u_priv then begin
-                    hit := true;
                     (* a cross-domain return (callee tag /= caller
-                       tag) chains too — its closure already ran the
-                       reference transfer check — but the attribution
-                       category must follow the domain *)
-                    if ctx.cur_tag <> tag0 then
-                      cat_i :=
-                        Breakdown.category_index (m.attr_of_tag ctx.cur_tag);
+                       tag) chains too: its closure already ran the
+                       reference transfer check *)
+                    hit := true;
                     cur_sb := psb;
                     units := psb.s_units;
                     idx := m.ras_uidx.(slot)
@@ -1404,18 +1369,13 @@ let exec_superblock m ctx sb0 remaining =
                   check_transfer m ctx target;
                 (* The warm-cache validity test is written out at both
                    consult sites (rather than as a shared closure) to
-                   keep the hit path allocation-free; an indirect
-                   transfer that stayed in the domain also keeps its
-                   attribution category without re-resolving. *)
+                   keep the hit path allocation-free. *)
                 match cell.ic_sb with
                 | Some sb
                   when sb.s_tag = ctx.cur_tag && sb.s_priv = ctx.priv
                        && sb.s_code_gen = g_code && sb.s_pt_gen = g_pt
                        && sb.s_apl_gen = g_apl ->
                     m.ctr_ic_hits <- m.ctr_ic_hits + 1;
-                    if ctx.cur_tag <> tag0 then
-                      cat_i :=
-                        Breakdown.category_index (m.attr_of_tag ctx.cur_tag);
                     cur_sb := sb;
                     units := sb.s_units;
                     idx := 0
@@ -1430,10 +1390,6 @@ let exec_superblock m ctx sb0 remaining =
                            && sb.s_apl_gen = g_apl ->
                         cell.ic_sb <- Some sb;
                         m.ctr_ic_hits <- m.ctr_ic_hits + 1;
-                        if ctx.cur_tag <> tag0 then
-                          cat_i :=
-                            Breakdown.category_index
-                              (m.attr_of_tag ctx.cur_tag);
                         cur_sb := sb;
                         units := sb.s_units;
                         idx := 0

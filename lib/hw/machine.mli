@@ -52,9 +52,7 @@ type t = {
   apl : Apl.t;
   mem : Memory.t;
   revocation : Capability.Revocation.table;
-  mutable strict_apl_cache : bool;  (** fault on cache miss (real hw) *)
   mutable on_syscall : (ctx -> int -> unit) option;
-  mutable attr_of_tag : int -> Breakdown.category;
   mutable next_ctx_id : int;
   mutable tracer : Dipc_sim.Trace.t;
   tlb_pages : int array;
@@ -165,13 +163,9 @@ val set_trace : t -> Dipc_sim.Trace.t -> unit
     still produce the same architectural results, just slower. *)
 val set_inject : t -> Dipc_sim.Inject.t option -> unit
 
-(** Choose the Breakdown category instruction costs are attributed to,
-    per executing domain tag. *)
-val set_attribution : t -> (int -> Breakdown.category) -> unit
-
 val new_ctx : ?dcs_capacity:int -> t -> pc:int -> sp_value:int -> ctx
 
-(** Charge [ns] attributed by the current domain / explicitly. *)
+(** Charge [ns] to [User_code] / to an explicit category. *)
 val charge : t -> ctx -> float -> unit
 
 val charge_as : t -> ctx -> Breakdown.category -> float -> unit

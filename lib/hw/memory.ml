@@ -53,7 +53,6 @@ type t = {
   mutable miss_wpage : int;
   mutable miss_cpage : int;
   mutable miss_ipage : int;
-  mutable code_count : int; (* placed instruction slots *)
   mutable code_gen : int; (* bumped by every [place_code] *)
 }
 
@@ -73,7 +72,6 @@ let create () =
     miss_wpage = -1;
     miss_cpage = -1;
     miss_ipage = -1;
-    code_count = 0;
     code_gen = 0;
   }
 
@@ -200,11 +198,8 @@ let place_code t ~addr instrs =
       let a = addr + (i * Isa.instr_bytes) in
       let c = code_chunk t (Layout.page_of a) in
       let slot = (a land page_mask) lsr 2 in
-      if c.(slot) = None then t.code_count <- t.code_count + 1;
       c.(slot) <- Some instr)
     instrs;
   addr + (List.length instrs * Isa.instr_bytes)
-
-let code_size t = t.code_count
 
 let code_generation t = t.code_gen

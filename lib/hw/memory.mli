@@ -24,8 +24,6 @@ val fetch : t -> int -> Isa.instr option
     past it. *)
 val place_code : t -> addr:int -> Isa.instr list -> int
 
-val code_size : t -> int
-
 (** Version of the code store: bumped by every {!place_code} call, so
     cached decodings (the machine's translated-block cache) can detect
     self-modified or re-placed code. *)

@@ -93,8 +93,6 @@ let creturn cpu =
 (* Modelled cost of one crossing (exception entry + handler + return). *)
 let crossing_cost_ns = 400.0
 
-let round_trip_cost_ns = 2. *. crossing_cost_ns
-
 (* --- structured fault API ---
 
    The [_at] variants report denials as {!Fault.t} values carrying the

@@ -41,8 +41,6 @@ val creturn : cpu -> (unit, string) result
 
 val crossing_cost_ns : float
 
-val round_trip_cost_ns : float
-
 (** {2 Structured fault API}
 
     The [_at] variants report denials as {!Fault.t} values carrying the

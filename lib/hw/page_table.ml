@@ -80,5 +80,3 @@ let set_protection t ~addr ~count ?readable ?writable ?executable () =
         Option.iter (fun v -> p.writable <- v) writable;
         Option.iter (fun v -> p.executable <- v) executable
   done
-
-let mapped_page_count t = Tbl.length t.pages

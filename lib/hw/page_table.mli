@@ -52,8 +52,6 @@ val set_protection :
   unit ->
   unit
 
-val mapped_page_count : t -> int
-
 (** Bumped whenever the page-number -> page mapping changes (map/unmap);
     translation caches key their entries on it.  In-place page mutation
     (retag, protection bits) does not bump it. *)

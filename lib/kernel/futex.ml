@@ -49,7 +49,7 @@ let wait t th ~expected =
             let eng = Kernel.engine t.kern in
             Dipc_sim.Engine.schedule eng
               ~at:(Dipc_sim.Engine.now eng +. d)
-              (fun () -> ignore (Kernel.wake_detached t.kern t.sleepers ()))
+              (fun () -> ignore (Kernel.wake_detached t.sleepers ()))
         | None -> ())
     | None -> ());
     Kernel.block_on t.kern th t.sleepers

@@ -36,7 +36,6 @@ type thread = {
   bd : Breakdown.t; (* per-thread cost attribution *)
   mutable state : [ `New | `Ready | `Running | `Blocked | `Done ];
   mutable wake_ipi : bool; (* an IPI was sent to wake us *)
-  mutable voluntary_switches : int;
   mutable park : unit Engine.waker option;
       (* waker while waiting on a busy CPU's run queue; a field on the
          thread (not a tid-keyed table) keeps the ready/run hand-off off
@@ -75,10 +74,6 @@ type t = {
       (* Per-kernel stream for timing-jitter RNGs (futex path etc.): a
          process-global counter here would leak state between runs and
          break same-seed replay determinism. *)
-  mutable wake_policy : [ `Affinity | `Least_loaded ];
-      (* Where an unpinned thread wakes up: its last CPU (cache affinity,
-         like CFS without active balancing — the source of the scheduler
-         imbalance Sec. 7.4 describes) or the least-loaded CPU. *)
   mutable inject : Inject.t option;
       (* Fault injector consulted at IPI delivery and quantum boundaries;
          [None] keeps those paths exactly as-is (no RNG draws). *)
@@ -111,7 +106,6 @@ let create engine ~ncpus =
     next_aspace = 1;
     quantum = 100_000.;
     next_jitter_seed = 1;
-    wake_policy = `Affinity;
     inject = None;
     lifetime_bd = Breakdown.create ();
   }
@@ -337,29 +331,6 @@ module Sleepq = struct
   let is_empty q = Queue.is_empty q.entries
 end
 
-(* Pick a CPU for an unpinned thread waking up: its last CPU if idle, else
-   any idle CPU, else the least loaded one. *)
-let choose_cpu t th =
-  match t.wake_policy with
-  | `Affinity -> th.cpu
-  | `Least_loaded ->
-      let load c =
-        Queue.length c.runq + (match c.running with Some _ -> 1 | None -> 0)
-      in
-      if t.cpus.(th.cpu).idle then th.cpu
-      else begin
-        let best = ref th.cpu and best_load = ref (load t.cpus.(th.cpu)) in
-        Array.iter
-          (fun c ->
-            let l = load c in
-            if l < !best_load then begin
-              best := c.cpu_id;
-              best_load := l
-            end)
-          t.cpus;
-        !best
-      end
-
 (* Block the calling thread on [q]; returns the value passed by the waker. *)
 let block_on t th (q : 'a Sleepq.q) : 'a =
   release t th;
@@ -371,14 +342,15 @@ let block_on t th (q : 'a Sleepq.q) : 'a =
   v
 
 (* Wake one sleeper; performed by [waker_th] (which holds a CPU).  Models
-   target-CPU selection and the IPI when the target CPU differs and sits
-   idle (Sec. 2.2: "going across CPUs ... dominated by the costs of
-   IPIs"). *)
+   the IPI when the sleeper's CPU differs from the waker's (Sec. 2.2:
+   "going across CPUs ... dominated by the costs of IPIs").  Every
+   sleeper, pinned or not, wakes on the CPU it last ran on: cache
+   affinity, like CFS without active balancing, which is the source of
+   the scheduler imbalance Sec. 7.4 describes. *)
 let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
   match Queue.take_opt q.Sleepq.entries with
   | None -> false
   | Some { Sleepq.sleeper; waker } ->
-      if not sleeper.pinned then sleeper.cpu <- choose_cpu t sleeper;
       let ipi_delay = ref 0. in
       if sleeper.cpu <> waker_th.cpu then begin
         (* arg: the woken thread's tid (the IPI's logical target). *)
@@ -406,21 +378,13 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
       else Engine.resume waker v;
       true
 
-let wake_all t ~waker q v =
-  let n = ref 0 in
-  while wake_one t ~waker q v do
-    incr n
-  done;
-  !n
-
 (* Wake one sleeper with no running thread behind it (spurious wakeups,
    timer redelivery): no waker CPU exists, so no IPI is modelled — the
    sleeper just becomes ready and re-contends for a CPU. *)
-let wake_detached t (q : 'a Sleepq.q) (v : 'a) =
+let wake_detached (q : 'a Sleepq.q) (v : 'a) =
   match Queue.take_opt q.Sleepq.entries with
   | None -> false
   | Some { Sleepq.sleeper; waker } ->
-      if not sleeper.pinned then sleeper.cpu <- choose_cpu t sleeper;
       sleeper.state <- `Ready;
       Engine.resume waker v;
       true
@@ -432,7 +396,6 @@ let suspend_on t th register =
   th.state <- `Blocked;
   let v = Engine.suspend register in
   th.state <- `Ready;
-  if not th.pinned then th.cpu <- choose_cpu t th;
   acquire t th;
   v
 
@@ -444,15 +407,6 @@ let io_wait t th ns =
   Engine.delay_in t.engine ns;
   th.state <- `Ready;
   acquire t th
-
-(* Yield the CPU voluntarily. *)
-let yield t th =
-  th.voluntary_switches <- th.voluntary_switches + 1;
-  if not (Queue.is_empty t.cpus.(th.cpu).runq) then begin
-    charge t th Breakdown.Schedule Costs.context_switch;
-    release t th;
-    acquire t th
-  end
 
 (* --- thread creation --- *)
 
@@ -470,15 +424,14 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
       bd = Breakdown.create ();
       state = `New;
       wake_ipi = false;
-      voluntary_switches = 0;
       park = None;
       some_self = None;
     }
   in
   th.some_self <- Some th;
   let wrapped () =
-    (* Initial placement always spreads (fork balancing); only wakeups
-       follow the wake policy. *)
+    (* Initial placement spreads (fork balancing); wakeups keep the CPU
+       chosen here. *)
     if not th.pinned then begin
       let load c =
         Queue.length c.runq + (match c.running with Some _ -> 1 | None -> 0)
@@ -522,20 +475,3 @@ let reset_stats t =
       Float.Array.unsafe_set c.totals 1 0.;
       if c.idle then start_idle t c)
     t.cpus
-
-(* Sample current idle fraction over [0, now]; benches call reset first. *)
-let idle_fraction t ~since =
-  let elapsed = now t -. since in
-  if elapsed <= 0. then 0.
-  else begin
-    let idle =
-      Array.fold_left
-        (fun acc c ->
-          let extra =
-            if c.idle then now t -. Float.Array.unsafe_get c.totals 2 else 0.
-          in
-          acc +. Float.Array.unsafe_get c.totals 0 +. extra)
-        0. t.cpus
-    in
-    idle /. (elapsed *. float_of_int (ncpus t))
-  end

@@ -1,7 +1,7 @@
 (** Discrete-event model of a small multiprocessor OS kernel.
 
     Threads are simulated-time coroutines; each CPU is a token a thread
-    must hold to consume time.  Run queues, wake-time CPU selection,
+    must hold to consume time.  Run queues, wake-on-last-CPU affinity,
     context/page-table switch charges, IPIs and idle accounting reproduce
     the scheduling behaviour the paper measures, with every nanosecond
     attributed to a Figure 2 cost block per thread and per CPU. *)
@@ -76,17 +76,15 @@ end
 (** Park the calling thread on [q]; returns the value its waker passes. *)
 val block_on : t -> thread -> 'a Sleepq.q -> 'a
 
-(** Wake one sleeper (charging an IPI when it sits on another, idle CPU);
-    false if the queue was empty. *)
+(** Wake one sleeper on the CPU it last ran on, charging the waker an IPI
+    when that is not the waker's CPU; false if the queue was empty. *)
 val wake_one : t -> waker:thread -> 'a Sleepq.q -> 'a -> bool
-
-val wake_all : t -> waker:thread -> 'a Sleepq.q -> 'a -> int
 
 (** Wake one sleeper with no running thread behind it (spurious wakeup /
     timer redelivery paths): no IPI is modelled.  Safe only for queues
     whose sleepers re-check their predicate after waking, like the futex
     wait loop. *)
-val wake_detached : t -> 'a Sleepq.q -> 'a -> bool
+val wake_detached : 'a Sleepq.q -> 'a -> bool
 
 (** Release the CPU and suspend on an externally-resumed waker (device
     queues). *)
@@ -95,13 +93,12 @@ val suspend_on : t -> thread -> ('a Engine.waker -> unit) -> 'a
 (** Blocking wall-clock wait (disk, NIC, timer). *)
 val io_wait : t -> thread -> float -> unit
 
-val yield : t -> thread -> unit
-
 (* --- thread creation --- *)
 
 (** Start a thread of [proc] running [body]; [cpu >= 0] pins it, [at]
     delays its start.  Unpinned threads spread across CPUs at spawn and
-    wake per the wake policy. *)
+    then wake on the CPU they last ran on (the affinity behind the
+    Sec. 7.4 scheduler imbalance). *)
 val spawn :
   ?cpu:int -> ?at:float option -> t -> process -> name:string -> (thread -> unit) -> thread
 
@@ -112,5 +109,3 @@ val cpu_breakdown : t -> int -> Breakdown.t
 val cpu_idle_total : t -> int -> float
 
 val reset_stats : t -> unit
-
-val idle_fraction : t -> since:float -> float

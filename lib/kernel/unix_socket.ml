@@ -12,16 +12,17 @@ type 'a message = { payload : 'a; size : int }
 type 'a t = {
   kern : Kernel.t;
   queue : 'a message Queue.t;
-  max_queued : int;
   receivers : 'a message Kernel.Sleepq.q;
   senders : unit Kernel.Sleepq.q;
 }
 
-let create ?(max_queued = 64) kern =
+(* Queue depth at which a sender blocks. *)
+let max_queued = 64
+
+let create kern =
   {
     kern;
     queue = Queue.create ();
-    max_queued;
     receivers = Kernel.Sleepq.create ();
     senders = Kernel.Sleepq.create ();
   }
@@ -31,7 +32,7 @@ let send t th ~size payload =
   Kernel.consume t.kern th Breakdown.Kernel Costs.unix_socket_msg;
   (* Copy user data into the kernel skb. *)
   Kernel.consume t.kern th Breakdown.Kernel (Memcost.kernel_copy size);
-  while Queue.length t.queue >= t.max_queued do
+  while Queue.length t.queue >= max_queued do
     Kernel.block_on t.kern th t.senders
   done;
   let msg = { payload; size } in

@@ -4,7 +4,8 @@
 
 type 'a t
 
-val create : ?max_queued:int -> Kernel.t -> 'a t
+(** A socket whose senders block once 64 messages are queued. *)
+val create : Kernel.t -> 'a t
 
 (** Send a message of [size] bytes; blocks when the queue is full. *)
 val send : 'a t -> Kernel.thread -> size:int -> 'a -> unit

@@ -71,8 +71,10 @@ let () =
     | Violation v -> Some (Fmt.str "%a" pp_violation v)
     | _ -> None)
 
+(* Events a violation report carries, offender last. *)
+let window_cap = 16
+
 type t = {
-  window_cap : int;
   window : Trace.event Queue.t;
   mutable seen : int;
   mutable watermark : float;
@@ -89,9 +91,8 @@ type t = {
       (* (owner tag, counter) -> latest post-revoke table value *)
 }
 
-let create ?(window = 16) () =
+let create () =
   {
-    window_cap = window;
     window = Queue.create ();
     seen = 0;
     watermark = neg_infinity;
@@ -111,8 +112,6 @@ let events_seen t = t.seen
 let suspends t = t.suspends
 
 let resumes t = t.resumes
-
-let charge_totals t = Breakdown.copy t.charges
 
 let fail t inv detail =
   raise
@@ -265,7 +264,7 @@ let on_cap_use t (ev : Trace.event) =
 let on_event t (ev : Trace.event) =
   t.seen <- t.seen + 1;
   Queue.add ev t.window;
-  if Queue.length t.window > t.window_cap then ignore (Queue.pop t.window);
+  if Queue.length t.window > window_cap then ignore (Queue.pop t.window);
   (match ev.e_kind with
   | Trace.Sched | Trace.Spawn
   | Trace.Fault | Trace.Domain_cross

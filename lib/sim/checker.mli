@@ -31,9 +31,9 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-(** A fresh checker retaining a [window] of recent events (default 16)
-    for violation reports. *)
-val create : ?window:int -> unit -> t
+(** A fresh checker retaining the 16 most recent events for violation
+    reports. *)
+val create : unit -> t
 
 (** Install this checker as [trace]'s sink. *)
 val attach : t -> Trace.t -> unit
@@ -57,6 +57,3 @@ val events_seen : t -> int
 val suspends : t -> int
 
 val resumes : t -> int
-
-(** Per-category totals of the Charge events observed so far. *)
-val charge_totals : t -> Breakdown.t

@@ -31,7 +31,6 @@ type 'a waker = { mutable fired : bool; engine : t; deliver : 'a -> unit }
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
-  | Now : float Effect.t
 
 let create () =
   {
@@ -151,7 +150,6 @@ let rec exec t f =
                   in
                   register waker;
                   handoff t)
-          | Now -> Some (fun (k : (a, unit) continuation) -> continue k (now t))
           | _ -> None);
     }
 
@@ -196,8 +194,6 @@ let delay_in t d =
     end
     else Effect.perform (Delay d)
   end
-
-let current_time () = Effect.perform Now
 
 (* Suspend the calling thread; [register] receives a waker that must be
    fired exactly once (firing twice raises). *)

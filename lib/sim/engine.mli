@@ -41,9 +41,6 @@ val delay : float -> unit
     identical: same trace events, same event order). *)
 val delay_in : t -> float -> unit
 
-(** Inside a thread: the current virtual time. *)
-val current_time : unit -> float
-
 (** Inside a thread: park until the waker passed to [register] is fired;
     returns the value it delivers. *)
 val suspend : ('a waker -> unit) -> 'a

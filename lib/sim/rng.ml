@@ -88,10 +88,3 @@ let exponential t ~mean =
 
 (* Uniform float in [lo, hi). *)
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
-
-(* Bounded Pareto-ish heavy tail used for disk service times: returns the
-   mean scaled by a factor in [0.5, ~4] with a long tail. *)
-let heavy_tail t ~mean =
-  let u = float t in
-  let u = if u >= 0.999 then 0.999 else u in
-  mean *. 0.5 /. (1.0 -. u) ** 0.35

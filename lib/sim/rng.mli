@@ -48,7 +48,3 @@ val exponential : t -> mean:float -> float
 
 (** Uniform float in [lo, hi). *)
 val uniform : t -> lo:float -> hi:float -> float
-
-(** Heavy-tailed positive value around [mean] (bounded Pareto shape);
-    used for disk service times. *)
-val heavy_tail : t -> mean:float -> float

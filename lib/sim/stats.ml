@@ -65,10 +65,6 @@ let summary t =
     s_max = max_value t;
   }
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.2f sd=%.2f min=%.2f max=%.2f" s.s_count s.s_mean
-    s.s_stddev s.s_min s.s_max
-
 (* Batch percentile over a copy of the samples (nearest-rank). *)
 let percentile samples p =
   if Array.length samples = 0 then 0.
@@ -84,8 +80,3 @@ let percentile samples p =
     let rank = if rank < 1 then 1 else if rank > n then n else rank in
     sorted.(rank - 1)
   end
-
-let mean_of samples =
-  let n = Array.length samples in
-  if n = 0 then 0.
-  else Array.fold_left ( +. ) 0. samples /. float_of_int n

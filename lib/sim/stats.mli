@@ -37,9 +37,5 @@ type summary = {
 
 val summary : t -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Nearest-rank percentile of a sample array ([p] in 0..100). *)
 val percentile : float array -> float -> float
-
-val mean_of : float array -> float

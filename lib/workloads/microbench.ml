@@ -168,11 +168,6 @@ let run ?(bytes = 1) ?(warmup = 20) ?(iters = 200) ?trace ?inject ~same_cpu
     lifetime = Breakdown.copy (Kernel.lifetime_breakdown kern);
   }
 
-(* The empty-syscall and function-call baselines of Figures 2 and 5. *)
-let function_call_ns = Costs.function_call
-
-let syscall_ns = Costs.syscall_total
-
 (* Fig. 6 baseline: produce + consume through a pointer. *)
 let baseline_payload_ns bytes =
   Memcost.write_buffer bytes +. Memcost.read_buffer bytes +. Costs.function_call

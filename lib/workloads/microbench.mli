@@ -32,9 +32,5 @@ val run :
   primitive ->
   result
 
-val function_call_ns : float
-
-val syscall_ns : float
-
 (** Figure 6 baseline: produce + consume the payload through a pointer. *)
 val baseline_payload_ns : int -> float

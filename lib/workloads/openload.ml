@@ -1,4 +1,4 @@
-(* Open / partly-open arrival workload generator (ROADMAP item 1).
+(* Open / partly-open arrival workload generator.
 
    The Figure-8 reproduction is a *closed* queueing network: a handful
    of client fibers that immediately re-submit, so offered load is

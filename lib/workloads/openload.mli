@@ -1,7 +1,7 @@
-(** Open / partly-open arrival workload generator (ROADMAP item 1):
-    millions of simulated client sessions, each just its remaining
-    request count, flowing through a c-server FIFO queue, with per-request sojourn latency
-    recorded in an HDR histogram.
+(** Open / partly-open arrival workload generator: millions of
+    simulated client sessions, each just its remaining request count,
+    flowing through a c-server FIFO queue, with per-request sojourn
+    latency recorded in an HDR histogram.
 
     Deterministic in the seed: every stochastic component draws from its
     own splitmix64 stream, and bounded integer draws use the unbiased

@@ -178,6 +178,38 @@ let test_cross_cpu_wake_charges_ipi () =
   Alcotest.(check bool) "IPI send on waker CPU" true (kernel0 >= Costs.ipi_send);
   Alcotest.(check bool) "IPI handling on target CPU" true (kernel1 >= Costs.ipi_handle)
 
+(* An unpinned sleeper wakes on the CPU it last ran on (cache affinity,
+   the source of the Sec. 7.4 scheduler imbalance), even when that CPU
+   is busy and another sits idle; the cross-CPU waker pays the IPI. *)
+let test_unpinned_wake_keeps_last_cpu () =
+  let e, k = make ~ncpus:3 () in
+  let p = Kernel.create_process k ~name:"p" in
+  let q = Kernel.Sleepq.create () in
+  let finished = ref 0. in
+  (* CPU 0 is busy when the sleeper is placed, so it lands on CPU 1. *)
+  ignore
+    (Kernel.spawn ~cpu:0 k p ~name:"busy" (fun th ->
+         Kernel.consume k th Breakdown.User_code 500.));
+  ignore
+    (Kernel.spawn k p ~name:"sleeper" (fun th ->
+         Kernel.block_on k th q;
+         Kernel.consume k th Breakdown.User_code 777.;
+         finished := Engine.now e));
+  ignore
+    (Kernel.spawn ~cpu:1 ~at:(Some 100.) k p ~name:"hog" (fun th ->
+         Kernel.consume k th Breakdown.User_code 300_000.));
+  ignore
+    (Kernel.spawn ~cpu:0 ~at:(Some 1_000.) k p ~name:"waker" (fun th ->
+         ignore (Kernel.wake_one k ~waker:th q ())));
+  Engine.run e;
+  let user i = Breakdown.get (Kernel.cpu_breakdown k i) Breakdown.User_code in
+  Alcotest.(check bool) "sleeper ran after the wake" true (!finished > 1_000.);
+  Alcotest.(check (float 1e-9)) "resumed on its last CPU" (300_000. +. 777.)
+    (user 1);
+  Alcotest.(check (float 1e-9)) "idle CPU left alone" 0. (user 2);
+  Alcotest.(check (float 1e-9)) "waker charged the IPI send" Costs.ipi_send
+    (Breakdown.get (Kernel.cpu_breakdown k 0) Breakdown.Kernel)
+
 let test_page_table_switch_on_process_change () =
   let e, k = make ~ncpus:1 () in
   let p1 = Kernel.create_process k ~name:"p1" in
@@ -238,6 +270,8 @@ let suites =
         Alcotest.test_case "preemption quantum" `Quick test_preemption_quantum;
         Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
         Alcotest.test_case "cross-cpu wake IPIs" `Quick test_cross_cpu_wake_charges_ipi;
+        Alcotest.test_case "unpinned wake keeps last cpu" `Quick
+          test_unpinned_wake_keeps_last_cpu;
         Alcotest.test_case "page-table switch" `Quick test_page_table_switch_on_process_change;
         Alcotest.test_case "shared aspace skips pt switch" `Quick
           test_shared_address_space_no_pt_switch;

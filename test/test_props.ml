@@ -1,84 +1,11 @@
 (* Property tests (qcheck) for the simulation substrate primitives the
-   fault injector and checker lean on: Waitq FIFO/remove discipline,
-   Rng.split stream independence, Histogram bucket boundaries, and
-   Stats against straightforward float references. *)
+   fault injector and checker lean on: Rng.split stream independence,
+   Histogram bucket boundaries, and Stats against straightforward float
+   references. *)
 
-module Engine = Dipc_sim.Engine
-module Waitq = Dipc_sim.Waitq
 module Rng = Dipc_sim.Rng
 module Histogram = Dipc_sim.Histogram
 module Stats = Dipc_sim.Stats
-
-(* --- Waitq: FIFO wake order, remove keeps order and wakes nobody --- *)
-
-let qcheck_waitq_fifo =
-  QCheck.Test.make ~name:"waitq wakes in FIFO park order" ~count:100
-    QCheck.(int_range 1 25)
-    (fun n ->
-      let e = Engine.create () in
-      let q = Waitq.create () in
-      let woken = ref [] in
-      for i = 1 to n do
-        (* Distinct park times pin the park order to 1..n. *)
-        Engine.spawn ~at:(float_of_int i) e (fun () ->
-            let _v = Waitq.wait q in
-            woken := i :: !woken)
-      done;
-      Engine.spawn ~at:1000. e (fun () ->
-          for _ = 1 to n do
-            ignore (Waitq.wake_one q 0)
-          done);
-      Engine.run e;
-      List.rev !woken = List.init n (fun i -> i + 1))
-
-let qcheck_waitq_remove_preserves_fifo =
-  QCheck.Test.make ~name:"waitq remove keeps remaining FIFO order" ~count:100
-    QCheck.(pair (int_range 2 20) small_nat)
-    (fun (n, k) ->
-      let k = k mod n in
-      let e = Engine.create () in
-      let q = Waitq.create () in
-      let wakers = Array.make n None in
-      let woken = ref [] in
-      let removed_value = ref (-1) in
-      for i = 0 to n - 1 do
-        Engine.spawn ~at:(float_of_int (i + 1)) e (fun () ->
-            let v =
-              Waitq.wait ~on_park:(fun w -> wakers.(i) <- Some w) q
-            in
-            if i = k then removed_value := v else woken := i :: !woken)
-      done;
-      let removed_ok = ref false and regrown = ref false in
-      Engine.spawn ~at:1000. e (fun () ->
-          let w = Option.get wakers.(k) in
-          removed_ok := Waitq.remove q w;
-          regrown := not (Waitq.remove q w);
-          (* wake_all must skip the withdrawn waiter entirely... *)
-          ignore (Waitq.wake_all q 7);
-          (* ...which stays suspended until resumed directly. *)
-          Engine.resume w 99);
-      Engine.run e;
-      !removed_ok && !regrown
-      && !removed_value = 99
-      && List.rev !woken
-         = List.filter (fun i -> i <> k) (List.init n (fun i -> i)))
-
-let test_waitq_remove_unknown_waker () =
-  let e = Engine.create () in
-  let q1 = Waitq.create () in
-  let q2 = Waitq.create () in
-  let checked = ref false in
-  Engine.spawn e (fun () ->
-      ignore
-        (Waitq.wait
-           ~on_park:(fun w ->
-             (* A waker parked on q1 is unknown to q2. *)
-             Engine.spawn e (fun () ->
-                 checked := not (Waitq.remove q2 w);
-                 Engine.resume w 1))
-           q1));
-  Engine.run e;
-  Alcotest.(check bool) "remove from the wrong queue is false" true !checked
 
 (* --- Rng.split: determinism, divergence, designed parent advance --- *)
 
@@ -309,13 +236,6 @@ let qcheck_stats_percentile_bounds =
 
 let suites =
   [
-    ( "props.waitq",
-      List.map QCheck_alcotest.to_alcotest
-        [ qcheck_waitq_fifo; qcheck_waitq_remove_preserves_fifo ]
-      @ [
-          Alcotest.test_case "remove unknown waker" `Quick
-            test_waitq_remove_unknown_waker;
-        ] );
     ( "props.rng",
       List.map QCheck_alcotest.to_alcotest
         [

@@ -8,7 +8,6 @@ module Stats = Dipc_sim.Stats
 module Breakdown = Dipc_sim.Breakdown
 module Memcost = Dipc_sim.Memcost
 module Engine = Dipc_sim.Engine
-module Waitq = Dipc_sim.Waitq
 module Histogram = Dipc_sim.Histogram
 module Trace = Dipc_sim.Trace
 
@@ -269,10 +268,10 @@ let test_engine_delay_ordering () =
   let log = ref [] in
   Engine.spawn e (fun () ->
       Engine.delay 10.;
-      log := ("a", Engine.current_time ()) :: !log);
+      log := ("a", Engine.now e) :: !log);
   Engine.spawn e (fun () ->
       Engine.delay 5.;
-      log := ("b", Engine.current_time ()) :: !log);
+      log := ("b", Engine.now e) :: !log);
   Engine.run e;
   Alcotest.(check (list (pair string (float 0.))))
     "order and times"
@@ -324,15 +323,15 @@ let test_engine_run_until () =
 (* --- run loop semantics under the direct handoff --- *)
 
 (* A mixed, traced workload: workers on the slow and fast delay paths
-   that spawn short children, three waiters parked on a wait queue and a
-   thread broadcasting to it.  It runs past t = 1000, so a run to that
+   that spawn short children, three waiters parked on a FIFO queue of
+   wakers and a thread broadcasting to it.  It runs past t = 1000, so a run to that
    deadline leaves events queued. *)
 let mixed_engine () =
   let e = Engine.create () in
   let tr = Trace.create () in
   Engine.set_trace e tr;
   let rng = Rng.create ~seed:7 in
-  let q = Waitq.create () in
+  let q = Queue.create () in
   for _ = 1 to 4 do
     Engine.spawn e (fun () ->
         for i = 1 to 300 do
@@ -344,13 +343,15 @@ let mixed_engine () =
   for _ = 1 to 3 do
     Engine.spawn e (fun () ->
         for _ = 1 to 100 do
-          Waitq.wait q
+          Engine.suspend (fun w -> Queue.add w q)
         done)
   done;
   Engine.spawn e (fun () ->
       for _ = 1 to 400 do
         Engine.delay 3.;
-        ignore (Waitq.wake_all q ())
+        while not (Queue.is_empty q) do
+          Engine.resume (Queue.take q) ()
+        done
       done);
   (e, tr)
 
@@ -446,25 +447,6 @@ let test_engine_register_resumes () =
     "order"
     [ "b parks"; "c runs"; "raw event"; "a woken by b"; "c after delay"; "b woken by c" ]
     (List.rev !log)
-
-let test_waitq_fifo () =
-  let e = Engine.create () in
-  let q = Waitq.create () in
-  let out = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn e (fun () ->
-        let v = Waitq.wait q in
-        out := (i, v) :: !out)
-  done;
-  Engine.spawn e (fun () ->
-      Engine.delay 1.;
-      ignore (Waitq.wake_one q "x");
-      ignore (Waitq.wake_all q "y"));
-  Engine.run e;
-  Alcotest.(check (list (pair int string)))
-    "fifo and broadcast"
-    [ (1, "x"); (2, "y"); (3, "y") ]
-    (List.rev !out)
 
 let test_histogram () =
   let h = Histogram.create () in
@@ -569,7 +551,6 @@ let suites =
           test_engine_exception_through_handoff;
         Alcotest.test_case "register resumes a waker" `Quick
           test_engine_register_resumes;
-        Alcotest.test_case "waitq fifo" `Quick test_waitq_fifo;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]
       @ qsuite
