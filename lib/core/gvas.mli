@@ -2,10 +2,6 @@
     processes share one page table, so virtual addresses are allocated
     globally in 1 GB blocks sub-allocated per process. *)
 
-val block_size : int
-
-val first_block_base : int
-
 type t
 
 val create : unit -> t

@@ -4,15 +4,10 @@
     site (caller stub) and the entry point (callee stub), where the
     "compiler" can exploit liveness knowledge. *)
 
-(** Registers the modelled compiler considers live at call sites. *)
-val live_regs : int list
-
 (** Isolation properties actually compiled under a security posture:
     [Permissive] (allow semantics) drops the user-level isolation
     sequences; [Strict] and [Audit] keep the requested set. *)
 val effective_props : posture:Dipc_hw.Fault.posture -> Types.props -> Types.props
-
-val unused_stack_window : int
 
 (** isolate_call / deisolate_call around a proxy call; the stub is itself
     a callable function. *)

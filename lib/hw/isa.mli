@@ -79,6 +79,4 @@ val cost : instr -> float
 
 val instr_bytes : int
 
-val pp_reg : Format.formatter -> reg -> unit
-
 val pp : Format.formatter -> instr -> unit

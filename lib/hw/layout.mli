@@ -2,8 +2,6 @@
 
 val page_size : int
 
-val page_shift : int
-
 val word_size : int
 
 (** Entry-point alignment for call-permission transfers (Sec. 4.1). *)

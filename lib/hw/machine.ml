@@ -394,6 +394,8 @@ let deny m ctx ?addr ~pc kind =
 
 (* --- capability validity (Sec. 4.2) --- *)
 
+(* Is the capability usable by this context right now (thread, frame
+   liveness, revocation counters)? *)
 let cap_valid m ctx (cap : Capability.t) =
   match cap.scope with
   | Capability.Synchronous { thread; depth; epoch } ->

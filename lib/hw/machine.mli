@@ -8,9 +8,6 @@
 
 module Breakdown = Dipc_sim.Breakdown
 
-(** Cost of the software APL-cache refill after a miss (auto-fill mode). *)
-val apl_cache_refill_cost : float
-
 (** A superblock: straight-line bodies chained across direct
     jumps/calls and speculated conditional-branch arms, compiled to
     direct-threaded closures, with side exits back to the dispatcher
@@ -169,15 +166,6 @@ val new_ctx : ?dcs_capacity:int -> t -> pc:int -> sp_value:int -> ctx
 val charge : t -> ctx -> float -> unit
 
 val charge_as : t -> ctx -> Breakdown.category -> float -> unit
-
-(** Is the capability usable by this context right now (thread, frame
-    liveness, revocation counters)? *)
-val cap_valid : t -> ctx -> Capability.t -> bool
-
-(** Check a data access (APL of the current domain, else any of the 8
-    capability registers, then the per-page protection bits); raises
-    {!Fault.Fault} on denial. *)
-val check_data : t -> ctx -> addr:int -> len:int -> perm:Perm.t -> unit
 
 (** Cross-domain control-transfer check + domain switch (Sec. 4.1): read
     rights allow any target, call rights only aligned entry points. *)

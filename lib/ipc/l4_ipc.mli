@@ -4,9 +4,6 @@
 
 module Kernel = Dipc_kernel.Kernel
 
-(** Payload bytes that fit in registers; the rest is copied. *)
-val register_payload : int
-
 type t
 
 val create : Kernel.t -> t

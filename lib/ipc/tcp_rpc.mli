@@ -4,9 +4,6 @@
 
 module Kernel = Dipc_kernel.Kernel
 
-(** Loopback maximum segment size. *)
-val mss : int
-
 type t
 
 val create : Kernel.t -> t

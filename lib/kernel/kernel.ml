@@ -8,8 +8,8 @@
    exit, and scheduler imbalance under high thread counts (Sec. 2.2, 7.4).
 
    Every nanosecond consumed is attributed to one of the Figure 2 cost
-   blocks, per thread and per CPU, so benchmarks can print the same
-   breakdowns the paper does. *)
+   blocks, per CPU (and in a never-reset whole-kernel total), so
+   benchmarks can print the same breakdowns the paper does. *)
 
 module Engine = Dipc_sim.Engine
 module Breakdown = Dipc_sim.Breakdown
@@ -33,8 +33,6 @@ type thread = {
   tname : string;
   mutable cpu : int;
   pinned : bool;
-  bd : Breakdown.t; (* per-thread cost attribution *)
-  mutable state : [ `New | `Ready | `Running | `Blocked | `Done ];
   mutable wake_ipi : bool; (* an IPI was sent to wake us *)
   mutable park : unit Engine.waker option;
       (* waker while waiting on a busy CPU's run queue; a field on the
@@ -52,11 +50,10 @@ type cpu = {
   cpu_id : int;
   mutable running : thread option;
   runq : thread Queue.t;
-  mutable idle : bool; (* idle since [totals.(2)] *)
-  (* idle/busy accumulators and the idle-since time in a 3-slot
-     [floatarray] (idle at 0, busy at 1, idle since at 2): mutable float
-     fields in this mixed record would box a fresh float per store, and
-     [consume] stores once per quantum chunk. *)
+  mutable idle : bool; (* idle since [totals.(1)] *)
+  (* The idle accumulator and the idle-since time in a 2-slot
+     [floatarray] (idle at 0, idle since at 1): mutable float fields in
+     this mixed record would box a fresh float per store. *)
   totals : floatarray;
   mutable last_tid : int;
   mutable last_aspace : int;
@@ -92,7 +89,7 @@ let create engine ~ncpus =
           running = None;
           runq = Queue.create ();
           idle = true;
-          totals = Float.Array.make 3 0.;
+          totals = Float.Array.make 2 0.;
           last_tid = -1;
           last_aspace = -1;
           cpu_bd = Breakdown.create ();
@@ -161,7 +158,6 @@ let alloc_fd proc label =
 
 let charge t th category ns =
   let i = Breakdown.category_index category in
-  Breakdown.charge_idx th.bd i ns;
   Breakdown.charge_idx t.cpus.(th.cpu).cpu_bd i ns;
   Breakdown.charge_idx t.lifetime_bd i ns;
   let tr = Engine.tracer t.engine in
@@ -173,12 +169,12 @@ let charge t th category ns =
 (* Start idle accounting from now. *)
 let start_idle t cpu =
   cpu.idle <- true;
-  Float.Array.unsafe_set cpu.totals 2 (now t)
+  Float.Array.unsafe_set cpu.totals 1 (now t)
 
 (* Stop idle accounting; returns how long the CPU idled. *)
 let end_idle t cpu =
   if cpu.idle then begin
-    let d = now t -. Float.Array.unsafe_get cpu.totals 2 in
+    let d = now t -. Float.Array.unsafe_get cpu.totals 1 in
     Float.Array.unsafe_set cpu.totals 0 (Float.Array.unsafe_get cpu.totals 0 +. d);
     Breakdown.charge cpu.cpu_bd Breakdown.Idle d;
     Breakdown.charge t.lifetime_bd Breakdown.Idle d;
@@ -239,16 +235,13 @@ let acquire t th =
   | None ->
       let idled = end_idle t cpu in
       cpu.running <- th.some_self;
-      th.state <- `Running;
       switch_in t th ~idled
   | Some _ ->
-      th.state <- `Ready;
       Engine.suspend (fun waker ->
           th.park <- Some waker;
           Queue.add th cpu.runq);
       (* release/hand-off set [running] to us before resuming. *)
       th.park <- None;
-      th.state <- `Running;
       switch_in t th ~idled:0.
 
 (* Release the CPU, handing it to the next ready thread if any. *)
@@ -277,16 +270,12 @@ let consume t th category ns =
   match t.inject with
   | None when ns > 0. && ns <= t.quantum ->
       charge t th category ns;
-      let cpu = t.cpus.(th.cpu) in
-      Float.Array.unsafe_set cpu.totals 1 (Float.Array.unsafe_get cpu.totals 1 +. ns);
       Engine.delay_in t.engine ns
   | _ ->
   let remaining = ref ns in
   while !remaining > 0. do
     let chunk = if !remaining > t.quantum then t.quantum else !remaining in
     charge t th category chunk;
-    let cpu = t.cpus.(th.cpu) in
-    Float.Array.unsafe_set cpu.totals 1 (Float.Array.unsafe_get cpu.totals 1 +. chunk);
     Engine.delay_in t.engine chunk;
     remaining := !remaining -. chunk;
     let preempt =
@@ -334,7 +323,6 @@ end
 (* Block the calling thread on [q]; returns the value passed by the waker. *)
 let block_on t th (q : 'a Sleepq.q) : 'a =
   release t th;
-  th.state <- `Blocked;
   let v =
     Engine.suspend (fun waker -> Queue.add { Sleepq.sleeper = th; waker } q.entries)
   in
@@ -370,7 +358,6 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
             | Inject.Ipi_delayed d | Inject.Ipi_lost d -> ipi_delay := d)
         | None -> ()
       end;
-      sleeper.state <- `Ready;
       if !ipi_delay > 0. then
         Engine.schedule t.engine
           ~at:(now t +. !ipi_delay)
@@ -384,8 +371,7 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
 let wake_detached (q : 'a Sleepq.q) (v : 'a) =
   match Queue.take_opt q.Sleepq.entries with
   | None -> false
-  | Some { Sleepq.sleeper; waker } ->
-      sleeper.state <- `Ready;
+  | Some { Sleepq.waker; _ } ->
       Engine.resume waker v;
       true
 
@@ -393,9 +379,7 @@ let wake_detached (q : 'a Sleepq.q) (v : 'a) =
    queues); reacquires a CPU once resumed. *)
 let suspend_on t th register =
   release t th;
-  th.state <- `Blocked;
   let v = Engine.suspend register in
-  th.state <- `Ready;
   acquire t th;
   v
 
@@ -403,9 +387,7 @@ let suspend_on t th register =
    released, so it idles or runs other work. *)
 let io_wait t th ns =
   release t th;
-  th.state <- `Blocked;
   Engine.delay_in t.engine ns;
-  th.state <- `Ready;
   acquire t th
 
 (* --- thread creation --- *)
@@ -421,8 +403,6 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
       tname = name;
       cpu = (if pinned then cpu else 0);
       pinned;
-      bd = Breakdown.create ();
-      state = `New;
       wake_ipi = false;
       park = None;
       some_self = None;
@@ -445,10 +425,8 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
     acquire t th;
     (try body th
      with exn ->
-       th.state <- `Done;
        release t th;
        raise exn);
-    th.state <- `Done;
     release t th
   in
   let tr = Engine.tracer t.engine in
@@ -472,6 +450,5 @@ let reset_stats t =
     (fun c ->
       Breakdown.clear c.cpu_bd;
       Float.Array.unsafe_set c.totals 0 0.;
-      Float.Array.unsafe_set c.totals 1 0.;
       if c.idle then start_idle t c)
     t.cpus

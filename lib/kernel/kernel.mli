@@ -4,7 +4,7 @@
     must hold to consume time.  Run queues, wake-on-last-CPU affinity,
     context/page-table switch charges, IPIs and idle accounting reproduce
     the scheduling behaviour the paper measures, with every nanosecond
-    attributed to a Figure 2 cost block per thread and per CPU. *)
+    attributed to a Figure 2 cost block per CPU. *)
 
 module Engine = Dipc_sim.Engine
 module Breakdown = Dipc_sim.Breakdown

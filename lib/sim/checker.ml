@@ -261,6 +261,7 @@ let on_cap_use t (ev : Trace.event) =
            ev.e_tid ev.e_tag ev.e_arg ev.e_cpu v)
   | _ -> ()
 
+(* Feed one event: what [attach] arranges to happen on every emit. *)
 let on_event t (ev : Trace.event) =
   t.seen <- t.seen + 1;
   Queue.add ev t.window;

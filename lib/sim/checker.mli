@@ -41,10 +41,6 @@ val attach : t -> Trace.t -> unit
 (** Clear [trace]'s sink. *)
 val detach : Trace.t -> unit
 
-(** Feed one event (what {!attach} arranges to happen on every emit;
-    also usable directly on synthetic streams). *)
-val on_event : t -> Trace.event -> unit
-
 (** End-of-run checks.  [quiescent] (default [true]) asserts every
     suspend saw a resume — pass [false] for deadline-stopped runs.
     [expect] checks per-category Charge-event totals against an

@@ -11,12 +11,14 @@
    ([suspend]/[resume]). *)
 
 type t = {
-  (* Current virtual time, in a 1-slot [floatarray]: a [mutable float]
-     field in this mixed record would box a fresh float on every store,
-     and the fast delay path and the run loop each store it once per
-     event — millions of allocations per simulated second. *)
+  (* Current virtual time in slot 0 of a 2-slot [floatarray]: a
+     [mutable float] field in this mixed record would box a fresh float
+     on every store, and the fast delay path and the run loop each store
+     it once per event — millions of allocations per simulated second.
+     Slot 1 carries the wake time of a [Delay_at] from [delay_in] to its
+     handler, so the effect itself is a constant. *)
   now_ : floatarray;
-  events : (unit -> unit) Heap.t;
+  events : event Heap.t;
   mutable live : int; (* threads spawned and not yet finished *)
   mutable steps : int;
   mutable step_limit : int;
@@ -26,15 +28,32 @@ type t = {
   mutable horizon : float;
 }
 
-type 'a waker = { mutable fired : bool; engine : t; deliver : 'a -> unit }
+(* A queued event.  [fire] matches on it and resumes the continuation
+   itself, so a parked thread costs the queue no closure:
+   - [Thunk]: a spawn or a [schedule]d callback;
+   - [Resume]: a delayed thread's wakeup.  One cell per thread, built at
+     its first slow-path delay and reused, its continuation overwritten,
+     by every later one: a thread has at most one delay pending;
+   - [Wake]: a fired waker and the value it delivers. *)
+and event =
+  | Thunk of (unit -> unit)
+  | Resume of { mutable k : (unit, unit) Effect.Deep.continuation }
+  | Wake : 'a waker * 'a -> event
+
+and 'a waker = {
+  mutable fired : bool;
+  engine : t;
+  cont : ('a, unit) Effect.Deep.continuation;
+}
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
+  | Delay_at : unit Effect.t (* wake at [now_.(1)] *)
   | Suspend : ('a waker -> unit) -> 'a Effect.t
 
 let create () =
   {
-    now_ = Float.Array.make 1 0.;
+    now_ = Float.Array.make 2 0.;
     events = Heap.create ();
     live = 0;
     steps = 0;
@@ -53,36 +72,43 @@ let now t = Float.Array.unsafe_get t.now_ 0
 
 let set_now t v = Float.Array.unsafe_set t.now_ 0 v
 
-let schedule t ~at f =
+(* Queue [ev] at [at], clamped to now: the one push of every event kind,
+   each announced by a Sched trace event. *)
+let[@inline] push t ~at ev =
   let now = Float.Array.unsafe_get t.now_ 0 in
   let at = if at < now then now else at in
   if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:at Trace.Sched;
-  Heap.push t.events ~time:at f
+  Heap.push t.events ~time:at ev
+
+let schedule t ~at f = push t ~at (Thunk f)
 
 exception Step_limit_exceeded
 
 (* Fire the next event: pop the queue minimum, count it, advance [now] to
-   its time and run its thunk.  The one firing step, shared by [run],
+   its time and run it.  The one firing step, shared by [run],
    [run_until] and the direct handoff below, so the three cannot drift.
-   Allocates nothing itself (the thunk may): [top_time]/[pop_min] avoid
-   the [Some (time, thunk)] boxing of [Heap.pop], and they inline here —
+   Allocates nothing itself (a thunk may): [top_time]/[pop_min] avoid
+   the [Some (time, event)] boxing of [Heap.pop], and they inline here —
    the build compiles without -opaque (DESIGN.md Sec. 7) — so [time]
    stays an unboxed float instead of coming back boxed from an
-   out-of-line call.  [thunk ()] is a tail call. *)
+   out-of-line call.  Every arm of the match ends in a tail call. *)
 let[@inline] fire t =
   let time = Heap.top_time t.events in
-  let thunk = Heap.pop_min t.events in
+  let ev = Heap.pop_min t.events in
   t.steps <- t.steps + 1;
   if t.steps > t.step_limit then raise Step_limit_exceeded;
   Float.Array.unsafe_set t.now_ 0 time;
-  thunk ()
+  match ev with
+  | Resume r -> Effect.Deep.continue r.k ()
+  | Wake (w, v) -> Effect.Deep.continue w.cont v
+  | Thunk f -> f ()
 
 (* Direct handoff: a thread that has just parked (its [Delay] or
    [Suspend] handler has queued its continuation or handed out its
    waker) or finished ([retc]) fires the next due event itself instead
    of returning to the run loop, which would only pop that same event
    and fire it.  [fire] does what the loop does, in the same order, so
-   only the stack frame that runs the next thunk changes: every trace
+   only the stack frame that runs the next event changes: every trace
    event, digest and counter is the same by construction.  What it
    saves is the stack switch back to the loop: a continuation resumed
    from inside the handler costs a fraction of one resumed from the
@@ -94,11 +120,11 @@ let[@inline] fire t =
    step limit (the loop raises [Step_limit_exceeded], at the same step
    as without the handoff).
 
-   Constant stack: handler -> [handoff] -> [fire] -> thunk ->
-   [continue k v] is a chain of tail calls, so each handoff replaces
+   Constant stack: handler -> [handoff] -> [fire] -> [continue k v]
+   (or a thunk) is a chain of tail calls, so each handoff replaces
    the handler frame instead of stacking on it, and a chain of millions
    of handoffs runs in a fixed stack.  Keep it that way — no statement
-   after a [handoff t] or [thunk ()], no [try] around them, or every
+   after a [handoff t] or [fire]'s match, no [try] around them, or every
    handoff leaves a frame behind (test/test_handoff_stack.ml pins this
    under a 1 MB stack).  A spawn thunk ([exec] -> [match_with]) ends in
    the runtime's fiber start, which OCaml 5.1 also enters and leaves
@@ -111,9 +137,34 @@ let handoff t =
     && t.steps < t.step_limit
   then fire t
 
-(* Run [f] as a simulated thread under the effect handler. *)
+(* Stands in for a thread's [Resume] cell until its first slow-path
+   delay builds it; never queued. *)
+let unbuilt = Thunk ignore
+
+(* Run [f] as a simulated thread under the effect handler.  A delay's
+   handler is one option built here, once per thread: the constant
+   [Delay_at] allocates nothing to perform, its handler nothing to run,
+   and the thread's [Resume] cell nothing to queue again, so a
+   slow-path delay allocates only the runtime's continuation. *)
 let rec exec t f =
   let open Effect.Deep in
+  let cell = ref unbuilt in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let ev =
+          match !cell with
+          | Resume r as ev ->
+              r.k <- k;
+              ev
+          | Thunk _ | Wake _ ->
+              let ev = Resume { k } in
+              cell := ev;
+              ev
+        in
+        push t ~at:(Float.Array.unsafe_get t.now_ 1) ev;
+        handoff t)
+  in
   match_with f ()
     {
       retc =
@@ -125,30 +176,18 @@ let rec exec t f =
           t.live <- t.live - 1;
           raise exn);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
+          | Delay_at -> on_delay
           | Delay d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule t ~at:(now t +. d) (fun () -> continue k ());
-                  handoff t)
+              Float.Array.unsafe_set t.now_ 1 (now t +. d);
+              on_delay
           | Suspend register ->
               Some
-                (fun (k : (a, unit) continuation) ->
+                (fun k ->
                   if Trace.enabled t.tracer then
                     Trace.emit_bare t.tracer ~ts:(now t) Trace.Suspend;
-                  let waker =
-                    {
-                      fired = false;
-                      engine = t;
-                      deliver =
-                        (fun v ->
-                          if Trace.enabled t.tracer then
-                            Trace.emit_bare t.tracer ~ts:(now t) Trace.Resume;
-                          schedule t ~at:(now t) (fun () -> continue k v));
-                    }
-                  in
-                  register waker;
+                  register { fired = false; engine = t; cont = k };
                   handoff t)
           | _ -> None);
     }
@@ -166,10 +205,11 @@ let delay d = if d > 0. then Effect.perform (Delay d) else ()
 (* [delay_in t d] = [delay d] for a thread running inside engine [t],
    with a fast path that skips the effect round trip and the event queue.
 
-   The slow path is: perform Delay -> [schedule] emits a Sched event at
-   [at = now + d] and pushes the continuation -> [fire] (from the
-   handoff or the run loop) pops the queue minimum, bumps [steps], sets
-   [now] and resumes.  When our event
+   The slow path is: store [at = now + d] in slot 1 of [now_], perform
+   the constant [Delay_at] -> the handler emits a Sched event at [at]
+   and pushes the thread's [Resume] cell -> [fire] (from the handoff or
+   the run loop) pops the queue minimum, bumps [steps], sets [now] and
+   resumes.  When our event
    would be the strict minimum (queue empty or top strictly later — a tie
    loses to the earlier sequence number), nothing can run between push
    and pop, so emitting the same Sched event, bumping [steps] and
@@ -192,21 +232,24 @@ let delay_in t d =
       t.steps <- t.steps + 1;
       Float.Array.unsafe_set t.now_ 0 at
     end
-    else Effect.perform (Delay d)
+    else begin
+      Float.Array.unsafe_set t.now_ 1 at;
+      Effect.perform Delay_at
+    end
   end
 
 (* Suspend the calling thread; [register] receives a waker that must be
    fired exactly once (firing twice raises). *)
-let suspend register =
-  Effect.perform
-    (Suspend
-       (fun waker ->
-         register waker))
+let suspend register = Effect.perform (Suspend register)
 
-let resume waker v =
+(* Out of line: its inlined [push] would be copied into every caller,
+   across the kernel and the workloads. *)
+let[@inline never] resume waker v =
   if waker.fired then invalid_arg "Engine.resume: waker fired twice";
   waker.fired <- true;
-  waker.deliver v
+  let t = waker.engine in
+  if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:(now t) Trace.Resume;
+  push t ~at:(now t) (Wake (waker, v))
 
 (* --- driving the simulation --- *)
 

@@ -3,11 +3,14 @@
     Simulated threads are ordinary OCaml functions run under an effect
     handler that turns blocking operations into queued
     continuations, so protocol code reads in direct style.  Continuations
-    are one-shot: every suspended thread is resumed exactly once. *)
+    are one-shot: every suspended thread is resumed exactly once.  The
+    queue holds the continuations themselves, not closures around them,
+    so parking and waking allocate next to nothing. *)
 
 type t
 
-(** Handle used to resume a suspended thread exactly once. *)
+(** Handle used to resume a suspended thread exactly once: it carries
+    the thread's continuation. *)
 type 'a waker
 
 val create : unit -> t
@@ -36,16 +39,20 @@ val spawn : ?at:float -> t -> (unit -> unit) -> unit
 val delay : float -> unit
 
 (** [delay_in t d] behaves exactly like {!delay} for a thread running
-    inside engine [t], but skips the effect round trip and the
+    inside engine [t] (and only there: [t] must be the engine running
+    the calling thread), but skips the effect round trip and the
     event queue when no other event is due before the wakeup (observably
     identical: same trace events, same event order). *)
 val delay_in : t -> float -> unit
 
 (** Inside a thread: park until the waker passed to [register] is fired;
-    returns the value it delivers. *)
+    returns the value it delivers.  [register] runs once, after the
+    thread has parked, and may fire wakers itself, this one included. *)
 val suspend : ('a waker -> unit) -> 'a
 
-(** Fire a waker; raises [Invalid_argument] if fired twice. *)
+(** Fire a waker: queue its thread to resume at the current time,
+    behind every event already due then, with [v] as the value of its
+    {!suspend}.  Raises [Invalid_argument] if fired twice. *)
 val resume : 'a waker -> 'a -> unit
 
 exception Step_limit_exceeded

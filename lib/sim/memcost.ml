@@ -4,6 +4,7 @@
    spills to memory; this produces the kinks Figure 6 marks at "L1$ size"
    and "L2$ size".  All results in nanoseconds. *)
 
+(* Streaming rate for a working set of [bytes]. *)
 let ns_per_byte bytes =
   if bytes <= Costs.l1_size then Costs.copy_ns_per_byte_l1
   else if bytes <= Costs.l2_size then Costs.copy_ns_per_byte_l2

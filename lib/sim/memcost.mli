@@ -2,9 +2,6 @@
     producing Figure 6's kinks at the L1 and L2 boundaries.  All results
     in nanoseconds. *)
 
-(** Streaming rate for a working set of [bytes]. *)
-val ns_per_byte : int -> float
-
 (** Producer filling a buffer. *)
 val write_buffer : int -> float
 

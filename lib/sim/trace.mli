@@ -61,8 +61,6 @@ type kind =
           [arg] = revocation counter, [cpu] = value stamped at
           creation) *)
 
-val kind_name : kind -> string
-
 (** A materialised event record (the ring itself stores flat arrays).
     Missing fields are [-1] (ints) / [None] (category) / [0.] ([dur]). *)
 type event = {

@@ -33,8 +33,6 @@ type attack =
   | Revoke_inflight  (** APL revocation storm racing warm crossings *)
   | Retcap_leak  (** use a callee-frame capability after its frame died *)
 
-val attack_name : attack -> string
-
 (** Attacks expressible on all three backends (includes [Benign]). *)
 val cross_attacks : attack list
 

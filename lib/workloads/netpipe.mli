@@ -7,8 +7,6 @@ type mechanism = Baseline | Kernel_driver | Sem_ipc | Pipe_ipc | Dipc_proc | Dip
 
 val mechanism_name : mechanism -> string
 
-val interactions_per_message : int
-
 (** Measured round-trip/call costs the model is evaluated against. *)
 type costs = {
   sem_roundtrip : float;

@@ -361,41 +361,67 @@ let test_no_payload_retention () =
   Heap.push h ~time:1. (Bytes.make 1 'y');
   Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
 
-(* --- queue: the design guard on the Fig. 8 cells ---
+(* --- queue and allocation: the design guards on the Fig. 8 cells ---
 
    The two tiers pay only if the common push stays out of the far heap.
    The count of keys sent there is deterministic for a seeded run, so a
    change that quietly routes the engine's common case through the heap
    fails here, not only on a benchmark host.  Seed 41, 96 threads per
    tier: the Linux cell queues ~86 events at the average push, most of
-   them stall timers, and the dIPC cell 3. *)
-let far_share config =
+   them stall timers, and the dIPC cell 3.
+
+   The same runs bound the minor words allocated per engine step, set-up
+   included: an event that allocates again (a closure per delay, a boxed
+   time, a fresh event block) multiplies a rep's nursery sweep and with
+   it the resident set, which the far-tier share would not show. *)
+type cell_run = { far_share : float; words_per_step : float }
+
+let cell_run config =
   let engine = ref None in
   let drive_until e deadline =
     engine := Some e;
     Engine.run_until e deadline
   in
+  let w0 = Gc.minor_words () in
   ignore
     (Oltp.run ~seed:41 ~drive_until ~config ~db_mode:Oltp.In_memory
        ~threads:96 ());
+  let words = Gc.minor_words () -. w0 in
   match !engine with
   | None -> Alcotest.fail "the run never drove its engine"
   | Some e ->
       let pushes, far = Engine.queue_pushes e in
       Alcotest.(check bool) "the run pushed events" true (pushes > 0);
-      float_of_int far /. float_of_int pushes
+      {
+        far_share = float_of_int far /. float_of_int pushes;
+        words_per_step = words /. float_of_int (Engine.steps e);
+      }
+
+let linux_run = lazy (cell_run Oltp.Linux)
+
+let dipc_run = lazy (cell_run Oltp.Dipc)
 
 let test_far_share_linux () =
-  let share = far_share Oltp.Linux in
+  let share = (Lazy.force linux_run).far_share in
   if share > 0.15 then
     Alcotest.failf "Linux cell sent %.1f%% of its pushes to the far heap (bound 15%%)"
       (100. *. share)
 
 let test_far_share_dipc () =
-  let share = far_share Oltp.Dipc in
+  let share = (Lazy.force dipc_run).far_share in
   if share > 0.01 then
     Alcotest.failf "dIPC cell sent %.2f%% of its pushes to the far heap (bound 1%%)"
       (100. *. share)
+
+let test_words_linux () =
+  let w = (Lazy.force linux_run).words_per_step in
+  if w > 8. then
+    Alcotest.failf "Linux cell allocated %.2f minor words per engine step (bound 8)" w
+
+let test_words_dipc () =
+  let w = (Lazy.force dipc_run).words_per_step in
+  if w > 3. then
+    Alcotest.failf "dIPC cell allocated %.2f minor words per engine step (bound 3)" w
 
 (* --- APL cache: reset, and LRU model equivalence --- *)
 
@@ -759,6 +785,10 @@ let suites =
           test_far_share_linux;
         Alcotest.test_case "dIPC cell: far heap <= 1% of pushes" `Quick
           test_far_share_dipc;
+        Alcotest.test_case "Linux cell: <= 8 minor words per step" `Quick
+          test_words_linux;
+        Alcotest.test_case "dIPC cell: <= 3 minor words per step" `Quick
+          test_words_dipc;
       ] );
     ( "perf.apl_cache",
       Alcotest.test_case "reset clears statistics" `Quick test_apl_reset_clears_stats

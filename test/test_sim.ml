@@ -448,6 +448,70 @@ let test_engine_register_resumes () =
     [ "b parks"; "c runs"; "raw event"; "a woken by b"; "c after delay"; "b woken by c" ]
     (List.rev !log)
 
+(* --- engine allocation guards ---
+
+   Measured with [Gc.minor_words], as the machine's per-instruction
+   bound in test_blocks.ml is.  A slow-path delay queues the thread's
+   own [Resume] cell, built at its first delay, so what it allocates is
+   the runtime's continuation (2 words) and nothing of the engine's; a
+   closure, a boxed wake time or a fresh event block per delay fails
+   the bound. *)
+
+(* Four threads a quarter tick apart, each delaying one tick: the next
+   thread is always due first, so every delay takes the effect path. *)
+let test_engine_delay_allocation () =
+  let e = Engine.create () in
+  let rounds = 50_000 in
+  for i = 0 to 3 do
+    Engine.spawn ~at:(0.25 *. float_of_int i) e (fun () ->
+        for _ = 1 to rounds do
+          Engine.delay_in e 1.
+        done)
+  done;
+  (* Past the spawns and every thread's first delay. *)
+  Engine.run_until e 10.;
+  let steps0 = Engine.steps e and w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 in
+  let events = Engine.steps e - steps0 in
+  Alcotest.(check int) "every delay queued" (4 + (4 * rounds))
+    (fst (Engine.queue_pushes e));
+  let per_event = words /. float_of_int events in
+  if per_event > 2.5 then
+    Alcotest.failf "%.0f minor words over %d slow-path delays (%.2f per event, bound 2.5)"
+      words events per_event
+
+(* One thread parks in a loop, its [register] storing the waker in a
+   ref; the other delays a tick (on the slow path: the wakeup it queued
+   last is due first) and fires the waker. *)
+let test_engine_park_allocation () =
+  let e = Engine.create () in
+  let rounds = 50_000 in
+  let parked = ref None in
+  Engine.spawn e (fun () ->
+      for _ = 1 to rounds + 1 do
+        Engine.suspend (fun w -> parked := Some w)
+      done);
+  Engine.spawn e (fun () ->
+      for _ = 1 to rounds + 1 do
+        Engine.delay_in e 1.;
+        match !parked with
+        | Some w ->
+            parked := None;
+            Engine.resume w ()
+        | None -> Alcotest.fail "nothing parked"
+      done);
+  (* Past the spawns and the first round trip. *)
+  Engine.run_until e 1.5;
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every thread finished" 0 (Engine.live e);
+  let per_round = words /. float_of_int rounds in
+  if per_round > 30. then
+    Alcotest.failf "%.0f minor words over %d park/resume round trips (%.1f each, bound 30)"
+      words rounds per_round
+
 let test_histogram () =
   let h = Histogram.create () in
   List.iter (Histogram.add h) [ 1.; 2.; 4.; 1024.; 1_000_000. ];
@@ -551,6 +615,10 @@ let suites =
           test_engine_exception_through_handoff;
         Alcotest.test_case "register resumes a waker" `Quick
           test_engine_register_resumes;
+        Alcotest.test_case "slow-path delay allocates <= 2.5 words" `Quick
+          test_engine_delay_allocation;
+        Alcotest.test_case "park/resume allocates <= 30 words" `Quick
+          test_engine_park_allocation;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]
       @ qsuite

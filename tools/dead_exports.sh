@@ -1,8 +1,9 @@
 #!/bin/sh
-# Exported values nothing uses: every `val` declared in a tracked
-# lib/**/*.mli whose name occurs, as a whole word, in no tracked .ml or
-# .mli file other than its own declaration and its definition (two
-# occurrences in all).
+# Exported values only their own module uses: every `val` declared in a
+# tracked lib/**/*.mli whose name occurs, as a whole word, in no tracked
+# .ml or .mli file outside its declaring module (the .mli and its .ml).
+# Such a name needs no export; if its own .ml does not use it either,
+# it needs no definition.
 #
 #   tools/dead_exports.sh
 #
@@ -14,17 +15,34 @@ set -eu
 
 cd "$(git rev-parse --show-toplevel)"
 
-# Whole-word occurrence count of every identifier in the tracked sources.
-counts=$(git ls-files -z '*.ml' '*.mli' | xargs -0 cat \
-  | tr -c 'A-Za-z0-9_' '\n' | grep -v '^$' | sort | uniq -c)
-
-hits=$(git ls-files 'lib/*.mli' | while read -r mli; do
-  sed -n 's/^[[:space:]]*val[[:space:]]\{1,\}\([a-z_][A-Za-z0-9_]*\).*/\1/p' "$mli" \
-    | sort -u | while read -r name; do
-      n=$(printf '%s\n' "$counts" | awk -v w="$name" '$2 == w { print $1 }')
-      if [ "${n:-0}" -le 2 ]; then echo "$mli: $name"; fi
-    done
-done)
+hits=$(git ls-files -z '*.ml' '*.mli' | xargs -0 awk '
+  # The names each lib/ interface declares.
+  FILENAME ~ /^lib\/.*\.mli$/ && match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_]*/) {
+    name = substr($0, RSTART, RLENGTH)
+    sub(/^[ \t]*val[ \t]+/, "", name)
+    decl[FILENAME, name] = 1
+  }
+  # The files each word occurs in.
+  {
+    n = split($0, words, /[^A-Za-z0-9_]+/)
+    for (i = 1; i <= n; i++) {
+      w = words[i]
+      if (w != "" && !((w, FILENAME) in seen)) {
+        seen[w, FILENAME] = 1
+        files[w] = files[w] " " FILENAME
+      }
+    }
+  }
+  END {
+    for (d in decl) {
+      split(d, p, SUBSEP)
+      mli = p[1]; name = p[2]; ml = substr(mli, 1, length(mli) - 1)
+      n = split(files[name], fs, " ")
+      used = 0
+      for (i = 1; i <= n; i++) if (fs[i] != mli && fs[i] != ml) used = 1
+      if (!used) print mli ": " name
+    }
+  }' | LC_ALL=C sort)
 
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits"
