@@ -53,7 +53,9 @@ let call t th ~proc_num ~arg =
   charge_tcp t th ~bytes;
   Dipc_kernel.Unix_socket.send t.to_server th ~size:bytes
     (Request { Rpc.proc_num; arg });
-  let reply, size = Dipc_kernel.Unix_socket.recv t.to_client th in
+  let { Dipc_kernel.Unix_socket.payload = reply; size } =
+    Dipc_kernel.Unix_socket.recv t.to_client th
+  in
   charge_tcp t th ~bytes:size;
   match reply with
   | Response r ->
@@ -64,7 +66,9 @@ let call t th ~proc_num ~arg =
   | Request _ -> invalid_arg "Tcp_rpc.call: protocol violation"
 
 let serve_one t th dispatch =
-  let msg, size = Dipc_kernel.Unix_socket.recv t.to_server th in
+  let { Dipc_kernel.Unix_socket.payload = msg; size } =
+    Dipc_kernel.Unix_socket.recv t.to_server th
+  in
   match msg with
   | Request { Rpc.proc_num; arg } ->
       charge_tcp t th ~bytes:size;

@@ -27,6 +27,9 @@ type process = {
   mutable alive : bool;
 }
 
+(* The stored form of a value a wake hands its sleeper: see [Sleepq]. *)
+type any = { _any : unit }
+
 type thread = {
   tid : int;
   proc : process;
@@ -34,22 +37,51 @@ type thread = {
   mutable cpu : int;
   pinned : bool;
   mutable wake_ipi : bool; (* an IPI was sent to wake us *)
-  mutable park : unit Engine.waker option;
-      (* waker while waiting on a busy CPU's run queue; a field on the
-         thread (not a tid-keyed table) keeps the ready/run hand-off off
-         the hash path *)
   mutable some_self : thread option;
       (* [Some] of this thread, built once at spawn: every CPU hand-off
-         stores it in [cpu.running] instead of allocating a fresh one.
-         Set after the record is built rather than by a [let rec], which
-         would allocate the record twice (a dummy block, then the real
-         one) on every spawn. *)
+         stores it in [cpu.running], and every queue link in [next],
+         instead of allocating a fresh one.  Set after the record is
+         built rather than by a [let rec], which would allocate the
+         record twice (a dummy block, then the real one) on every
+         spawn. *)
+  mutable next : thread option;
+      (* The next thread on the run queue or sleep queue this thread
+         waits on: a thread waits on at most one queue at a time, so one
+         link field makes both intrusive, and queueing allocates
+         nothing. *)
+  mutable parker : Engine.parker option; (* built at the first park *)
+  mutable gift : any; (* the value of the wake that ended a [block_on] *)
 }
+
+(* An intrusive FIFO of threads, linked through [next]: the per-CPU run
+   queues and the sleep queues. *)
+type fifo = {
+  mutable head : thread option;
+  mutable tail : thread option;
+  mutable length : int;
+}
+
+let fifo () = { head = None; tail = None; length = 0 }
+
+let enqueue q th =
+  (match q.tail with None -> q.head <- th.some_self | Some last -> last.next <- th.some_self);
+  q.tail <- th.some_self;
+  q.length <- q.length + 1
+
+let dequeue q =
+  match q.head with
+  | None -> None
+  | Some th as first ->
+      q.head <- th.next;
+      if th.next == None then q.tail <- None;
+      th.next <- None;
+      q.length <- q.length - 1;
+      first
 
 type cpu = {
   cpu_id : int;
   mutable running : thread option;
-  runq : thread Queue.t;
+  runq : fifo;
   mutable idle : bool; (* idle since [totals.(1)] *)
   (* The idle accumulator and the idle-since time in a 2-slot
      [floatarray] (idle at 0, idle since at 1): mutable float fields in
@@ -87,7 +119,7 @@ let create engine ~ncpus =
         {
           cpu_id = i;
           running = None;
-          runq = Queue.create ();
+          runq = fifo ();
           idle = true;
           totals = Float.Array.make 2 0.;
           last_tid = -1;
@@ -228,8 +260,25 @@ let switch_in t th ~idled =
   end;
   if !costs > 0. then Engine.delay_in t.engine !costs
 
-(* Acquire the thread's CPU, waiting on its run queue if busy. *)
-let acquire t th =
+(* Park the calling thread, already linked on the queue its waker will
+   take it from: nothing runs between the link and the park. *)
+let park th =
+  if th.parker == None then th.parker <- Some (Engine.parker ());
+  Engine.park ()
+
+(* Resume a thread taken off a queue; raises [Invalid_argument] if it
+   is not parked. *)
+let unpark th =
+  match th.parker with
+  | Some p -> Engine.unpark p
+  | None -> invalid_arg "Engine.unpark: thread not parked"
+
+(* Acquire the thread's CPU, waiting on its run queue if busy.  Out of
+   line, like [block_on]: with no closure left in them, [-inline 200]
+   would copy both, and everything they inline, into every blocking
+   call site across the kernel, IPC and workload modules (~67 KB of
+   code) for no gain on a path that parks. *)
+let[@inline never] acquire t th =
   let cpu = t.cpus.(th.cpu) in
   match cpu.running with
   | None ->
@@ -237,11 +286,9 @@ let acquire t th =
       cpu.running <- th.some_self;
       switch_in t th ~idled
   | Some _ ->
-      Engine.suspend (fun waker ->
-          th.park <- Some waker;
-          Queue.add th cpu.runq);
+      enqueue cpu.runq th;
+      park th;
       (* release/hand-off set [running] to us before resuming. *)
-      th.park <- None;
       switch_in t th ~idled:0.
 
 (* Release the CPU, handing it to the next ready thread if any. *)
@@ -251,12 +298,10 @@ let release t th =
   | Some r when r.tid = th.tid -> ()
   | _ -> invalid_arg "Kernel.release: thread does not hold its CPU");
   cpu.running <- None;
-  match Queue.take_opt cpu.runq with
+  match dequeue cpu.runq with
   | Some next ->
       cpu.running <- next.some_self;
-      (match next.park with
-      | Some waker -> Engine.resume waker ()
-      | None -> invalid_arg "Kernel.release: queued thread has no waker")
+      unpark next
   | None -> start_idle t cpu
 
 (* Consume CPU time, attributed to [category].  Long stretches are chopped
@@ -279,7 +324,7 @@ let consume t th category ns =
     Engine.delay_in t.engine chunk;
     remaining := !remaining -. chunk;
     let preempt =
-      if not (Queue.is_empty t.cpus.(th.cpu).runq) then
+      if t.cpus.(th.cpu).runq.length > 0 then
         !remaining > 0.
         ||
         (* Injected: force a switch at the final quantum boundary too,
@@ -309,23 +354,38 @@ let syscall_overhead t th =
 (* --- sleep queues: blocking with scheduler integration --- *)
 
 module Sleepq = struct
-  type 'a entry = { sleeper : thread; waker : 'a Engine.waker }
+  (* The sleepers in wake order.  The type parameter is the type of the
+     values their wakes hand over. *)
+  type 'a q = fifo
 
-  type 'a q = { entries : 'a entry Queue.t }
+  let create () = fifo ()
 
-  let create () = { entries = Queue.create () }
+  let length (q : 'a q) = q.length
 
-  let length q = Queue.length q.entries
+  (* The one untyped spot of the sleep queues: a wake stores its value
+     in the sleeper's [gift] slot and the sleeper's [block_on] takes it
+     out, as the event queue stores its payloads ([Heap.nil]).  It is
+     sound because a value enters the slot only through [give] on an
+     ['a q] the sleeper waits on, and leaves it only through the [take]
+     of that same queue's [block_on]: a thread waits on one queue at a
+     time, so nothing else reads or writes the slot in between.  Typed
+     alternatives cost a block per wake. *)
+  let nil : any = Obj.magic 0
 
-  let is_empty q = Queue.is_empty q.entries
+  let give th (v : 'a) = th.gift <- (Obj.magic v : any)
+
+  let take th : 'a =
+    let v = th.gift in
+    th.gift <- nil;
+    Obj.magic v
 end
 
 (* Block the calling thread on [q]; returns the value passed by the waker. *)
-let block_on t th (q : 'a Sleepq.q) : 'a =
+let[@inline never] block_on t th (q : 'a Sleepq.q) : 'a =
   release t th;
-  let v =
-    Engine.suspend (fun waker -> Queue.add { Sleepq.sleeper = th; waker } q.entries)
-  in
+  enqueue q th;
+  park th;
+  let v = Sleepq.take th in
   acquire t th;
   v
 
@@ -336,9 +396,9 @@ let block_on t th (q : 'a Sleepq.q) : 'a =
    affinity, like CFS without active balancing, which is the source of
    the scheduler imbalance Sec. 7.4 describes. *)
 let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
-  match Queue.take_opt q.Sleepq.entries with
+  match dequeue q with
   | None -> false
-  | Some { Sleepq.sleeper; waker } ->
+  | Some sleeper ->
       let ipi_delay = ref 0. in
       if sleeper.cpu <> waker_th.cpu then begin
         (* arg: the woken thread's tid (the IPI's logical target). *)
@@ -358,21 +418,21 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
             | Inject.Ipi_delayed d | Inject.Ipi_lost d -> ipi_delay := d)
         | None -> ()
       end;
+      Sleepq.give sleeper v;
       if !ipi_delay > 0. then
-        Engine.schedule t.engine
-          ~at:(now t +. !ipi_delay)
-          (fun () -> Engine.resume waker v)
-      else Engine.resume waker v;
+        Engine.schedule t.engine ~at:(now t +. !ipi_delay) (fun () -> unpark sleeper)
+      else unpark sleeper;
       true
 
 (* Wake one sleeper with no running thread behind it (spurious wakeups,
    timer redelivery): no waker CPU exists, so no IPI is modelled — the
    sleeper just becomes ready and re-contends for a CPU. *)
 let wake_detached (q : 'a Sleepq.q) (v : 'a) =
-  match Queue.take_opt q.Sleepq.entries with
+  match dequeue q with
   | None -> false
-  | Some { Sleepq.waker; _ } ->
-      Engine.resume waker v;
+  | Some sleeper ->
+      Sleepq.give sleeper v;
+      unpark sleeper;
       true
 
 (* Release the CPU and suspend on an externally-resumed waker (device
@@ -404,8 +464,10 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
       cpu = (if pinned then cpu else 0);
       pinned;
       wake_ipi = false;
-      park = None;
       some_self = None;
+      next = None;
+      parker = None;
+      gift = Sleepq.nil;
     }
   in
   th.some_self <- Some th;
@@ -414,7 +476,7 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
        chosen here. *)
     if not th.pinned then begin
       let load c =
-        Queue.length c.runq + (match c.running with Some _ -> 1 | None -> 0)
+        c.runq.length + (match c.running with Some _ -> 1 | None -> 0)
       in
       let best = ref 0 in
       Array.iter

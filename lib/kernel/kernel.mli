@@ -62,22 +62,27 @@ val consume : t -> thread -> Breakdown.category -> float -> unit
 (** Charge the syscall entry/exit and dispatch blocks. *)
 val syscall_overhead : t -> thread -> unit
 
-(** Sleep queues: blocking with scheduler integration. *)
+(** Sleep queues: blocking with scheduler integration.  A queue is an
+    intrusive FIFO linked through its sleepers (a thread waits on at
+    most one queue, or run queue, at a time), so parking on it and
+    waking from it allocate nothing; ['a] is the type of the values its
+    wakes hand over. *)
 module Sleepq : sig
   type 'a q
 
   val create : unit -> 'a q
 
   val length : 'a q -> int
-
-  val is_empty : 'a q -> bool
 end
 
-(** Park the calling thread on [q]; returns the value its waker passes. *)
+(** Release the CPU and park the calling thread at the tail of [q];
+    returns the value its wake passes, once it holds a CPU again. *)
 val block_on : t -> thread -> 'a Sleepq.q -> 'a
 
-(** Wake one sleeper on the CPU it last ran on, charging the waker an IPI
-    when that is not the waker's CPU; false if the queue was empty. *)
+(** Wake the oldest sleeper on the CPU it last ran on, charging the
+    waker an IPI when that is not the waker's CPU; false if the queue
+    was empty.  Raises [Invalid_argument] if the sleeper is not parked
+    (a broken queue invariant, not a lost wakeup). *)
 val wake_one : t -> waker:thread -> 'a Sleepq.q -> 'a -> bool
 
 (** Wake one sleeper with no running thread behind it (spurious wakeup /
@@ -86,8 +91,9 @@ val wake_one : t -> waker:thread -> 'a Sleepq.q -> 'a -> bool
     wait loop. *)
 val wake_detached : 'a Sleepq.q -> 'a -> bool
 
-(** Release the CPU and suspend on an externally-resumed waker (device
-    queues). *)
+(** Release the CPU and suspend on an externally-resumed one-shot waker
+    (device queues); unlike {!block_on}, each call allocates the waker
+    and [register]'s closure. *)
 val suspend_on : t -> thread -> ('a Engine.waker -> unit) -> 'a
 
 (** Blocking wall-clock wait (disk, NIC, timer). *)

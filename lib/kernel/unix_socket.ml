@@ -39,6 +39,7 @@ let send t th ~size payload =
   if not (Kernel.wake_one t.kern ~waker:th t.receivers msg) then
     Queue.add msg t.queue
 
+(* Returns the sender's own message record: no tuple per message. *)
 let recv t th =
   Kernel.syscall_overhead t.kern th;
   Kernel.consume t.kern th Breakdown.Kernel Costs.unix_socket_msg;
@@ -51,6 +52,6 @@ let recv t th =
   in
   (* Copy from the kernel skb into the receiver's buffer. *)
   Kernel.consume t.kern th Breakdown.Kernel (Memcost.kernel_copy msg.size);
-  (msg.payload, msg.size)
+  msg
 
 let pending t = Queue.length t.queue

@@ -4,6 +4,9 @@
 
 type 'a t
 
+(** A received message: its payload and its size in bytes. *)
+type 'a message = { payload : 'a; size : int }
+
 (** A socket whose senders block once 64 messages are queued. *)
 val create : Kernel.t -> 'a t
 
@@ -11,6 +14,6 @@ val create : Kernel.t -> 'a t
 val send : 'a t -> Kernel.thread -> size:int -> 'a -> unit
 
 (** Receive the oldest message; blocks when empty. *)
-val recv : 'a t -> Kernel.thread -> 'a * int
+val recv : 'a t -> Kernel.thread -> 'a message
 
 val pending : 'a t -> int

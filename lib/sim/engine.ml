@@ -7,8 +7,8 @@
    protocol code below reads like the real thing).
 
    One-shot continuations: every suspended thread is resumed exactly once,
-   either by the event queue ([delay]) or by whoever holds its waker
-   ([suspend]/[resume]). *)
+   either by the event queue ([delay]), by whoever holds its park handle
+   ([park]/[unpark]) or by whoever holds its waker ([suspend]/[resume]). *)
 
 type t = {
   (* Current virtual time in slot 0 of a 2-slot [floatarray]: a
@@ -31,9 +31,10 @@ type t = {
 (* A queued event.  [fire] matches on it and resumes the continuation
    itself, so a parked thread costs the queue no closure:
    - [Thunk]: a spawn or a [schedule]d callback;
-   - [Resume]: a delayed thread's wakeup.  One cell per thread, built at
-     its first slow-path delay and reused, its continuation overwritten,
-     by every later one: a thread has at most one delay pending;
+   - [Resume]: a delayed or unparked thread's wakeup.  One cell per
+     thread, built at its first slow-path delay or park and reused, its
+     continuation overwritten, by every later one: a thread has at most
+     one delay or park pending;
    - [Wake]: a fired waker and the value it delivers. *)
 and event =
   | Thunk of (unit -> unit)
@@ -46,10 +47,17 @@ and 'a waker = {
   cont : ('a, unit) Effect.Deep.continuation;
 }
 
+(* A thread's park handle, one per thread, built when the thread starts:
+   its [Resume] cell (a stand-in until the first slow-path delay or park
+   builds it) and whether the thread is parked on it now. *)
+type parker = { engine : t; mutable cell : event; mutable parked : bool }
+
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
   | Delay_at : unit Effect.t (* wake at [now_.(1)] *)
   | Suspend : ('a waker -> unit) -> 'a Effect.t
+  | Park : unit Effect.t
+  | Self : parker Effect.t
 
 let create () =
   {
@@ -138,31 +146,38 @@ let handoff t =
   then fire t
 
 (* Stands in for a thread's [Resume] cell until its first slow-path
-   delay builds it; never queued. *)
+   delay or park builds it; never queued. *)
 let unbuilt = Thunk ignore
 
 (* Run [f] as a simulated thread under the effect handler.  A delay's
-   handler is one option built here, once per thread: the constant
-   [Delay_at] allocates nothing to perform, its handler nothing to run,
-   and the thread's [Resume] cell nothing to queue again, so a
-   slow-path delay allocates only the runtime's continuation. *)
+   and a park's handlers are options built here, once per thread: the
+   constant [Delay_at] and [Park] allocate nothing to perform, their
+   handlers nothing to run, and the thread's [Resume] cell nothing to
+   queue again, so a slow-path delay or a park allocates only the
+   runtime's continuation. *)
 let rec exec t f =
   let open Effect.Deep in
-  let cell = ref unbuilt in
+  let self = { engine = t; cell = unbuilt; parked = false } in
+  (* Store [k] in the thread's [Resume] cell, building it at first use. *)
+  let stash k =
+    match self.cell with
+    | Resume r -> r.k <- k
+    | Thunk _ | Wake _ -> self.cell <- Resume { k }
+  in
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        let ev =
-          match !cell with
-          | Resume r as ev ->
-              r.k <- k;
-              ev
-          | Thunk _ | Wake _ ->
-              let ev = Resume { k } in
-              cell := ev;
-              ev
-        in
-        push t ~at:(Float.Array.unsafe_get t.now_ 1) ev;
+        stash k;
+        push t ~at:(Float.Array.unsafe_get t.now_ 1) self.cell;
+        handoff t)
+  in
+  let on_park =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        stash k;
+        self.parked <- true;
+        if Trace.enabled t.tracer then
+          Trace.emit_bare t.tracer ~ts:(now t) Trace.Suspend;
         handoff t)
   in
   match_with f ()
@@ -179,9 +194,11 @@ let rec exec t f =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Delay_at -> on_delay
+          | Park -> on_park
           | Delay d ->
               Float.Array.unsafe_set t.now_ 1 (now t +. d);
               on_delay
+          | Self -> Some (fun k -> continue k self)
           | Suspend register ->
               Some
                 (fun k ->
@@ -241,6 +258,22 @@ let delay_in t d =
 (* Suspend the calling thread; [register] receives a waker that must be
    fired exactly once (firing twice raises). *)
 let suspend register = Effect.perform (Suspend register)
+
+(* The calling thread's park handle: one effect round trip, so callers
+   fetch it once and keep it. *)
+let parker () = Effect.perform Self
+
+let park () = Effect.perform Park
+
+(* Queue a parked thread's own [Resume] cell at the current time, as a
+   slow-path delay does: the same Resume and Sched events a fired waker
+   emits, and no allocation.  Out of line for the reason [resume] is. *)
+let[@inline never] unpark p =
+  if not p.parked then invalid_arg "Engine.unpark: thread not parked";
+  p.parked <- false;
+  let t = p.engine in
+  if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:(now t) Trace.Resume;
+  push t ~at:(now t) p.cell
 
 (* Out of line: its inlined [push] would be copied into every caller,
    across the kernel and the workloads. *)

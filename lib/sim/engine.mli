@@ -4,14 +4,19 @@
     handler that turns blocking operations into queued
     continuations, so protocol code reads in direct style.  Continuations
     are one-shot: every suspended thread is resumed exactly once.  The
-    queue holds the continuations themselves, not closures around them,
-    so parking and waking allocate next to nothing. *)
+    queue holds the continuations themselves, not closures around them:
+    a delay or a {!park} allocates only the runtime's continuation, and
+    an {!unpark} nothing. *)
 
 type t
 
 (** Handle used to resume a suspended thread exactly once: it carries
     the thread's continuation. *)
 type 'a waker
+
+(** A thread's reusable park handle, one per thread: {!unpark} re-queues
+    the thread's own event cell, the one its delays use. *)
+type parker
 
 val create : unit -> t
 
@@ -45,9 +50,26 @@ val delay : float -> unit
     identical: same trace events, same event order). *)
 val delay_in : t -> float -> unit
 
+(** Inside a thread: its park handle.  Costs an effect round trip, so
+    fetch it once and keep it. *)
+val parker : unit -> parker
+
+(** Inside a thread: park until {!unpark} of the thread's handle.  A
+    caller that must be found by its waker records the thread (in a
+    queue, say) before it parks: nothing runs in between. *)
+val park : unit -> unit
+
+(** Queue a parked thread to resume at the current time, behind every
+    event already due then: the same Resume and Sched events as
+    {!resume}, with no allocation.  Raises [Invalid_argument] if the
+    thread is not parked. *)
+val unpark : parker -> unit
+
 (** Inside a thread: park until the waker passed to [register] is fired;
     returns the value it delivers.  [register] runs once, after the
-    thread has parked, and may fire wakers itself, this one included. *)
+    thread has parked, and may fire wakers itself, this one included.
+    For one-shot external wakers (a device queue); each suspend
+    allocates its waker and a closure, which {!park} does not. *)
 val suspend : ('a waker -> unit) -> 'a
 
 (** Fire a waker: queue its thread to resume at the current time,

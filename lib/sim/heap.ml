@@ -150,18 +150,27 @@ let pushes h = h.renumbered + h.next_seq
 
 let far_pushes h = h.far_pushes
 
+(* Slots a queue takes at its first push: a Fig. 8 cell's set-up
+   queues 96 or 288 spawns, which doubled the queue four or five times
+   from 16.  No more than 256, the largest array the minor heap takes:
+   an array past it is allocated in the major heap, where every store
+   of a young payload adds a remembered-set entry until the next minor
+   collection.  An [oltp_dipc] rep runs no minor collection, so a
+   512-slot start grew its remembered set to 8 MB (peak RSS +5 MB). *)
+let initial_slots = 256
+
 (* Double the slot capacity of a queue whose slots are all taken.  Every
    slot is live, so the old payload array is copied whole; the far
    heap's live prefix is copied, and the fresh slot numbers fill the
-   new positions of [keys], its free range.  Growth is on every engine's set-up path (a run spawning
-   a few hundred threads doubles the queue five times), so it is kept
-   cheap: [times] is allocated uninitialised, and [keys] is copied by a
-   typed loop, which stores plain ints where [Array.blit] would go
-   through the write barrier once the array is in the major heap. *)
+   new positions of [keys], its free range.  Growth past
+   [initial_slots] is rare but kept cheap: [times] is allocated
+   uninitialised, and [keys] is copied by a typed loop, which stores
+   plain ints where [Array.blit] would go through the write barrier
+   once the array is in the major heap. *)
 let[@inline never] grow h =
   let cap = Array.length h.payloads in
   if cap > slot_mask then failwith "Heap.push: more than 2^24 queued entries";
-  let ncap = if cap = 0 then 16 else min (2 * cap) (slot_mask + 1) in
+  let ncap = if cap = 0 then initial_slots else min (2 * cap) (slot_mask + 1) in
   let far = h.far in
   let times = Array.create_float ncap in
   Array.blit h.times 0 times 0 far;

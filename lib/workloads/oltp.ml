@@ -115,13 +115,14 @@ let disk_read d th =
       end)
 
 (* A service-thread pool fed by a UNIX socket: the Linux configuration's
-   IPC fabric.  The payload is the request body; the reply travels through
-   a per-request sleep queue. *)
-type 'a request = { rq_body : 'a; rq_done : unit Kernel.Sleepq.q }
+   IPC fabric.  A request is its client's reply queue: the client sleeps
+   on it and the serving thread wakes it.  A client has at most one RPC
+   in flight, so each keeps one request for all of them. *)
+type request = unit Kernel.Sleepq.q
 
-type 'a pool = {
+type pool = {
   p_kern : Kernel.t;
-  p_sock : 'a request Unix_socket.t;
+  p_sock : request Unix_socket.t;
   p_stall_mean : float; (* scheduler-imbalance wait per service wake, ns *)
   p_rng : Rng.t;
 }
@@ -158,25 +159,28 @@ let event_loop_kernel_ns = 800.
 
 (* One synchronous RPC into the pool: marshal, socket send, wait for
    completion, demarshal the response. *)
-let pool_call pool th ~size body =
-  let rq = { rq_body = body; rq_done = Kernel.Sleepq.create () } in
+let pool_call pool th rq ~size =
   Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns;
   Kernel.consume pool.p_kern th Breakdown.Kernel event_loop_kernel_ns;
   Unix_socket.send pool.p_sock th ~size rq;
-  Kernel.block_on pool.p_kern th rq.rq_done;
+  Kernel.block_on pool.p_kern th rq;
   Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns
 
 (* Every thread of a pool (or tier) shares its name: thread names are
    never read, and formatting one per thread was half the host time of
-   setting up the Fig. 8 model. *)
-let pool_spawn_servers pool proc ~threads ~name handler =
+   setting up the Fig. 8 model.  [serve ()] builds a thread's request
+   handler when the thread starts, so the state a handler keeps (a
+   request of its own, for a tier that calls the next) is built then,
+   once per thread, not at set-up. *)
+let pool_spawn_servers pool proc ~threads ~name serve =
   for _ = 1 to threads do
     ignore
       (Kernel.spawn pool.p_kern proc ~name
          (fun th ->
+           let handler = serve () in
            let continue = ref true in
            while !continue do
-             let rq, _size = Unix_socket.recv pool.p_sock th in
+             let rq = (Unix_socket.recv pool.p_sock th).Unix_socket.payload in
              (* Run-queue wait before the woken service thread actually
                 executes (scheduler imbalance). *)
              if pool.p_stall_mean > 0. then
@@ -184,9 +188,9 @@ let pool_spawn_servers pool proc ~threads ~name handler =
                  (Rng.exponential pool.p_rng ~mean:pool.p_stall_mean);
              Kernel.consume pool.p_kern th Breakdown.Kernel event_loop_kernel_ns;
              Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns;
-             handler th rq.rq_body;
+             handler th;
              Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns;
-             ignore (Kernel.wake_one pool.p_kern ~waker:th rq.rq_done ())
+             ignore (Kernel.wake_one pool.p_kern ~waker:th rq ())
            done))
   done
 
@@ -275,21 +279,22 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
       let stall_mean = imbalance_stall_mean ~threads:p.threads in
       let db_pool = pool_create ~stall_mean ~seed:(seed + 692) kern in
       let php_pool = pool_create ~stall_mean ~seed:(seed + 692) kern in
-      pool_spawn_servers db_pool db_proc ~threads:p.threads ~name:"db"
-        (fun th () -> db_query th);
-      pool_spawn_servers php_pool php_proc ~threads:p.threads ~name:"php"
-        (fun th () ->
-          php_stage th ~db_call:(fun th ->
-              pool_call db_pool th ~size:php_db_bytes ()));
+      pool_spawn_servers db_pool db_proc ~threads:p.threads ~name:"db" (fun () ->
+          db_query);
+      pool_spawn_servers php_pool php_proc ~threads:p.threads ~name:"php" (fun () ->
+          let rq = Kernel.Sleepq.create () in
+          let db_call th = pool_call db_pool th rq ~size:php_db_bytes in
+          fun th -> php_stage th ~db_call);
       for _ = 1 to p.threads do
         ignore
           (Kernel.spawn kern web_proc ~name:"web"
              (fun th ->
+               let rq = Kernel.Sleepq.create () in
+               let php_call th = pool_call php_pool th rq ~size:web_php_bytes in
                while Engine.now engine < p.warmup +. p.duration do
                  let start = Engine.now engine in
                  client_io kern th;
-                 web_stage th ~php_call:(fun th ->
-                     pool_call php_pool th ~size:web_php_bytes ());
+                 web_stage th ~php_call;
                  record_op start th
                done))
       done

@@ -250,6 +250,21 @@ let test_oltp_injected_checker_clean () =
   Alcotest.(check string) "oltp injected run reproducible" d1 d2;
   Alcotest.(check bool) "oltp still makes progress" true (r1.O.r_ops > 0)
 
+(* The in-memory Linux cell under aggressive injection, pinned: delayed
+   and lost IPIs (a wake queued behind a timer), spurious futex wakeups
+   and forced preemption at quantum boundaries, which no pinned suite
+   cell exercises on the kernel's park paths. *)
+let test_oltp_linux_aggressive_pinned () =
+  let tr = Trace.create () in
+  let inj = Inject.create ~config:Inject.aggressive_config ~seed:3 () in
+  let r =
+    O.run ~seed:7 ~trace:tr ~inject:inj ~config:O.Linux ~db_mode:O.In_memory
+      ~threads:16 ()
+  in
+  Alcotest.(check string) "injected Linux digest" "fe06110051f068fd"
+    (Trace.digest_hex tr);
+  Alcotest.(check int) "injected Linux ops" 261 r.O.r_ops
+
 (* --- machine layer: crossing faults preserve architectural results --- *)
 
 (* Ping-pong between two domains: A and B jump into each other 15 times,
@@ -368,6 +383,8 @@ let suites =
           test_fault_stats_accounted;
         Alcotest.test_case "oltp injected, checker clean" `Slow
           test_oltp_injected_checker_clean;
+        Alcotest.test_case "oltp Linux injected, pinned" `Slow
+          test_oltp_linux_aggressive_pinned;
         Alcotest.test_case "violation dumps a trace artifact" `Quick
           test_failure_dump_writes_trace;
       ] );

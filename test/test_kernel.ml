@@ -2,6 +2,7 @@
    futexes, pipes and UNIX sockets. *)
 
 module Engine = Dipc_sim.Engine
+module Trace = Dipc_sim.Trace
 module Breakdown = Dipc_sim.Breakdown
 module Costs = Dipc_sim.Costs
 module Kernel = Dipc_kernel.Kernel
@@ -144,7 +145,7 @@ let test_unix_socket_order () =
   ignore
     (Kernel.spawn ~cpu:0 k p ~name:"rx" (fun th ->
          for _ = 1 to 3 do
-           let v, _ = Unix_socket.recv sock th in
+           let v = (Unix_socket.recv sock th).Unix_socket.payload in
            got := v :: !got
          done));
   ignore
@@ -260,6 +261,175 @@ let test_fd_table () =
   Alcotest.(check bool) "distinct fds" true (fd1 <> fd2);
   Alcotest.(check bool) "fds start after stdio" true (fd1 >= 3)
 
+(* Allocation per park.  Two threads on CPUs 0 and 1 ping-pong through
+   two sleep queues ([block_on]/[wake_one], a cross-CPU IPI per wake),
+   while three CPU-bound threads contend for CPU 0's run queue and are
+   preempted at every quantum.  The untraced run's minor words are
+   divided by its parks, counted as the Suspend events of a traced
+   replay (the same seedless schedule).  A park costs the runtime's
+   continuation and no kernel or engine block. *)
+let park_scenario ?trace () =
+  let e, k = make ~ncpus:2 () in
+  Option.iter (Engine.set_trace e) trace;
+  let p = Kernel.create_process k ~name:"p" in
+  let qa = Kernel.Sleepq.create () and qb = Kernel.Sleepq.create () in
+  let turn = ref 0 in
+  let rounds = 2_000 in
+  let player ~cpu ~mine ~own ~other =
+    ignore
+      (Kernel.spawn ~cpu k p ~name:"player" (fun th ->
+           for _ = 1 to rounds do
+             while !turn <> mine do
+               Kernel.block_on k th own
+             done;
+             Kernel.consume k th Breakdown.User_code 100.;
+             turn := 1 - mine;
+             ignore (Kernel.wake_one k ~waker:th other ())
+           done))
+  in
+  player ~cpu:0 ~mine:0 ~own:qa ~other:qb;
+  player ~cpu:1 ~mine:1 ~own:qb ~other:qa;
+  for _ = 1 to 3 do
+    ignore
+      (Kernel.spawn ~cpu:0 k p ~name:"hog" (fun th ->
+           for _ = 1 to 20 do
+             Kernel.consume k th Breakdown.User_code 300_000.
+           done))
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  Gc.minor_words () -. w0
+
+let test_park_allocation () =
+  let words = park_scenario () in
+  let tr = Trace.create ~capacity:16 () in
+  let parks = ref 0 in
+  Trace.set_sink tr
+    (Some (fun ev -> if ev.Trace.e_kind = Trace.Suspend then incr parks));
+  ignore (park_scenario ~trace:tr ());
+  Alcotest.(check bool) "the scenario parked" true (!parks > 4_000);
+  let per_park = words /. float_of_int !parks in
+  if per_park > 6. then
+    Alcotest.failf "%.2f minor words per park over %d parks (bound 6)" per_park
+      !parks
+
+(* --- intrusive queues against a [Queue] model ---
+
+   A random script of operations on two sleep queues and a futex, one
+   operation per millisecond so each settles before the next.  A block
+   spawns a fresh unpinned thread that sleeps on its queue (or in
+   [Futex.wait]) and, once woken, records its id and the value its wake
+   handed over; a wake spawns a thread that wakes one sleeper with the
+   operation's index as the value.  The model is a [Queue] of sleeper
+   ids per queue: every wake must pick the model's head and hand it the
+   value, a wake of an empty queue must report false, and after every
+   operation [Sleepq.length] and [Futex.waiters] must equal the model's
+   lengths. *)
+type queue_op = Block of int | Wake of int | Detached of int
+
+let queue_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun q -> Block q) (int_bound 2));
+        (3, map (fun q -> Wake q) (int_bound 2));
+        (1, map (fun q -> Detached q) (int_bound 1));
+      ])
+
+let show_queue_op = function
+  | Block q -> Printf.sprintf "Block %d" q
+  | Wake q -> Printf.sprintf "Wake %d" q
+  | Detached q -> Printf.sprintf "Detached %d" q
+
+let run_queue_script ops =
+  let e, k = make ~ncpus:2 () in
+  let p = Kernel.create_process k ~name:"p" in
+  (* Queues 0 and 1 are sleep queues; queue 2 is the futex. *)
+  let qs = [| Kernel.Sleepq.create (); Kernel.Sleepq.create () |] in
+  let fx = Futex.create k ~value:(ref 0) in
+  let woken = ref [] and reported = ref [] and lengths = ref [] in
+  let observe () =
+    lengths :=
+      (Kernel.Sleepq.length qs.(0), Kernel.Sleepq.length qs.(1), Futex.waiters fx)
+      :: !lengths
+  in
+  List.iteri
+    (fun i op ->
+      let at = Some (float_of_int (i + 1) *. 1_000_000.) in
+      ignore
+        (Kernel.spawn ~at k p ~name:"op" (fun th ->
+             (match op with
+             | Block 2 ->
+                 ignore
+                   (Kernel.spawn k p ~name:"sleeper" (fun th ->
+                        Futex.wait fx th ~expected:0;
+                        woken := (i, -1) :: !woken))
+             | Block q ->
+                 ignore
+                   (Kernel.spawn k p ~name:"sleeper" (fun th ->
+                        let v = Kernel.block_on k th qs.(q) in
+                        woken := (i, v) :: !woken))
+             | Wake 2 -> reported := (Futex.wake fx th ~n:1 = 1) :: !reported
+             | Wake q -> reported := Kernel.wake_one k ~waker:th qs.(q) i :: !reported
+             | Detached q -> reported := Kernel.wake_detached qs.(q) i :: !reported);
+             Kernel.consume k th Breakdown.User_code 100_000.;
+             observe ())))
+    ops;
+  Engine.run e;
+  (List.rev !woken, List.rev !reported, List.rev !lengths)
+
+let model_queue_script ops =
+  let qs = Array.init 3 (fun _ -> Queue.create ()) in
+  let woken = ref [] and reported = ref [] and lengths = ref [] in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Block q -> Queue.add i qs.(q)
+      | Wake q | Detached q -> (
+          match Queue.take_opt qs.(q) with
+          | Some sleeper ->
+              woken := (sleeper, if q = 2 then -1 else i) :: !woken;
+              reported := true :: !reported
+          | None -> reported := false :: !reported));
+      lengths := (Queue.length qs.(0), Queue.length qs.(1), Queue.length qs.(2)) :: !lengths)
+    ops;
+  (List.rev !woken, List.rev !reported, List.rev !lengths)
+
+let prop_queues_match_model =
+  QCheck.Test.make ~name:"sleep queues and futex match a Queue model" ~count:200
+    QCheck.(make ~print:(Print.list show_queue_op) Gen.(list_size (int_bound 40) queue_op_gen))
+    (fun ops -> run_queue_script ops = model_queue_script ops)
+
+(* Waking a thread that is not parked is a protocol error, not a lost
+   wakeup: it raises.  The thread here is running (inside a delay). *)
+let test_unpark_running_raises () =
+  let e = Engine.create () in
+  let handle = ref None in
+  Engine.spawn e (fun () ->
+      handle := Some (Engine.parker ());
+      Engine.delay 10.);
+  Engine.spawn ~at:5. e (fun () ->
+      match !handle with
+      | None -> Alcotest.fail "no handle"
+      | Some p ->
+          Alcotest.check_raises "unpark of a delayed thread"
+            (Invalid_argument "Engine.unpark: thread not parked") (fun () ->
+              Engine.unpark p));
+  Engine.run e;
+  (* Parked once, unparked once: a second unpark raises too. *)
+  let e = Engine.create () in
+  Engine.spawn e (fun () ->
+      handle := Some (Engine.parker ());
+      Engine.park ());
+  Engine.spawn ~at:5. e (fun () ->
+      let p = Option.get !handle in
+      Engine.unpark p;
+      Alcotest.check_raises "second unpark"
+        (Invalid_argument "Engine.unpark: thread not parked") (fun () ->
+          Engine.unpark p));
+  Engine.run e;
+  Alcotest.(check int) "the parked thread finished" 0 (Engine.live e)
+
 let suites =
   [
     ( "kernel.sched",
@@ -277,6 +447,8 @@ let suites =
           test_shared_address_space_no_pt_switch;
         Alcotest.test_case "syscall categories" `Quick test_syscall_overhead_categories;
         Alcotest.test_case "fd table" `Quick test_fd_table;
+        Alcotest.test_case "park allocates only its continuation" `Quick
+          test_park_allocation;
       ] );
     ( "kernel.futex",
       [
@@ -290,4 +462,10 @@ let suites =
       ] );
     ( "kernel.unix_socket",
       [ Alcotest.test_case "fifo order" `Quick test_unix_socket_order ] );
+    ( "kernel.queues",
+      [
+        Alcotest.test_case "unpark of an unparked thread raises" `Quick
+          test_unpark_running_raises;
+        QCheck_alcotest.to_alcotest prop_queues_match_model;
+      ] );
   ]

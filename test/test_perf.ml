@@ -338,20 +338,20 @@ let live_payloads w =
 
 let both_tiers h = Heap.near_length h > 0 && Heap.near_length h < Heap.length h
 
-(* The queue grows (16 -> 64 slots), recycles slots through a partial
-   drain, grows again (-> 128) on top of the recycled slots and drains:
+(* The queue grows (256 -> 512 slots), recycles slots through a partial
+   drain, grows again (-> 1024) on top of the recycled slots and drains:
    at every stage exactly the queued payloads stay reachable, with
    payloads queued in both tiers at each check. *)
 let test_no_payload_retention () =
   let h = Heap.create () in
-  let w = Weak.create 150 in
-  fill_heap h w ~first:0 40;
-  pop_heap h 25;
+  let w = Weak.create 750 in
+  fill_heap h w ~first:0 300;
+  pop_heap h 200;
   Alcotest.(check bool) "both tiers after a partial drain" true (both_tiers h);
   Alcotest.(check int) "only queued payloads live after a partial drain"
     (Heap.length h) (live_payloads w);
-  fill_heap h w ~first:40 110;
-  pop_heap h 60;
+  fill_heap h w ~first:300 450;
+  pop_heap h 300;
   Alcotest.(check bool) "both tiers after regrowth" true (both_tiers h);
   Alcotest.(check int) "only queued payloads live after regrowth"
     (Heap.length h) (live_payloads w);
@@ -372,8 +372,11 @@ let test_no_payload_retention () =
 
    The same runs bound the minor words allocated per engine step, set-up
    included: an event that allocates again (a closure per delay, a boxed
-   time, a fresh event block) multiplies a rep's nursery sweep and with
-   it the resident set, which the far-tier share would not show. *)
+   time, a fresh event block, a waker or queue cell per park) multiplies
+   a rep's nursery sweep and with it the resident set, which the
+   far-tier share would not show.  With parks and delays allocating only
+   their continuations, the cells read ~1.41 (Linux) and ~2.05 (dIPC)
+   words per step. *)
 type cell_run = { far_share : float; words_per_step : float }
 
 let cell_run config =
@@ -415,13 +418,13 @@ let test_far_share_dipc () =
 
 let test_words_linux () =
   let w = (Lazy.force linux_run).words_per_step in
-  if w > 8. then
-    Alcotest.failf "Linux cell allocated %.2f minor words per engine step (bound 8)" w
+  if w > 2. then
+    Alcotest.failf "Linux cell allocated %.2f minor words per engine step (bound 2)" w
 
 let test_words_dipc () =
   let w = (Lazy.force dipc_run).words_per_step in
-  if w > 3. then
-    Alcotest.failf "dIPC cell allocated %.2f minor words per engine step (bound 3)" w
+  if w > 2.5 then
+    Alcotest.failf "dIPC cell allocated %.2f minor words per engine step (bound 2.5)" w
 
 (* --- APL cache: reset, and LRU model equivalence --- *)
 
@@ -785,9 +788,9 @@ let suites =
           test_far_share_linux;
         Alcotest.test_case "dIPC cell: far heap <= 1% of pushes" `Quick
           test_far_share_dipc;
-        Alcotest.test_case "Linux cell: <= 8 minor words per step" `Quick
+        Alcotest.test_case "Linux cell: <= 2 minor words per step" `Quick
           test_words_linux;
-        Alcotest.test_case "dIPC cell: <= 3 minor words per step" `Quick
+        Alcotest.test_case "dIPC cell: <= 5 minor words per 2 steps" `Quick
           test_words_dipc;
       ] );
     ( "perf.apl_cache",

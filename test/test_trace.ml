@@ -142,6 +142,13 @@ let test_oltp_different_seed_different_digest () =
   Alcotest.(check bool) "seeds diverge the event stream" false
     (Trace.digest_hex tr1 = Trace.digest_hex tr2)
 
+(* The on-disk Linux run pinned: the only path through [Kernel.suspend_on]
+   and the disk's external wakers, which no pinned suite cell takes. *)
+let test_oltp_on_disk_pinned () =
+  let tr, r = oltp_run ~seed:7 in
+  Alcotest.(check string) "on-disk Linux digest" "bcf793247cb1429d" (Trace.digest_hex tr);
+  Alcotest.(check int) "on-disk Linux ops" 41 r.O.r_ops
+
 let test_oltp_default_seed_is_legacy () =
   (* The seed parameter defaults to the calibrated legacy streams, so
      published EXPERIMENTS.md numbers stay reproducible. *)
@@ -342,6 +349,7 @@ let suites =
           test_oltp_different_seed_different_digest;
         Alcotest.test_case "oltp default seed is legacy" `Slow
           test_oltp_default_seed_is_legacy;
+        Alcotest.test_case "oltp on-disk Linux pinned" `Slow test_oltp_on_disk_pinned;
       ] );
     ( "trace.hw",
       [
