@@ -922,7 +922,7 @@ let engine_timerstorm =
             for i = 0 to 49 do
               Engine.spawn e (fun () ->
                   for _ = 1 to 10_000 do
-                    Engine.delay (float_of_int (1 + (i mod 7)));
+                    Engine.delay e (float_of_int (1 + (i mod 7)));
                     incr acc
                   done)
             done;

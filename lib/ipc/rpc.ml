@@ -38,7 +38,7 @@ let call t th ~proc_num ~arg =
   charge_marshal t th ~fields:(Xdr.encoded_fields e) ~bytes:(String.length payload);
   Unix_socket.send t.to_server th ~size:(String.length payload)
     (Request { proc_num; arg });
-  let { Unix_socket.payload = reply; size } = Unix_socket.recv t.to_client th in
+  let { Unix_socket.payload = reply; size; _ } = Unix_socket.recv t.to_client th in
   match reply with
   | Response r ->
       let d = Xdr.decoder r in
@@ -49,7 +49,7 @@ let call t th ~proc_num ~arg =
 
 (* Server: handle exactly one request using [dispatch]. *)
 let serve_one t th dispatch =
-  let { Unix_socket.payload = msg; size } = Unix_socket.recv t.to_server th in
+  let { Unix_socket.payload = msg; size; _ } = Unix_socket.recv t.to_server th in
   match msg with
   | Request { proc_num; arg } ->
       (* Demultiplex into the handler table. *)

@@ -53,7 +53,7 @@ let call t th ~proc_num ~arg =
   charge_tcp t th ~bytes;
   Dipc_kernel.Unix_socket.send t.to_server th ~size:bytes
     (Request { Rpc.proc_num; arg });
-  let { Dipc_kernel.Unix_socket.payload = reply; size } =
+  let { Dipc_kernel.Unix_socket.payload = reply; size; _ } =
     Dipc_kernel.Unix_socket.recv t.to_client th
   in
   charge_tcp t th ~bytes:size;
@@ -66,7 +66,7 @@ let call t th ~proc_num ~arg =
   | Request _ -> invalid_arg "Tcp_rpc.call: protocol violation"
 
 let serve_one t th dispatch =
-  let { Dipc_kernel.Unix_socket.payload = msg; size } =
+  let { Dipc_kernel.Unix_socket.payload = msg; size; _ } =
     Dipc_kernel.Unix_socket.recv t.to_server th
   in
   match msg with

@@ -196,6 +196,13 @@ let charge t th category ns =
   if Trace.enabled tr then
     Trace.emit_charge tr ~ts:(now t) ~cpu:th.cpu ~tid:th.tid ~cat:category ~dur:ns
 
+(* A thread event (context switch, IPI, syscall) at the current time.
+   Out of line, so the trace's digest fold is compiled once here, not
+   into every syscall and wake site; it takes no float, so the call
+   boxes nothing. *)
+let[@inline never] trace_thread t ~cpu ~tid ~arg kind =
+  Trace.emit_thread (Engine.tracer t.engine) ~ts:(now t) ~cpu ~tid ~arg kind
+
 (* --- CPU token management --- *)
 
 (* Start idle accounting from now. *)
@@ -227,11 +234,14 @@ let idle_exit_cost idled =
   else if idled < 600. then 100. +. Costs.context_switch
   else Costs.idle_wakeup +. Costs.context_switch
 
-(* Costs of switching this CPU to [th]; charged to the incoming thread. *)
-let switch_in t th ~idled =
+(* Costs of switching this CPU to [th]; charged to the incoming thread.
+   [from_idle]: the CPU was free, so it may have idled until now.  It
+   ends the idle stretch here, not in [acquire]: passed from there, the
+   idle time would be a boxed float, 2 words per uncontended acquire. *)
+let switch_in t th ~from_idle =
   let cpu = t.cpus.(th.cpu) in
   let costs = ref 0. in
-  let idle_cost = idle_exit_cost idled in
+  let idle_cost = if from_idle then idle_exit_cost (end_idle t cpu) else 0. in
   if idle_cost > 0. then begin
     charge t th Breakdown.Schedule idle_cost;
     costs := !costs +. idle_cost
@@ -239,8 +249,7 @@ let switch_in t th ~idled =
   let tr = Engine.tracer t.engine in
   if cpu.last_tid <> th.tid && cpu.last_tid <> -1 then begin
     if Trace.enabled tr then
-      Trace.emit tr ~ts:(now t) ~cpu:th.cpu ~tid:th.tid ~arg:cpu.last_tid
-        Trace.Ctxsw;
+      trace_thread t ~cpu:th.cpu ~tid:th.tid ~arg:cpu.last_tid Trace.Ctxsw;
     charge t th Breakdown.Schedule Costs.context_switch;
     costs := !costs +. Costs.context_switch
   end;
@@ -254,7 +263,7 @@ let switch_in t th ~idled =
     th.wake_ipi <- false;
     (* arg 0: the IPI is being handled on the receiving CPU. *)
     if Trace.enabled tr then
-      Trace.emit tr ~ts:(now t) ~cpu:th.cpu ~tid:th.tid ~arg:0 Trace.Ipi;
+      trace_thread t ~cpu:th.cpu ~tid:th.tid ~arg:0 Trace.Ipi;
     charge t th Breakdown.Kernel Costs.ipi_handle;
     costs := !costs +. Costs.ipi_handle
   end;
@@ -282,14 +291,13 @@ let[@inline never] acquire t th =
   let cpu = t.cpus.(th.cpu) in
   match cpu.running with
   | None ->
-      let idled = end_idle t cpu in
       cpu.running <- th.some_self;
-      switch_in t th ~idled
+      switch_in t th ~from_idle:true
   | Some _ ->
       enqueue cpu.runq th;
       park th;
       (* release/hand-off set [running] to us before resuming. *)
-      switch_in t th ~idled:0.
+      switch_in t th ~from_idle:false
 
 (* Release the CPU, handing it to the next ready thread if any. *)
 let release t th =
@@ -345,9 +353,8 @@ let consume t th category ns =
 (* Charge the syscall entry/exit + dispatch trampoline (Figure 2 blocks 2
    and 3). *)
 let syscall_overhead t th =
-  let tr = Engine.tracer t.engine in
-  if Trace.enabled tr then
-    Trace.emit tr ~ts:(now t) ~cpu:th.cpu ~tid:th.tid Trace.Syscall;
+  if Trace.enabled (Engine.tracer t.engine) then
+    trace_thread t ~cpu:th.cpu ~tid:th.tid ~arg:0 Trace.Syscall;
   consume t th Breakdown.Syscall_entry Costs.syscall_entry_exit;
   consume t th Breakdown.Dispatch Costs.syscall_dispatch
 
@@ -402,10 +409,9 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
       let ipi_delay = ref 0. in
       if sleeper.cpu <> waker_th.cpu then begin
         (* arg: the woken thread's tid (the IPI's logical target). *)
-        let tr = Engine.tracer t.engine in
-        if Trace.enabled tr then
-          Trace.emit tr ~ts:(now t) ~cpu:waker_th.cpu ~tid:waker_th.tid
-            ~arg:sleeper.tid Trace.Ipi;
+        if Trace.enabled (Engine.tracer t.engine) then
+          trace_thread t ~cpu:waker_th.cpu ~tid:waker_th.tid ~arg:sleeper.tid
+            Trace.Ipi;
         charge t waker_th Breakdown.Kernel Costs.ipi_send;
         Engine.delay_in t.engine Costs.ipi_send;
         sleeper.wake_ipi <- true;
@@ -493,7 +499,7 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
   in
   let tr = Engine.tracer t.engine in
   if Trace.enabled tr then
-    Trace.emit tr
+    Trace.emit_thread tr
       ~ts:(match at with None -> now t | Some at -> at)
       ~cpu:th.cpu ~tid:th.tid ~arg:proc.pid Trace.Spawn;
   (match at with

@@ -7,7 +7,12 @@ module Breakdown = Dipc_sim.Breakdown
 module Costs = Dipc_sim.Costs
 module Memcost = Dipc_sim.Memcost
 
-type 'a message = { payload : 'a; size : int }
+(* [copy_ns] is [Memcost.kernel_copy size], computed once per message:
+   a float computed at each send and receive would be boxed there, to
+   pass it to [Kernel.consume]. *)
+type 'a message = { payload : 'a; size : int; copy_ns : float }
+
+let message ~size payload = { payload; size; copy_ns = Memcost.kernel_copy size }
 
 type 'a t = {
   kern : Kernel.t;
@@ -27,17 +32,18 @@ let create kern =
     senders = Kernel.Sleepq.create ();
   }
 
-let send t th ~size payload =
+let send_msg t th msg =
   Kernel.syscall_overhead t.kern th;
   Kernel.consume t.kern th Breakdown.Kernel Costs.unix_socket_msg;
   (* Copy user data into the kernel skb. *)
-  Kernel.consume t.kern th Breakdown.Kernel (Memcost.kernel_copy size);
+  Kernel.consume t.kern th Breakdown.Kernel msg.copy_ns;
   while Queue.length t.queue >= max_queued do
     Kernel.block_on t.kern th t.senders
   done;
-  let msg = { payload; size } in
   if not (Kernel.wake_one t.kern ~waker:th t.receivers msg) then
     Queue.add msg t.queue
+
+let send t th ~size payload = send_msg t th (message ~size payload)
 
 (* Returns the sender's own message record: no tuple per message. *)
 let recv t th =
@@ -51,7 +57,7 @@ let recv t th =
     | None -> Kernel.block_on t.kern th t.receivers
   in
   (* Copy from the kernel skb into the receiver's buffer. *)
-  Kernel.consume t.kern th Breakdown.Kernel (Memcost.kernel_copy msg.size);
+  Kernel.consume t.kern th Breakdown.Kernel msg.copy_ns;
   msg
 
 let pending t = Queue.length t.queue

@@ -53,7 +53,6 @@ and 'a waker = {
 type parker = { engine : t; mutable cell : event; mutable parked : bool }
 
 type _ Effect.t +=
-  | Delay : float -> unit Effect.t
   | Delay_at : unit Effect.t (* wake at [now_.(1)] *)
   | Suspend : ('a waker -> unit) -> 'a Effect.t
   | Park : unit Effect.t
@@ -111,8 +110,8 @@ let[@inline] fire t =
   | Wake (w, v) -> Effect.Deep.continue w.cont v
   | Thunk f -> f ()
 
-(* Direct handoff: a thread that has just parked (its [Delay] or
-   [Suspend] handler has queued its continuation or handed out its
+(* Direct handoff: a thread that has just parked (its [Delay_at], [Park]
+   or [Suspend] handler has queued its continuation or handed out its
    waker) or finished ([retc]) fires the next due event itself instead
    of returning to the run loop, which would only pop that same event
    and fire it.  [fire] does what the loop does, in the same order, so
@@ -195,9 +194,6 @@ let rec exec t f =
           match eff with
           | Delay_at -> on_delay
           | Park -> on_park
-          | Delay d ->
-              Float.Array.unsafe_set t.now_ 1 (now t +. d);
-              on_delay
           | Self -> Some (fun k -> continue k self)
           | Suspend register ->
               Some
@@ -217,16 +213,20 @@ and spawn ?at t f =
 
 (* --- operations available inside simulated threads --- *)
 
-let delay d = if d > 0. then Effect.perform (Delay d) else ()
+(* The slow path of every delay: store [at = now + d] in slot 1 of
+   [now_], perform the constant [Delay_at] -> the handler emits a Sched
+   event at [at] and pushes the thread's [Resume] cell -> [fire] (from
+   the handoff or the run loop) pops the queue minimum, bumps [steps],
+   sets [now] and resumes.  Nothing is boxed on the way: the continuation
+   is the one allocation. *)
+let[@inline] delay_at t at =
+  Float.Array.unsafe_set t.now_ 1 at;
+  Effect.perform Delay_at
 
-(* [delay_in t d] = [delay d] for a thread running inside engine [t],
-   with a fast path that skips the effect round trip and the event queue.
+let delay t d = if d > 0. then delay_at t (now t +. d)
 
-   The slow path is: store [at = now + d] in slot 1 of [now_], perform
-   the constant [Delay_at] -> the handler emits a Sched event at [at]
-   and pushes the thread's [Resume] cell -> [fire] (from the handoff or
-   the run loop) pops the queue minimum, bumps [steps], sets [now] and
-   resumes.  When our event
+(* [delay_in t d] = [delay t d], with a fast path that skips the effect
+   round trip and the event queue.  When our event
    would be the strict minimum (queue empty or top strictly later — a tie
    loses to the earlier sequence number), nothing can run between push
    and pop, so emitting the same Sched event, bumping [steps] and
@@ -249,10 +249,7 @@ let delay_in t d =
       t.steps <- t.steps + 1;
       Float.Array.unsafe_set t.now_ 0 at
     end
-    else begin
-      Float.Array.unsafe_set t.now_ 1 at;
-      Effect.perform Delay_at
-    end
+    else delay_at t at
   end
 
 (* Suspend the calling thread; [register] receives a waker that must be

@@ -5,8 +5,8 @@
     continuations, so protocol code reads in direct style.  Continuations
     are one-shot: every suspended thread is resumed exactly once.  The
     queue holds the continuations themselves, not closures around them:
-    a delay or a {!park} allocates only the runtime's continuation, and
-    an {!unpark} nothing. *)
+    a queued delay or a {!park} allocates only the runtime's
+    continuation (2 words), and an {!unpark} nothing. *)
 
 type t
 
@@ -40,14 +40,17 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Start a simulated thread (optionally at a future time). *)
 val spawn : ?at:float -> t -> (unit -> unit) -> unit
 
-(** Inside a thread: advance virtual time by [d] nanoseconds. *)
-val delay : float -> unit
+(** [delay t d], inside a thread of engine [t] (and only there: [t]
+    must be the engine running the calling thread): advance virtual time
+    by [d] nanoseconds.  Always queues the wakeup and suspends the
+    thread, allocating only its continuation; a non-positive [d] is a
+    no-op. *)
+val delay : t -> float -> unit
 
-(** [delay_in t d] behaves exactly like {!delay} for a thread running
-    inside engine [t] (and only there: [t] must be the engine running
-    the calling thread), but skips the effect round trip and the
-    event queue when no other event is due before the wakeup (observably
-    identical: same trace events, same event order). *)
+(** [delay_in t d] behaves exactly like [delay t d] (same trace events,
+    same event order), but skips the effect round trip and the event
+    queue when no other event is due before the wakeup, and then
+    allocates nothing.  Otherwise it takes {!delay}'s path. *)
 val delay_in : t -> float -> unit
 
 (** Inside a thread: its park handle.  Costs an effect round trip, so

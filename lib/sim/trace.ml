@@ -258,6 +258,12 @@ let emit_charge t ~ts ~cpu ~tid ~cat ~dur =
     record t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1)
       ~ci:(Breakdown.category_index cat) ~dur ~arg:0
 
+(* [emit t ~ts ~cpu ~tid ~arg kind] (tag, category and duration
+   defaulted): the kernel's Ctxsw, Ipi, Syscall and Spawn events. *)
+let emit_thread t ~ts ~cpu ~tid ~arg kind =
+  if t.on then
+    record t ~ts ~ki:(kind_index kind) ~cpu ~tid ~tag:(-1) ~ci:(-1) ~dur:0. ~arg
+
 let total t = t.count
 
 let dropped t = t.count - t.len

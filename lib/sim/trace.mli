@@ -116,6 +116,12 @@ val emit_bare : t -> ts:float -> kind -> unit
 val emit_charge :
   t -> ts:float -> cpu:int -> tid:int -> cat:Breakdown.category -> dur:float -> unit
 
+(** [emit_thread t ~ts ~cpu ~tid ~arg kind] ≡
+    [emit t ~ts ~cpu ~tid ~arg kind]: lean entry point for the kernel's
+    thread events (context switch, IPI, syscall, spawn), which carry a
+    CPU, a thread and an argument and leave the rest defaulted. *)
+val emit_thread : t -> ts:float -> cpu:int -> tid:int -> arg:int -> kind -> unit
+
 (** Events still held in the ring, oldest first. *)
 val events : t -> event list
 

@@ -158,12 +158,13 @@ let protocol_user_ns = 600.
 let event_loop_kernel_ns = 800.
 
 (* One synchronous RPC into the pool: marshal, socket send, wait for
-   completion, demarshal the response. *)
-let pool_call pool th rq ~size =
+   completion, demarshal the response.  [msg] is the client's request
+   wrapped in its socket message, built once with the request. *)
+let pool_call pool th (msg : request Unix_socket.message) =
   Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns;
   Kernel.consume pool.p_kern th Breakdown.Kernel event_loop_kernel_ns;
-  Unix_socket.send pool.p_sock th ~size rq;
-  Kernel.block_on pool.p_kern th rq;
+  Unix_socket.send_msg pool.p_sock th msg;
+  Kernel.block_on pool.p_kern th msg.payload;
   Kernel.consume pool.p_kern th Breakdown.User_code protocol_user_ns
 
 (* Every thread of a pool (or tier) shares its name: thread names are
@@ -282,15 +283,17 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
       pool_spawn_servers db_pool db_proc ~threads:p.threads ~name:"db" (fun () ->
           db_query);
       pool_spawn_servers php_pool php_proc ~threads:p.threads ~name:"php" (fun () ->
-          let rq = Kernel.Sleepq.create () in
-          let db_call th = pool_call db_pool th rq ~size:php_db_bytes in
+          let msg = Unix_socket.message ~size:php_db_bytes (Kernel.Sleepq.create ()) in
+          let db_call th = pool_call db_pool th msg in
           fun th -> php_stage th ~db_call);
       for _ = 1 to p.threads do
         ignore
           (Kernel.spawn kern web_proc ~name:"web"
              (fun th ->
-               let rq = Kernel.Sleepq.create () in
-               let php_call th = pool_call php_pool th rq ~size:web_php_bytes in
+               let msg =
+                 Unix_socket.message ~size:web_php_bytes (Kernel.Sleepq.create ())
+               in
+               let php_call th = pool_call php_pool th msg in
                while Engine.now engine < p.warmup +. p.duration do
                  let start = Engine.now engine in
                  client_io kern th;

@@ -35,7 +35,7 @@ let delay_ping_pong rounds =
   let done_ = ref 0 in
   let thread () =
     for _ = 1 to rounds do
-      Engine.delay 1.
+      Engine.delay e 1.
     done;
     incr done_
   in
@@ -91,9 +91,9 @@ let spawn_and_finish n =
   Engine.spawn e (fun () ->
       for i = 1 to n do
         Engine.spawn e (fun () ->
-            if i land 1 = 1 then Engine.delay 0.5;
+            if i land 1 = 1 then Engine.delay e 0.5;
             incr finished);
-        Engine.delay 1.
+        Engine.delay e 1.
       done);
   Engine.run e;
   expect "spawn: children finished" ~expected:n !finished;

@@ -407,7 +407,7 @@ let test_unpark_running_raises () =
   let handle = ref None in
   Engine.spawn e (fun () ->
       handle := Some (Engine.parker ());
-      Engine.delay 10.);
+      Engine.delay e 10.);
   Engine.spawn ~at:5. e (fun () ->
       match !handle with
       | None -> Alcotest.fail "no handle"

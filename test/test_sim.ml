@@ -267,10 +267,10 @@ let test_engine_delay_ordering () =
   let e = Engine.create () in
   let log = ref [] in
   Engine.spawn e (fun () ->
-      Engine.delay 10.;
+      Engine.delay e 10.;
       log := ("a", Engine.now e) :: !log);
   Engine.spawn e (fun () ->
-      Engine.delay 5.;
+      Engine.delay e 5.;
       log := ("b", Engine.now e) :: !log);
   Engine.run e;
   Alcotest.(check (list (pair string (float 0.))))
@@ -286,7 +286,7 @@ let test_engine_suspend_resume () =
       let v = Engine.suspend (fun w -> slot := Some w) in
       got := v);
   Engine.spawn e (fun () ->
-      Engine.delay 3.;
+      Engine.delay e 3.;
       match !slot with Some w -> Engine.resume w 42 | None -> ());
   Engine.run e;
   Alcotest.(check int) "value delivered" 42 !got
@@ -296,7 +296,7 @@ let test_engine_double_resume_rejected () =
   let slot = ref None in
   Engine.spawn e (fun () -> ignore (Engine.suspend (fun w -> slot := Some w)));
   Engine.spawn e (fun () ->
-      Engine.delay 1.;
+      Engine.delay e 1.;
       match !slot with
       | Some w ->
           Engine.resume w ();
@@ -310,9 +310,9 @@ let test_engine_run_until () =
   let e = Engine.create () in
   let fired = ref 0 in
   Engine.spawn e (fun () ->
-      Engine.delay 10.;
+      Engine.delay e 10.;
       incr fired;
-      Engine.delay 10.;
+      Engine.delay e 10.;
       incr fired);
   Engine.run_until e 15.;
   Alcotest.(check int) "only first event" 1 !fired;
@@ -336,8 +336,8 @@ let mixed_engine () =
     Engine.spawn e (fun () ->
         for i = 1 to 300 do
           let d = Rng.float rng *. 10. in
-          if i mod 3 = 0 then Engine.delay_in e d else Engine.delay d;
-          if i mod 50 = 0 then Engine.spawn e (fun () -> Engine.delay 1.)
+          if i mod 3 = 0 then Engine.delay_in e d else Engine.delay e d;
+          if i mod 50 = 0 then Engine.spawn e (fun () -> Engine.delay e 1.)
         done)
   done;
   for _ = 1 to 3 do
@@ -348,7 +348,7 @@ let mixed_engine () =
   done;
   Engine.spawn e (fun () ->
       for _ = 1 to 400 do
-        Engine.delay 3.;
+        Engine.delay e 3.;
         while not (Queue.is_empty q) do
           Engine.resume (Queue.take q) ()
         done
@@ -396,13 +396,13 @@ let test_engine_step_limit () =
 let test_engine_exception_through_handoff () =
   let e = Engine.create () in
   Engine.spawn e (fun () ->
-      Engine.delay 1.;
+      Engine.delay e 1.;
       failwith "boom");
   (* Parks at 0.5 and 1.5 on the slow path: its handler fires the
      raising thread's wakeup at 1. *)
   Engine.spawn e (fun () ->
-      Engine.delay 0.5;
-      Engine.delay 1.);
+      Engine.delay e 0.5;
+      Engine.delay e 1.);
   Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run e);
   Alcotest.(check int) "raiser finished" 1 (Engine.live e);
   check_float "clock at the raise" 1. (Engine.now e);
@@ -411,7 +411,7 @@ let test_engine_exception_through_handoff () =
   check_float "other thread ran on" 1.5 (Engine.now e);
   let later = ref false in
   Engine.spawn e (fun () ->
-      Engine.delay 2.;
+      Engine.delay e 2.;
       later := true);
   Engine.run e;
   Alcotest.(check bool) "a later run works" true !later;
@@ -438,7 +438,7 @@ let test_engine_register_resumes () =
       say v);
   Engine.spawn ~at:1. e (fun () ->
       say "c runs";
-      Engine.delay 0.5;
+      Engine.delay e 0.5;
       say "c after delay";
       Option.iter (fun wb -> Engine.resume wb "b woken by c") !parked_b);
   Engine.schedule e ~at:1. (fun () -> say "raw event");
@@ -480,6 +480,28 @@ let test_engine_delay_allocation () =
   if per_event > 2.5 then
     Alcotest.failf "%.0f minor words over %d slow-path delays (%.2f per event, bound 2.5)"
       words events per_event
+
+(* [Engine.delay] always takes the slow path; on the bench's
+   engine_timerstorm shape (50 threads, 10,000 delays of 1-7 ns each)
+   every delay queues and each allocates only its continuation.  A
+   delay that performs an effect carrying its duration boxes the float
+   and the effect block on top: ~7 words per event. *)
+let test_engine_delay_effect_allocation () =
+  let e = Engine.create () in
+  for i = 0 to 49 do
+    Engine.spawn e (fun () ->
+        for _ = 1 to 10_000 do
+          Engine.delay e (float_of_int (1 + (i mod 7)))
+        done)
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every event fired" 500_050 (Engine.steps e);
+  let per_event = words /. float_of_int (Engine.steps e) in
+  if per_event > 2.5 then
+    Alcotest.failf "%.0f minor words over %d events (%.2f per event, bound 2.5)" words
+      (Engine.steps e) per_event
 
 (* One thread parks in a loop, its [register] storing the waker in a
    ref; the other delays a tick (on the slow path: the wakeup it queued
@@ -626,5 +648,9 @@ let suites =
             prop_histogram_quantiles_monotone;
             prop_histogram_merge_preserves_count;
             prop_histogram_merge_equals_union;
-          ] );
+          ]
+      @ [
+          Alcotest.test_case "Engine.delay allocates <= 2.5 words per event" `Quick
+            test_engine_delay_effect_allocation;
+        ] );
   ]
