@@ -29,9 +29,6 @@
      --inject SEED      install a seeded fault injector (same seed =>
                         byte-identical injected digest); the base seed
                         of --matrix
-     --posture NAME     default enforcement posture (strict | audit |
-                        permissive) for machines created by experiments;
-                        pinned digests assume strict
      --jobs N           spread the cells over N domains (0 = one per
                         recommended core); digests and printed results are
                         identical at any N
@@ -55,18 +52,11 @@ let rec parse (o : Suite.opts) acc = function
   | "--reference" :: rest ->
       Dipc_hw.Machine.set_default_reference true;
       parse o acc rest
-  | "--posture" :: s :: rest -> (
-      match Dipc_hw.Fault.posture_of_string s with
-      | Some p ->
-          Dipc_hw.Fault.set_default_posture p;
-          parse o acc rest
-      | None -> die "--posture needs strict | audit | permissive, got %S" s)
   | "--inject" :: s :: rest -> (
       match int_of_string_opt s with
       | Some seed -> parse { o with inject_seed = Some seed } acc rest
       | None -> die "--inject needs an integer seed, got %S" s)
   | "--jobs" :: s :: rest -> parse { o with jobs = count "--jobs" s } acc rest
-  | [ "--posture" ] -> die "--posture needs strict | audit | permissive"
   | [ "--inject" ] -> die "--inject needs an integer seed"
   | [ "--jobs" ] -> die "--jobs needs an integer count"
   | x :: rest -> parse o (x :: acc) rest

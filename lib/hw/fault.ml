@@ -88,12 +88,6 @@ let posture_to_string = function
   | Audit -> "audit"
   | Permissive -> "permissive"
 
-let posture_of_string = function
-  | "strict" -> Some Strict
-  | "audit" -> Some Audit
-  | "permissive" -> Some Permissive
-  | _ -> None
-
 (* Which fault classes a non-strict posture may downgrade. *)
 let downgradeable = function
   | No_permission _ | Not_entry_point | Exec_violation | Write_to_readonly
@@ -101,13 +95,3 @@ let downgradeable = function
       true
   | Unmapped | Cap_invalid | Dcs_bounds _ | Bad_instruction | Software_trap _ ->
       false
-
-(* Process-wide default posture, sampled at machine/model creation (the
-   same pattern as [Machine.default_reference]): the CLI flips it
-   before any machine exists.  Atomic because the parallel runner
-   creates machines from several domains. *)
-let default_posture = Atomic.make Strict
-
-let set_default_posture p = Atomic.set default_posture p
-
-let get_default_posture () = Atomic.get default_posture

@@ -46,14 +46,5 @@ val all_postures : posture list
 
 val posture_to_string : posture -> string
 
-val posture_of_string : string -> posture option
-
 (** Is this fault class subject to posture downgrade? *)
 val downgradeable : kind -> bool
-
-(** Process-wide default posture, sampled at machine/model creation (the
-    [--posture] CLI escape hatch; same pattern as
-    {!Machine.set_default_reference}). *)
-val set_default_posture : posture -> unit
-
-val get_default_posture : unit -> posture

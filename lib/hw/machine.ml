@@ -279,7 +279,7 @@ let create () =
     ctr_ras_misses = 0;
     ctr_ic_hits = 0;
     ctr_ic_misses = 0;
-    posture = Fault.get_default_posture ();
+    posture = Fault.Strict;
     audited_faults = 0;
   }
 

@@ -109,8 +109,8 @@ type t = {
           (polymorphic target, cold cache, stale superblock); every
           miss is also counted in [ctr_side_exits] *)
   mutable posture : Fault.posture;
-      (** enforcement posture for authorization faults (sampled from
-          {!Fault.get_default_posture} at creation); see {!set_posture} *)
+      (** enforcement posture for authorization faults ([Strict] at
+          creation); see {!set_posture} *)
   mutable audited_faults : int;
       (** authorization faults downgraded by the [Audit] posture *)
 }

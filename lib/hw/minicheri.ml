@@ -57,7 +57,7 @@ let cpu ~pcc ~idc =
     idc;
     trusted_stack = [];
     exceptions = 0;
-    posture = Fault.get_default_posture ();
+    posture = Fault.Strict;
     audited = 0;
   }
 

@@ -24,8 +24,7 @@ type cpu = {
   mutable trusted_stack : (cap * cap) list;
   mutable exceptions : int;  (** every crossing traps *)
   mutable posture : Fault.posture;
-      (** enforcement posture (sampled from
-          {!Fault.get_default_posture} at creation) *)
+      (** enforcement posture ([Strict] at creation) *)
   mutable audited : int;  (** denials downgraded by the [Audit] posture *)
 }
 

@@ -68,7 +68,7 @@ let cpu ~initial =
       domains = Hashtbl.create 8;
       cross_stack = [];
       pipeline_flushes = 0;
-      posture = Fault.get_default_posture ();
+      posture = Fault.Strict;
       audited = 0;
     }
   in

@@ -30,8 +30,7 @@ type cpu = {
   mutable cross_stack : int list;
   mutable pipeline_flushes : int;
   mutable posture : Fault.posture;
-      (** enforcement posture (sampled from
-          {!Fault.get_default_posture} at creation) *)
+      (** enforcement posture ([Strict] at creation) *)
   mutable audited : int;  (** denials downgraded by the [Audit] posture *)
 }
 

@@ -430,9 +430,10 @@ let wake_one t ~waker:waker_th (q : 'a Sleepq.q) (v : 'a) =
       else unpark sleeper;
       true
 
-(* Wake one sleeper with no running thread behind it (spurious wakeups,
-   timer redelivery): no waker CPU exists, so no IPI is modelled — the
-   sleeper just becomes ready and re-contends for a CPU. *)
+(* Wake one sleeper with no running thread behind it (device
+   completions, spurious wakeups, timer redelivery): no waker CPU
+   exists, so no IPI is modelled — the sleeper just becomes ready and
+   re-contends for a CPU. *)
 let wake_detached (q : 'a Sleepq.q) (v : 'a) =
   match dequeue q with
   | None -> false
@@ -440,14 +441,6 @@ let wake_detached (q : 'a Sleepq.q) (v : 'a) =
       Sleepq.give sleeper v;
       unpark sleeper;
       true
-
-(* Release the CPU and suspend on an externally-resumed waker (device
-   queues); reacquires a CPU once resumed. *)
-let suspend_on t th register =
-  release t th;
-  let v = Engine.suspend register in
-  acquire t th;
-  v
 
 (* Blocking wait for a wall-clock duration (disk, NIC, timer): the CPU is
    released, so it idles or runs other work. *)

@@ -85,16 +85,12 @@ val block_on : t -> thread -> 'a Sleepq.q -> 'a
     (a broken queue invariant, not a lost wakeup). *)
 val wake_one : t -> waker:thread -> 'a Sleepq.q -> 'a -> bool
 
-(** Wake one sleeper with no running thread behind it (spurious wakeup /
-    timer redelivery paths): no IPI is modelled.  Safe only for queues
-    whose sleepers re-check their predicate after waking, like the futex
-    wait loop. *)
+(** Wake one sleeper with no running thread behind it: no IPI is
+    modelled.  For a device completing a request (the OLTP disk wakes
+    its requesters from its own pump thread) and for spurious wakeups
+    and timer redelivery, where the queue's sleepers re-check their
+    predicate after waking, like the futex wait loop. *)
 val wake_detached : 'a Sleepq.q -> 'a -> bool
-
-(** Release the CPU and suspend on an externally-resumed one-shot waker
-    (device queues); unlike {!block_on}, each call allocates the waker
-    and [register]'s closure. *)
-val suspend_on : t -> thread -> ('a Engine.waker -> unit) -> 'a
 
 (** Blocking wall-clock wait (disk, NIC, timer). *)
 val io_wait : t -> thread -> float -> unit

@@ -7,8 +7,8 @@
    protocol code below reads like the real thing).
 
    One-shot continuations: every suspended thread is resumed exactly once,
-   either by the event queue ([delay]), by whoever holds its park handle
-   ([park]/[unpark]) or by whoever holds its waker ([suspend]/[resume]). *)
+   either by the event queue ([delay]) or by whoever holds its park
+   handle ([park]/[unpark]). *)
 
 type t = {
   (* Current virtual time in slot 0 of a 2-slot [floatarray]: a
@@ -34,18 +34,10 @@ type t = {
    - [Resume]: a delayed or unparked thread's wakeup.  One cell per
      thread, built at its first slow-path delay or park and reused, its
      continuation overwritten, by every later one: a thread has at most
-     one delay or park pending;
-   - [Wake]: a fired waker and the value it delivers. *)
+     one delay or park pending. *)
 and event =
   | Thunk of (unit -> unit)
   | Resume of { mutable k : (unit, unit) Effect.Deep.continuation }
-  | Wake : 'a waker * 'a -> event
-
-and 'a waker = {
-  mutable fired : bool;
-  engine : t;
-  cont : ('a, unit) Effect.Deep.continuation;
-}
 
 (* A thread's park handle, one per thread, built when the thread starts:
    its [Resume] cell (a stand-in until the first slow-path delay or park
@@ -54,7 +46,6 @@ type parker = { engine : t; mutable cell : event; mutable parked : bool }
 
 type _ Effect.t +=
   | Delay_at : unit Effect.t (* wake at [now_.(1)] *)
-  | Suspend : ('a waker -> unit) -> 'a Effect.t
   | Park : unit Effect.t
   | Self : parker Effect.t
 
@@ -107,16 +98,15 @@ let[@inline] fire t =
   Float.Array.unsafe_set t.now_ 0 time;
   match ev with
   | Resume r -> Effect.Deep.continue r.k ()
-  | Wake (w, v) -> Effect.Deep.continue w.cont v
   | Thunk f -> f ()
 
-(* Direct handoff: a thread that has just parked (its [Delay_at], [Park]
-   or [Suspend] handler has queued its continuation or handed out its
-   waker) or finished ([retc]) fires the next due event itself instead
-   of returning to the run loop, which would only pop that same event
-   and fire it.  [fire] does what the loop does, in the same order, so
-   only the stack frame that runs the next event changes: every trace
-   event, digest and counter is the same by construction.  What it
+(* Direct handoff: a thread that has just parked (its [Delay_at] or
+   [Park] handler has queued or stashed its continuation) or finished
+   ([retc]) fires the next due event itself instead of returning to
+   the run loop, which would only pop that same event and fire it.
+   [fire] does what the loop does, in the same order, so only the
+   stack frame that runs the next event changes: every trace event,
+   digest and counter is the same by construction.  What it
    saves is the stack switch back to the loop: a continuation resumed
    from inside the handler costs a fraction of one resumed from the
    loop (DESIGN.md Sec. 7).
@@ -161,7 +151,7 @@ let rec exec t f =
   let stash k =
     match self.cell with
     | Resume r -> r.k <- k
-    | Thunk _ | Wake _ -> self.cell <- Resume { k }
+    | Thunk _ -> self.cell <- Resume { k }
   in
   let on_delay =
     Some
@@ -195,13 +185,6 @@ let rec exec t f =
           | Delay_at -> on_delay
           | Park -> on_park
           | Self -> Some (fun k -> continue k self)
-          | Suspend register ->
-              Some
-                (fun k ->
-                  if Trace.enabled t.tracer then
-                    Trace.emit_bare t.tracer ~ts:(now t) Trace.Suspend;
-                  register { fired = false; engine = t; cont = k };
-                  handoff t)
           | _ -> None);
     }
 
@@ -252,10 +235,6 @@ let delay_in t d =
     else delay_at t at
   end
 
-(* Suspend the calling thread; [register] receives a waker that must be
-   fired exactly once (firing twice raises). *)
-let suspend register = Effect.perform (Suspend register)
-
 (* The calling thread's park handle: one effect round trip, so callers
    fetch it once and keep it. *)
 let parker () = Effect.perform Self
@@ -263,23 +242,15 @@ let parker () = Effect.perform Self
 let park () = Effect.perform Park
 
 (* Queue a parked thread's own [Resume] cell at the current time, as a
-   slow-path delay does: the same Resume and Sched events a fired waker
-   emits, and no allocation.  Out of line for the reason [resume] is. *)
+   slow-path delay does, with no allocation.  Out of line: its inlined
+   [push] would be copied into every caller, across the kernel and the
+   workloads. *)
 let[@inline never] unpark p =
   if not p.parked then invalid_arg "Engine.unpark: thread not parked";
   p.parked <- false;
   let t = p.engine in
   if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:(now t) Trace.Resume;
   push t ~at:(now t) p.cell
-
-(* Out of line: its inlined [push] would be copied into every caller,
-   across the kernel and the workloads. *)
-let[@inline never] resume waker v =
-  if waker.fired then invalid_arg "Engine.resume: waker fired twice";
-  waker.fired <- true;
-  let t = waker.engine in
-  if Trace.enabled t.tracer then Trace.emit_bare t.tracer ~ts:(now t) Trace.Resume;
-  push t ~at:(now t) (Wake (waker, v))
 
 (* --- driving the simulation --- *)
 

@@ -3,16 +3,13 @@
     Simulated threads are ordinary OCaml functions run under an effect
     handler that turns blocking operations into queued
     continuations, so protocol code reads in direct style.  Continuations
-    are one-shot: every suspended thread is resumed exactly once.  The
+    are one-shot: every suspended thread is resumed exactly once, by its
+    own {!delay} or by an {!unpark} of its handle.  The
     queue holds the continuations themselves, not closures around them:
     a queued delay or a {!park} allocates only the runtime's
     continuation (2 words), and an {!unpark} nothing. *)
 
 type t
-
-(** Handle used to resume a suspended thread exactly once: it carries
-    the thread's continuation. *)
-type 'a waker
 
 (** A thread's reusable park handle, one per thread: {!unpark} re-queues
     the thread's own event cell, the one its delays use. *)
@@ -59,26 +56,16 @@ val parker : unit -> parker
 
 (** Inside a thread: park until {!unpark} of the thread's handle.  A
     caller that must be found by its waker records the thread (in a
-    queue, say) before it parks: nothing runs in between. *)
+    queue, say) before it parks: nothing runs in between.  Emits a
+    Suspend trace event.  A value for the thread is handed over beside
+    the handle (a ref, a field of the queue entry). *)
 val park : unit -> unit
 
 (** Queue a parked thread to resume at the current time, behind every
-    event already due then: the same Resume and Sched events as
-    {!resume}, with no allocation.  Raises [Invalid_argument] if the
-    thread is not parked. *)
+    event already due then, with no allocation: a Resume trace event,
+    then the push's Sched.  Raises [Invalid_argument] if the thread is
+    not parked. *)
 val unpark : parker -> unit
-
-(** Inside a thread: park until the waker passed to [register] is fired;
-    returns the value it delivers.  [register] runs once, after the
-    thread has parked, and may fire wakers itself, this one included.
-    For one-shot external wakers (a device queue); each suspend
-    allocates its waker and a closure, which {!park} does not. *)
-val suspend : ('a waker -> unit) -> 'a
-
-(** Fire a waker: queue its thread to resume at the current time,
-    behind every event already due then, with [v] as the value of its
-    {!suspend}.  Raises [Invalid_argument] if fired twice. *)
-val resume : 'a waker -> 'a -> unit
 
 exception Step_limit_exceeded
 

@@ -29,8 +29,8 @@
 type kind =
   | Sched  (** a raw engine event was queued *)
   | Spawn  (** a simulated thread was created *)
-  | Resume  (** a suspended thread's waker fired *)
-  | Suspend  (** a thread parked on a waker *)
+  | Resume  (** a parked thread was unparked (queued to run now) *)
+  | Suspend  (** a thread parked until another unparks it *)
   | Ctxsw  (** a CPU switched to a different thread *)
   | Ipi  (** inter-processor interrupt sent ([arg] = target tid) or handled *)
   | Syscall  (** syscall entry/dispatch overhead charged *)

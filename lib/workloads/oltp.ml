@@ -78,13 +78,16 @@ type result = {
 
 (* --- shared infrastructure --- *)
 
-(* The disk is a self-serving device: requests queue at the device and are
-   completed off the interrupt path, so the disk never idles waiting for a
-   requester thread to get a CPU (the kernel I/O scheduler's job). *)
+(* The disk is a self-serving device: requesters sleep on its queue and
+   a pump thread completes their requests in arrival order off the
+   interrupt path, so the disk never idles waiting for a requester
+   thread to get a CPU (the kernel I/O scheduler's job).  The pump runs
+   exactly while the queue is non-empty: no thread runs between a
+   requester starting it and joining the queue, or between the pump
+   waking the last requester and stopping. *)
 type disk = {
   d_kern : Kernel.t;
-  d_requests : unit Engine.waker Queue.t;
-  mutable d_active : bool;
+  d_requests : unit Kernel.Sleepq.q;
   d_rng : Rng.t;
   d_mean : float;
 }
@@ -92,27 +95,23 @@ type disk = {
 let disk_create kern ~seed ~mean =
   {
     d_kern = kern;
-    d_requests = Queue.create ();
-    d_active = false;
+    d_requests = Kernel.Sleepq.create ();
     d_rng = Rng.create ~seed;
     d_mean = mean;
   }
 
+(* Serve the oldest request for one service draw, then wake it. *)
 let rec disk_pump d =
-  match Queue.take_opt d.d_requests with
-  | None -> d.d_active <- false
-  | Some waker ->
-      Engine.delay_in (Kernel.engine d.d_kern) (Rng.exponential d.d_rng ~mean:d.d_mean);
-      Engine.resume waker ();
-      disk_pump d
+  if Kernel.Sleepq.length d.d_requests > 0 then begin
+    Engine.delay_in (Kernel.engine d.d_kern) (Rng.exponential d.d_rng ~mean:d.d_mean);
+    ignore (Kernel.wake_detached d.d_requests ());
+    disk_pump d
+  end
 
 let disk_read d th =
-  Kernel.suspend_on d.d_kern th (fun waker ->
-      Queue.add waker d.d_requests;
-      if not d.d_active then begin
-        d.d_active <- true;
-        Engine.spawn (Kernel.engine d.d_kern) (fun () -> disk_pump d)
-      end)
+  if Kernel.Sleepq.length d.d_requests = 0 then
+    Engine.spawn (Kernel.engine d.d_kern) (fun () -> disk_pump d);
+  Kernel.block_on d.d_kern th d.d_requests
 
 (* A service-thread pool fed by a UNIX socket: the Linux configuration's
    IPC fabric.  A request is its client's reply queue: the client sleeps

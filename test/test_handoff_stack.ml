@@ -12,8 +12,8 @@
    Three phases, each one long handoff chain that never returns to the
    run loop until its heap drains:
    - two threads ping-pong [delay] on the slow (effect) path;
-   - two threads ping-pong [suspend]/[resume], each resuming the other
-     from inside its own [register];
+   - two threads ping-pong [park]/[unpark], each unparking the other
+     just before it parks;
    - one thread spawns threads that finish, half of them at once (the
      [retc] handoff), half after parking once.
 
@@ -47,28 +47,25 @@ let delay_ping_pong rounds =
   expect "delay: events" ~expected:(2 + (2 * rounds)) (Engine.steps e);
   Printf.printf "delay ping-pong: %d slow-path delays\n" (2 * rounds)
 
-(* Each thread parks, and its [register] wakes the other one: one
-   suspend and one resume per round trip, the wakeup always the next
-   event. *)
-let suspend_ping_pong rounds =
+(* Each thread wakes the other one, then parks: one park and one
+   unpark per round trip, the wakeup always the next event. *)
+let park_ping_pong rounds =
   let e = Engine.create () in
   let parked = ref None in
   let wake_other () =
     match !parked with
-    | Some w ->
+    | Some p ->
         parked := None;
-        Engine.resume w ()
+        Engine.unpark p
     | None -> ()
   in
   let done_ = ref 0 in
   let thread () =
+    let self = Some (Engine.parker ()) in
     for _ = 1 to rounds do
-      Engine.suspend (fun w ->
-          let other = !parked in
-          parked := Some w;
-          match other with
-          | Some o -> Engine.resume o ()
-          | None -> ())
+      wake_other ();
+      parked := self;
+      Engine.park ()
     done;
     wake_other ();
     incr done_
@@ -76,10 +73,9 @@ let suspend_ping_pong rounds =
   Engine.spawn e thread;
   Engine.spawn e thread;
   Engine.run e;
-  expect "suspend: threads finished" ~expected:2 !done_;
-  expect "suspend: pending" ~expected:0 (Engine.pending e);
-  Printf.printf "suspend ping-pong: %d suspend/resume round trips\n"
-    (2 * rounds)
+  expect "park: threads finished" ~expected:2 !done_;
+  expect "park: pending" ~expected:0 (Engine.pending e);
+  Printf.printf "park ping-pong: %d park/unpark round trips\n" (2 * rounds)
 
 (* One thread spawns a child per tick.  Even children finish at once,
    so their [retc] hands the CPU straight back to the spawner; odd ones
@@ -104,5 +100,5 @@ let spawn_and_finish n =
 
 let () =
   delay_ping_pong 1_000_000;
-  suspend_ping_pong 500_000;
+  park_ping_pong 500_000;
   spawn_and_finish 100_000

@@ -278,33 +278,27 @@ let test_engine_delay_ordering () =
     [ ("b", 5.); ("a", 10.) ]
     (List.rev !log)
 
+(* A parked thread resumes where it parked, at its waker's time, and
+   reads the value the waker left beside its handle. *)
 let test_engine_suspend_resume () =
   let e = Engine.create () in
-  let slot = ref None in
-  let got = ref (-1) in
+  let slot = ref None and gift = ref 0 in
+  let got = ref (-1) and woke_at = ref (-1.) in
   Engine.spawn e (fun () ->
-      let v = Engine.suspend (fun w -> slot := Some w) in
-      got := v);
+      slot := Some (Engine.parker ());
+      Engine.park ();
+      got := !gift;
+      woke_at := Engine.now e);
   Engine.spawn e (fun () ->
       Engine.delay e 3.;
-      match !slot with Some w -> Engine.resume w 42 | None -> ());
-  Engine.run e;
-  Alcotest.(check int) "value delivered" 42 !got
-
-let test_engine_double_resume_rejected () =
-  let e = Engine.create () in
-  let slot = ref None in
-  Engine.spawn e (fun () -> ignore (Engine.suspend (fun w -> slot := Some w)));
-  Engine.spawn e (fun () ->
-      Engine.delay e 1.;
       match !slot with
-      | Some w ->
-          Engine.resume w ();
-          Alcotest.check_raises "second resume raises"
-            (Invalid_argument "Engine.resume: waker fired twice") (fun () ->
-              Engine.resume w ())
+      | Some p ->
+          gift := 42;
+          Engine.unpark p
       | None -> ());
-  Engine.run e
+  Engine.run e;
+  Alcotest.(check int) "value delivered" 42 !got;
+  check_float "resumed at the waker's time" 3. !woke_at
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -324,8 +318,8 @@ let test_engine_run_until () =
 
 (* A mixed, traced workload: workers on the slow and fast delay paths
    that spawn short children, three waiters parked on a FIFO queue of
-   wakers and a thread broadcasting to it.  It runs past t = 1000, so a run to that
-   deadline leaves events queued. *)
+   park handles and a thread broadcasting to it.  It runs past
+   t = 1000, so a run to that deadline leaves events queued. *)
 let mixed_engine () =
   let e = Engine.create () in
   let tr = Trace.create () in
@@ -342,15 +336,17 @@ let mixed_engine () =
   done;
   for _ = 1 to 3 do
     Engine.spawn e (fun () ->
+        let self = Engine.parker () in
         for _ = 1 to 100 do
-          Engine.suspend (fun w -> Queue.add w q)
+          Queue.add self q;
+          Engine.park ()
         done)
   done;
   Engine.spawn e (fun () ->
       for _ = 1 to 400 do
         Engine.delay e 3.;
         while not (Queue.is_empty q) do
-          Engine.resume (Queue.take q) ()
+          Engine.unpark (Queue.take q)
         done
       done);
   (e, tr)
@@ -418,29 +414,32 @@ let test_engine_exception_through_handoff () =
   Alcotest.(check int) "no thread left" 0 (Engine.live e);
   Alcotest.(check int) "steps" 7 (Engine.steps e)
 
-(* [register] resuming another thread's waker synchronously: the woken
+(* A thread unparking another just before it parks itself: the woken
    thread is queued at [now] behind what was already due, exactly as
    when the run loop fired the events. *)
-let test_engine_register_resumes () =
+let test_engine_unpark_then_park () =
   let e = Engine.create () in
   let log = ref [] in
   let say s = log := s :: !log in
   let parked_a = ref None and parked_b = ref None in
+  let msg_a = ref "" and msg_b = ref "" in
   Engine.spawn e (fun () ->
-      say (Engine.suspend (fun w -> parked_a := Some w)));
+      parked_a := Some (Engine.parker ());
+      Engine.park ();
+      say !msg_a);
   Engine.spawn ~at:1. e (fun () ->
       say "b parks";
-      let v =
-        Engine.suspend (fun w ->
-            parked_b := Some w;
-            Option.iter (fun wa -> Engine.resume wa "a woken by b") !parked_a)
-      in
-      say v);
+      parked_b := Some (Engine.parker ());
+      msg_a := "a woken by b";
+      Option.iter Engine.unpark !parked_a;
+      Engine.park ();
+      say !msg_b);
   Engine.spawn ~at:1. e (fun () ->
       say "c runs";
       Engine.delay e 0.5;
       say "c after delay";
-      Option.iter (fun wb -> Engine.resume wb "b woken by c") !parked_b);
+      msg_b := "b woken by c";
+      Option.iter Engine.unpark !parked_b);
   Engine.schedule e ~at:1. (fun () -> say "raw event");
   Engine.run e;
   Alcotest.(check (list string))
@@ -503,36 +502,39 @@ let test_engine_delay_effect_allocation () =
     Alcotest.failf "%.0f minor words over %d events (%.2f per event, bound 2.5)" words
       (Engine.steps e) per_event
 
-(* One thread parks in a loop, its [register] storing the waker in a
-   ref; the other delays a tick (on the slow path: the wakeup it queued
-   last is due first) and fires the waker. *)
+(* One thread parks in a loop, its handle stored once in a ref; the
+   other delays a tick (on the slow path: the wakeup it queued last is
+   due first) and unparks it; an unpark of a thread not parked raises
+   out of [run].  Each park and each delay allocates its continuation
+   (2 words per event); a closure or an event block per park or unpark
+   fails the bound. *)
 let test_engine_park_allocation () =
   let e = Engine.create () in
   let rounds = 50_000 in
   let parked = ref None in
   Engine.spawn e (fun () ->
+      parked := Some (Engine.parker ());
       for _ = 1 to rounds + 1 do
-        Engine.suspend (fun w -> parked := Some w)
+        Engine.park ()
       done);
   Engine.spawn e (fun () ->
       for _ = 1 to rounds + 1 do
         Engine.delay_in e 1.;
         match !parked with
-        | Some w ->
-            parked := None;
-            Engine.resume w ()
+        | Some p -> Engine.unpark p
         | None -> Alcotest.fail "nothing parked"
       done);
   (* Past the spawns and the first round trip. *)
   Engine.run_until e 1.5;
-  let w0 = Gc.minor_words () in
+  let steps0 = Engine.steps e and w0 = Gc.minor_words () in
   Engine.run e;
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "every thread finished" 0 (Engine.live e);
-  let per_round = words /. float_of_int rounds in
-  if per_round > 30. then
-    Alcotest.failf "%.0f minor words over %d park/resume round trips (%.1f each, bound 30)"
-      words rounds per_round
+  let events = Engine.steps e - steps0 in
+  let per_event = words /. float_of_int events in
+  if per_event > 2.5 then
+    Alcotest.failf "%.0f minor words over %d park and delay wakeups (%.2f per event, bound 2.5)"
+      words events per_event
 
 let test_histogram () =
   let h = Histogram.create () in
@@ -629,17 +631,15 @@ let suites =
       [
         Alcotest.test_case "delay ordering" `Quick test_engine_delay_ordering;
         Alcotest.test_case "suspend/resume" `Quick test_engine_suspend_resume;
-        Alcotest.test_case "double resume" `Quick test_engine_double_resume_rejected;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
         Alcotest.test_case "run_until slices" `Quick test_engine_run_until_slices;
         Alcotest.test_case "step limit" `Quick test_engine_step_limit;
         Alcotest.test_case "exception through handoff" `Quick
           test_engine_exception_through_handoff;
-        Alcotest.test_case "register resumes a waker" `Quick
-          test_engine_register_resumes;
+        Alcotest.test_case "unpark, then park" `Quick test_engine_unpark_then_park;
         Alcotest.test_case "slow-path delay allocates <= 2.5 words" `Quick
           test_engine_delay_allocation;
-        Alcotest.test_case "park/resume allocates <= 30 words" `Quick
+        Alcotest.test_case "park/unpark allocates <= 2.5 words per event" `Quick
           test_engine_park_allocation;
         Alcotest.test_case "histogram" `Quick test_histogram;
       ]

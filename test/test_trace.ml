@@ -118,18 +118,18 @@ let oltp_params =
     duration = 100_000_000.;
   }
 
-let oltp_run ~seed =
+let oltp_run ?(config = O.Linux) ~seed () =
   let tr = Trace.create () in
   let r =
     O.run
       ~params_override:(Some oltp_params)
-      ~seed ~trace:tr ~config:O.Linux ~db_mode:O.On_disk ~threads:4 ()
+      ~seed ~trace:tr ~config ~db_mode:O.On_disk ~threads:4 ()
   in
   (tr, r)
 
 let test_oltp_same_seed_same_digest () =
-  let tr1, r1 = oltp_run ~seed:7 in
-  let tr2, r2 = oltp_run ~seed:7 in
+  let tr1, r1 = oltp_run ~seed:7 () in
+  let tr2, r2 = oltp_run ~seed:7 () in
   Alcotest.(check bool) "events were traced" true (Trace.total tr1 > 1000);
   Alcotest.(check string) "identical replay digests" (Trace.digest_hex tr1)
     (Trace.digest_hex tr2);
@@ -137,17 +137,31 @@ let test_oltp_same_seed_same_digest () =
   check_float "identical throughput" r1.O.r_throughput_opm r2.O.r_throughput_opm
 
 let test_oltp_different_seed_different_digest () =
-  let tr1, _ = oltp_run ~seed:7 in
-  let tr2, _ = oltp_run ~seed:8 in
+  let tr1, _ = oltp_run ~seed:7 () in
+  let tr2, _ = oltp_run ~seed:8 () in
   Alcotest.(check bool) "seeds diverge the event stream" false
     (Trace.digest_hex tr1 = Trace.digest_hex tr2)
 
-(* The on-disk Linux run pinned: the only path through [Kernel.suspend_on]
-   and the disk's external wakers, which no pinned suite cell takes. *)
+(* The on-disk runs pinned: the only path through the disk's sleep
+   queue and its pump's detached wakes, which no pinned suite cell
+   takes.  Throughput and mean latency are exact. *)
+let check_on_disk config ~digest ~ops ~opm ~mean_ns =
+  let tr, r = oltp_run ~config ~seed:7 () in
+  let name what = Printf.sprintf "on-disk %s %s" (O.config_name config) what in
+  Alcotest.(check string) (name "digest") digest (Trace.digest_hex tr);
+  Alcotest.(check int) (name "ops") ops r.O.r_ops;
+  Alcotest.(check (float 0.)) (name "throughput") opm r.O.r_throughput_opm;
+  Alcotest.(check (float 0.)) (name "mean latency") mean_ns r.O.r_latency_ns.s_mean
+
 let test_oltp_on_disk_pinned () =
-  let tr, r = oltp_run ~seed:7 in
-  Alcotest.(check string) "on-disk Linux digest" "bcf793247cb1429d" (Trace.digest_hex tr);
-  Alcotest.(check int) "on-disk Linux ops" 41 r.O.r_ops
+  check_on_disk O.Linux ~digest:"370c53f38bcdd967" ~ops:41 ~opm:24600.
+    ~mean_ns:10021894.182377396
+
+let test_oltp_on_disk_dipc_ideal_pinned () =
+  check_on_disk O.Dipc ~digest:"961f99219ff3b6de" ~ops:67 ~opm:40200.
+    ~mean_ns:5760215.4242470833;
+  check_on_disk O.Ideal ~digest:"f0491f3d95eba56b" ~ops:68 ~opm:40800.
+    ~mean_ns:5754962.3375196084
 
 let test_oltp_default_seed_is_legacy () =
   (* The seed parameter defaults to the calibrated legacy streams, so
@@ -350,6 +364,8 @@ let suites =
         Alcotest.test_case "oltp default seed is legacy" `Slow
           test_oltp_default_seed_is_legacy;
         Alcotest.test_case "oltp on-disk Linux pinned" `Slow test_oltp_on_disk_pinned;
+        Alcotest.test_case "oltp on-disk dIPC and Ideal pinned" `Slow
+          test_oltp_on_disk_dipc_ideal_pinned;
       ] );
     ( "trace.hw",
       [
