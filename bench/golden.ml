@@ -1,7 +1,7 @@
 (* Shared golden-digest corpus helpers: one parser for the
    dipc-bench/v1 JSON report, used by the dune test suite
    (test_golden.ml), the parallel differential tests
-   (test_parallel.ml), and the CI comparator (check_golden.ml) — the
+   (test_parallel.ml), and the CI comparator (`dipc_cli compare`) — the
    pins live in exactly one place, bench/BENCH_baseline.json. *)
 
 let read_file path =
@@ -252,7 +252,7 @@ let compare_mips_ratchet ~ratio ~baseline ~candidate =
 
 (* --- Trend report over the benchmark history ---------------------------
 
-   bench --json appends one dipc-bench-hist/v1 line per run to
+   `dipc_cli suite --json` appends one dipc-bench-hist/v1 line per run to
    bench/BENCH_latest.jsonl (commit, dirty-tree flag, UTC time,
    per-experiment sim-MIPS + deterministic counters).  Each row's stamp
    says whether it came from the committed tree ("clean"), from

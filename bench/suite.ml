@@ -1,8 +1,9 @@
 (* Benchmark suite: regenerates every table and figure of the paper's
-   evaluation (EuroSys'17, Vilanova et al.).  [bench/main.ml] is the
-   command-line driver; this library holds the experiments and the cell
-   registry so the test suite can link them directly (the golden-digest
-   corpus reruns the 37 pinned cells in dune runtest).
+   evaluation (EuroSys'17, Vilanova et al.).  [bin/dipc_cli.ml] is the
+   command-line front end ([run], [suite], [compare]); this library
+   holds the experiments and the cell registry so the test suite can
+   link them directly (the golden-digest corpus reruns the 37 pinned
+   cells in dune runtest).
 
    Absolute numbers come from the calibrated simulation substrate (see
    DESIGN.md); the quantities to compare against the paper are the ratios
@@ -42,6 +43,18 @@ let header title =
    deterministic, so whichever domain computes first stores the same
    value any other would. *)
 
+(* Warm per-call cost of each Fig. 5 dIPC configuration, ns:
+   same-process or cross-process ([proc]), Low or High policy, and the
+   cross-process ones again with the optimised TLS switch. *)
+type dipc_costs = {
+  low_same : float;
+  high_same : float;
+  low_proc : float;
+  high_proc : float;
+  low_proc_tls : float;
+  high_proc_tls : float;
+}
+
 let dipc_costs_mutex = Mutex.create ()
 
 let dipc_costs_memo = ref None
@@ -52,24 +65,19 @@ let dipc_costs () =
       | Some c -> c
       | None ->
           let m kind = (Scenario.measure kind).Stats.s_mean in
+          let high = Types.props_high in
           let low_same = m (Scenario.make ~same_process:true ()) in
           let high_same =
-            m (Scenario.make ~same_process:true ~caller_props:Types.props_high
-                 ~callee_props:Types.props_high ())
+            m (Scenario.make ~same_process:true ~caller_props:high ~callee_props:high ())
           in
           let low_proc = m (Scenario.make ()) in
-          let high_proc =
-            m
-              (Scenario.make ~caller_props:Types.props_high
-                 ~callee_props:Types.props_high ())
-          in
+          let high_proc = m (Scenario.make ~caller_props:high ~callee_props:high ()) in
           let low_proc_tls = m (Scenario.make ~tls_optimized:true ()) in
           let high_proc_tls =
-            m (Scenario.make ~tls_optimized:true ~caller_props:Types.props_high
-                 ~callee_props:Types.props_high ())
+            m (Scenario.make ~tls_optimized:true ~caller_props:high ~callee_props:high ())
           in
           let c =
-            (low_same, high_same, low_proc, high_proc, low_proc_tls, high_proc_tls)
+            { low_same; high_same; low_proc; high_proc; low_proc_tls; high_proc_tls }
           in
           dipc_costs_memo := Some c;
           c)
@@ -150,7 +158,7 @@ let table1 () =
 
 let fig5 () =
   header "Figure 5: performance of synchronous calls (1-byte argument)";
-  let low_same, high_same, low_proc, high_proc, low_tls, high_tls =
+  let { low_same; high_same; low_proc; high_proc; low_proc_tls; high_proc_tls } =
     dipc_costs ()
   in
   let row name ns = Printf.printf "  %-28s %8.1f ns  (%6.0fx func call)\n" name ns (ns /. Costs.function_call) in
@@ -186,7 +194,7 @@ let fig5 () =
   Printf.printf "    asymmetric policy range : %6.2fx  (up to 8.47x)\n"
     (high_same /. low_same);
   Printf.printf "    TLS-switch headroom     : %5.2fx / %5.2fx  (1.54x-3.22x)\n%!"
-    (low_proc /. low_tls) (high_proc /. high_tls)
+    (low_proc /. low_proc_tls) (high_proc /. high_proc_tls)
 
 (* ================= Figure 6 ================= *)
 
@@ -194,7 +202,7 @@ let fig6 () =
   header
     "Figure 6: added execution time vs argument size (consumer-producer\n\
      synchronous call; baseline = function call with the same payload)";
-  let low_same, high_same, low_proc, high_proc, _, _ = dipc_costs () in
+  let { low_same; high_same; low_proc; high_proc; _ } = dipc_costs () in
   let urpc_fixed bytes =
     (M.run ~bytes ~warmup:10 ~iters:60 ~same_cpu:false M.User_rpc_prim).M.mean_ns
     -. M.baseline_payload_ns bytes
@@ -223,8 +231,7 @@ let fig6 () =
 (* ================= Figure 7 ================= *)
 
 let netpipe_costs () =
-  let _, _, low_proc, _, _, _ = dipc_costs () in
-  let low_same, _, _, _, _, _ = dipc_costs () in
+  let { low_proc; low_same; _ } = dipc_costs () in
   {
     N.sem_roundtrip = (M.run ~same_cpu:true M.Sem).M.mean_ns;
     pipe_roundtrip = (M.run ~same_cpu:true M.Pipe).M.mean_ns;
@@ -500,14 +507,14 @@ let bechamel () =
 (* ================= the cell registry ================= *)
 
 (* Every run the fixed-seed suite, the sweeps and the CLI grids make is
-   a cell: a name, the family that selects it, and a [run] that returns
-   one row.  [run_cells] runs any list of cells over the runner's
-   domains and prints their pre-rendered lines in list order, and
-   [report] adds a family's header and summary.  Every cell builds its
+   a cell: a name and a [run] that returns one row.  [run_cells] runs
+   any list of cells over the runner's domains and prints their
+   pre-rendered lines in list order, and [report] runs a family's cells
+   ([cells_of]) between its header and summary.  Every cell builds its
    own Engine/Trace/Rng/Checker universe, so its row is the same at any
    [jobs] and in any list order (test_parallel.ml).  Adding a suite cell
-   is one entry in [cells]; dipc_cli builds its [Grid] cells from its
-   command line and runs them through [run_cells] too. *)
+   is one entry in its family's list; dipc_cli builds its grid cells
+   from its command line and runs them through [run_cells] too. *)
 
 module Trace = Dipc_sim.Trace
 module Engine = Dipc_sim.Engine
@@ -563,9 +570,8 @@ type family =
   | Matrix  (* `--matrix`: the fault-injection matrix *)
   | Security  (* `--security`: the cost-of-isolation posture matrix *)
   | Open of OL.arrival  (* `--open ARRIVAL`: the open-arrival load sweep *)
-  | Grid  (* `dipc_cli ipc --all` and `oltp --sweep`, built by dipc_cli *)
 
-type cell = { name : string; family : family; run : opts -> row }
+type cell = { name : string; run : opts -> row }
 
 (* A [Pinned] row; its line is the suite's per-cell report line. *)
 let bench_row ?(instret = 0) ?(counters = []) name ~wall ~sim_ns ~events
@@ -696,7 +702,7 @@ let placement same_cpu = if same_cpu then "=CPU" else "!=CPU"
    substrate can be optimized aggressively as long as the simulated
    timeline stays bit-identical. *)
 
-let pinned name run = { name; family = Pinned; run }
+let pinned name run = { name; run }
 
 (* One microbenchmark cell.  [golden_sem_same] runs it in the exact
    configuration of test_trace's golden digest (Sem, same CPU, warmup
@@ -998,7 +1004,7 @@ let sec_cell family backend posture load =
            (sec_count (function A.Ran a -> a | _ -> 0) outs)
            digest)
   in
-  { name; family; run }
+  { name; run }
 
 let sec_cells family =
   List.concat_map
@@ -1028,7 +1034,7 @@ let open_costs () =
       | Some c -> c
       | None ->
           let cross prim = (M.run ~same_cpu:false prim).M.mean_ns in
-          let _, _, _, high_proc, _, _ = dipc_costs () in
+          let { high_proc; _ } = dipc_costs () in
           let c =
             [
               ("sem", cross M.Sem);
@@ -1077,7 +1083,7 @@ let open_sweep_cell arrival prim_idx prim load_idx load =
          (OL.utilization r ~servers:p.OL.servers)
          (OL.throughput_rps r) r.OL.r_digest)
   in
-  { name; family = Open arrival; run }
+  { name; run }
 
 let open_sweep_cells arrival =
   List.concat
@@ -1142,7 +1148,7 @@ let matrix_micro (sname, config) (prim, pname) same_cpu k =
       (Printf.sprintf "  %-5s %-10s %-6s seed=%-3d digest=%s mean=%8.1f ns\n"
          pname sname (placement same_cpu) seed d1 r.M.mean_ns)
   in
-  { name; family = Matrix; run }
+  { name; run }
 
 (* Short OLTP cells under injection: deadline-stopped, so structural
    invariants only (no quiescence / conservation reference). *)
@@ -1165,7 +1171,7 @@ let matrix_oltp config =
       (Printf.sprintf "  oltp  %-10s thr=8  digest=%s tput=%8.0f opm\n"
          (O.config_name config) (digest obs) r.O.r_throughput_opm)
   in
-  { name; family = Matrix; run }
+  { name; run }
 
 (* Netpipe overheads recomputed from injected microbench costs: the
    analytic model must stay finite on a faulty substrate. *)
@@ -1175,7 +1181,7 @@ let matrix_netpipe =
       let inject = Inject.create ~seed:(matrix_seed o 0) () in
       (M.run ~warmup:5 ~iters:25 ~inject ~same_cpu:true prim).M.mean_ns
     in
-    let low_same, _, low_proc, _, _, _ = dipc_costs () in
+    let { low_same; low_proc; _ } = dipc_costs () in
     let c =
       {
         N.sem_roundtrip = inj_cost M.Sem;
@@ -1196,7 +1202,7 @@ let matrix_netpipe =
       [ N.Pipe_ipc; N.Sem_ipc; N.Dipc_proc; N.Dipc_same ];
     line_row "matrix/netpipe/finite" ~counters:[ ("runs", 2); ("faults", 0) ] ""
   in
-  { name = "matrix/netpipe/finite"; family = Matrix; run }
+  { name = "matrix/netpipe/finite"; run }
 
 let matrix_cells =
   List.concat_map
@@ -1212,9 +1218,9 @@ let matrix_cells =
 
 (* ================= the registry ================= *)
 
-(* Every suite cell.  The [Pinned] cells come first, in the order of
-   bench/BENCH_baseline.json (test_golden checks it). *)
-let cells =
+(* The [Pinned] cells, in the order of bench/BENCH_baseline.json
+   (test_golden checks it). *)
+let pinned_cells =
   List.map
     (fun (name, prim, same_cpu, warmup, iters) ->
       micro_cell ~warmup ~iters name prim ~same_cpu)
@@ -1244,10 +1250,17 @@ let cells =
       open_pinned "open_dipc_diurnal90" "dipc" OL.Diurnal 0.90;
       open_pinned "open_pipe_poisson105" "pipe" OL.Poisson 1.05;
     ]
-  @ matrix_cells @ sec_cells Security
-  @ List.concat_map open_sweep_cells [ OL.Poisson; OL.Bursty; OL.Diurnal ]
 
-let cells_of family = List.filter (fun c -> c.family = family) cells
+let cells_of = function
+  | Pinned -> pinned_cells
+  | Matrix -> matrix_cells
+  | Security -> sec_cells Security
+  | Open arrival -> open_sweep_cells arrival
+
+(* Every suite cell, the [Pinned] ones first. *)
+let cells =
+  List.concat_map cells_of
+    [ Pinned; Matrix; Security; Open OL.Poisson; Open OL.Bursty; Open OL.Diurnal ]
 
 let find name = List.find_opt (fun c -> c.name = name) cells
 
@@ -1275,67 +1288,42 @@ let run_cells o cells =
    Every clean [bench_json] run appends one compact JSON line to
    BENCH_latest.jsonl next to the report: commit, whether the working
    tree had uncommitted changes, UTC timestamp, and each experiment's
-   sim-MIPS + deterministic counters.  check_golden
-   --trend diffs the last two lines, turning the one-shot report into a
-   trend line across commits.  Injected runs are skipped (their
+   sim-MIPS + deterministic counters.  `dipc_cli compare --trend`
+   diffs the last two lines, turning the one-shot report into a trend
+   line across commits.  Injected runs are skipped (their
    timelines aren't comparable) and any I/O failure only warns — the
    history is an observability aid, never a gate. *)
 
-let read_first_line path =
-  try
-    let ic = open_in path in
-    let line = try Some (input_line ic) with End_of_file -> None in
-    close_in ic;
-    line
-  with Sys_error _ -> None
-
-(* Resolve HEAD without shelling out: .git/HEAD -> loose ref file ->
-   packed-refs -> "unknown".  Worktrees and detached heads fall out
-   naturally (HEAD holds the sha directly when detached). *)
-let git_commit () =
-  match read_first_line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head -> (
-      let head = String.trim head in
-      if String.length head > 5 && String.sub head 0 5 = "ref: " then
-        let r = String.sub head 5 (String.length head - 5) in
-        match read_first_line (Filename.concat ".git" r) with
-        | Some sha -> String.trim sha
-        | None -> (
-            try
-              let ic = open_in ".git/packed-refs" in
-              let found = ref "unknown" in
-              (try
-                 while true do
-                   let l = input_line ic in
-                   match String.index_opt l ' ' with
-                   | Some sp
-                     when String.sub l (sp + 1) (String.length l - sp - 1) = r
-                     ->
-                       found := String.sub l 0 sp
-                   | _ -> ()
-                 done
-               with End_of_file -> ());
-              close_in ic;
-              !found
-            with Sys_error _ -> "unknown")
-      else head)
-
-(* Whether the working tree differs from [git_commit ()]: non-empty
-   `git status --porcelain`.  [None] outside a git checkout or when git
-   cannot be run, so a row never claims a clean tree it did not see. *)
-let git_dirty () =
-  if not (Sys.file_exists ".git") then None
+(* The commit the working tree is on, and whether it has uncommitted
+   changes, from one `git status --porcelain=v2 --branch`: its
+   "# branch.oid" header names the commit (in a worktree too, where
+   .git is a file), and every line not starting with '#' is a change.
+   The dirty flag is [None] outside a git checkout or when git cannot
+   be run, so a row never claims a clean tree it did not see. *)
+let git_state () =
+  let unknown = ("unknown", None) in
+  if not (Sys.file_exists ".git") then unknown
   else
     try
       let ic =
-        Unix.open_process_args_in "git" [| "git"; "status"; "--porcelain" |]
+        Unix.open_process_args_in "git"
+          [| "git"; "status"; "--porcelain=v2"; "--branch" |]
       in
-      let out = In_channel.input_all ic in
+      let lines = In_channel.input_lines ic in
       match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> Some (String.trim out <> "")
-      | _ -> None
-    with Unix.Unix_error _ | Sys_error _ -> None
+      | Unix.WEXITED 0 ->
+          let prefix = "# branch.oid " in
+          let n = String.length prefix in
+          let oid l =
+            if String.starts_with ~prefix l then Some (String.sub l n (String.length l - n))
+            else None
+          in
+          ( Option.value (List.find_map oid lines) ~default:"unknown",
+            Some (List.exists (fun l -> not (String.starts_with ~prefix:"#" l)) lines) )
+      | _ -> unknown
+    with Unix.Unix_error _ | Sys_error _ -> unknown
+
+let git_commit () = fst (git_state ())
 
 let utc_now () =
   let tm = Unix.gmtime (Unix.time ()) in
@@ -1363,13 +1351,12 @@ let append_history ~out results =
         results
     in
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+    let commit, dirty = git_state () in
     Printf.fprintf oc
       "{\"schema\": \"dipc-bench-hist/v1\", \"commit\": \"%s\", \"dirty\": \
        %s, \"utc\": \"%s\", \"experiments\": [%s]}\n"
-      (git_commit ())
-      (match git_dirty () with
-      | Some d -> string_of_bool d
-      | None -> "null")
+      commit
+      (Option.fold ~none:"null" ~some:string_of_bool dirty)
       (utc_now ())
       (String.concat ", " cells);
     close_out oc;
@@ -1549,23 +1536,6 @@ let report ?(out = "BENCH_fixed_seed.json") o family =
             latency per IPC primitive, %d sessions/cell, 4 CPUs"
            (OL.arrival_name arrival) open_sweep_sessions);
       open_summary arrival (run ())
-  | Grid -> () (* dipc_cli builds and runs its grids itself *)
-
-(* ================= trace smoke ================= *)
-
-(* Fixed-configuration microbench under event tracing: the printed replay
-   digest must be identical across invocations (the CI determinism
-   check), and the exported JSON opens in chrome://tracing/Perfetto. *)
-let trace_smoke out =
-  let tr = Dipc_sim.Trace.create () in
-  let r = M.run ~warmup:5 ~iters:20 ~trace:tr ~same_cpu:true M.Sem in
-  let oc = open_out out in
-  Dipc_sim.Trace.write_chrome oc tr;
-  close_out oc;
-  Printf.printf "trace smoke: Sem (=CPU), 20 iterations, mean %.1f ns\n" r.M.mean_ns;
-  Printf.printf "trace events: %d\n" (Dipc_sim.Trace.total tr);
-  Printf.printf "trace digest: %s\n" (Dipc_sim.Trace.digest_hex tr);
-  Printf.printf "trace file: %s\n%!" out
 
 (* ================= paper experiments ================= *)
 

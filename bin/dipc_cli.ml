@@ -1,5 +1,5 @@
-(* dIPC command-line interface: poke at the simulated system without
-   writing code.
+(* dIPC command-line interface: the one front end to the simulated
+   system, the paper's evaluation and the pinned benchmark suite.
 
      dune exec bin/dipc_cli.exe -- call --policy high --cross
      dune exec bin/dipc_cli.exe -- ipc --primitive rpc
@@ -7,12 +7,17 @@
      dune exec bin/dipc_cli.exe -- disasm --policy high
      dune exec bin/dipc_cli.exe -- trace --primitive sem --out trace.json
      dune exec bin/dipc_cli.exe -- open --primitive sem --load 0.95
+     dune exec bin/dipc_cli.exe -- run fig5 fig8 oltp_dipc_mem96
+     dune exec bin/dipc_cli.exe -- suite --json BENCH.json
+     dune exec bin/dipc_cli.exe -- compare bench/BENCH_baseline.json BENCH.json
 
-   [ipc --all] and [oltp --sweep] run their grids through the bench
-   suite's cell runner ([Suite.run_cells]), built from the same cell
-   functions as the single runs.  The suite modes (digest suite, fault
-   matrix, posture matrix, open-arrival sweep) run from bench/main.exe:
-   --json, --matrix, --security, --open ARRIVAL.
+   [run] runs paper experiments or registry cells by name, [suite] one
+   family of registry cells (digest suite, fault matrix, posture
+   matrix, open-arrival sweep), and [compare] checks a digest-suite
+   report against the committed baseline.  [ipc --all] and
+   [oltp --sweep] build their grids from the same cell functions as
+   the single runs.  Every cell goes through the bench suite's one
+   runner ([Suite.run_cells]), and every usage error exits 124.
 *)
 
 module Costs = Dipc_sim.Costs
@@ -21,6 +26,7 @@ module Trace = Dipc_sim.Trace
 module Inject = Dipc_sim.Inject
 module Parallel = Dipc_sim.Parallel
 module Suite = Dipc_bench_suite.Suite
+module Golden = Dipc_bench_suite.Golden
 module Types = Dipc_core.Types
 module Scenario = Dipc_core.Scenario
 module Proxy = Dipc_core.Proxy
@@ -34,54 +40,53 @@ open Cmdliner
 
 (* --- shared arguments --- *)
 
-let policy_conv =
-  Arg.enum [ ("low", Types.props_low); ("high", Types.props_high) ]
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let opt ?docv ?vopt name c default doc =
+  Arg.(value & opt ?vopt c default & info [ name ] ?docv ~doc)
+
+(* [conv] restricted to the values [ok] accepts; any other is a usage
+   error naming [what] was expected. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
 let policy =
-  Arg.(value & opt policy_conv Types.props_low & info [ "policy" ] ~doc:"low or high")
+  opt "policy" (Arg.enum [ ("low", Types.props_low); ("high", Types.props_high) ])
+    Types.props_low "low or high"
 
-let cross =
-  Arg.(value & flag & info [ "cross" ] ~doc:"cross-process call (dIPC +proc)")
+let cross = flag "cross" "cross-process call (dIPC +proc)"
 
-let tls_opt =
-  Arg.(value & flag & info [ "tls-opt" ] ~doc:"optimised TLS mode (Sec. 6.1.2)")
-
-let inject_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "inject" ] ~docv:"SEED"
-        ~doc:
-          "install a seeded fault injector (delayed/lost IPIs, spurious \
-           futex wakeups, forced preemptions); the same seed reproduces \
-           the same fault schedule")
-
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "run under event tracing with the online invariant checker \
-           attached; any scheduler-invariant violation aborts loudly")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "shard independent runs over $(docv) OCaml domains (0 = one per \
-           recommended core); per-run digests and printed results are \
-           identical at any $(docv)")
-
-let resolve n = if n = 0 then Parallel.default_jobs () else n
+let tls_opt = flag "tls-opt" "optimised TLS mode (Sec. 6.1.2)"
 
 (* The options of a run and its grid, parsed once: [Suite.run_cells]
    applies them to every cell. *)
 let opts =
+  let check =
+    flag "check"
+      "run under event tracing with the online invariant checker attached; any \
+       scheduler-invariant violation aborts loudly"
+  in
+  let inject =
+    opt "inject" ~docv:"SEED" Arg.(some int) None
+      "install a seeded fault injector (delayed/lost IPIs, spurious futex wakeups, \
+       forced preemptions); the same seed reproduces the same fault schedule"
+  in
+  let jobs =
+    opt "jobs" ~docv:"N" (checked Arg.int (fun n -> n >= 0) "a non-negative integer") 1
+      "shard independent runs over $(docv) OCaml domains (0 = one per recommended \
+       core); per-run digests and printed results are identical at any $(docv)"
+  in
   Term.(
     const (fun check inject_seed jobs ->
-        { Suite.check; inject_seed; jobs = resolve jobs })
-    $ check_arg $ inject_arg $ jobs_arg)
+        let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
+        { Suite.check; inject_seed; jobs })
+    $ check $ inject $ jobs)
 
 (* The interpreter escape hatch: --reference forces the reference
    stepper instead of the compiled superblock path.  Machines are
@@ -91,13 +96,10 @@ let opts =
 let reference =
   Term.(
     const Dipc_hw.Machine.set_default_reference
-    $ Arg.(
-        value & flag
-        & info [ "reference" ]
-            ~doc:
-              "force the machine's reference interpreter: disable the \
-               compiled superblock path.  Results and digests are \
-               identical either way; this is a triage escape hatch"))
+    $ flag "reference"
+        "force the machine's reference interpreter: disable the compiled superblock \
+         path.  Results and digests are identical either way; this is a triage \
+         escape hatch")
 
 (* A single run's checker verdict, printed before its report. *)
 let report_checker (o : Suite.obs) =
@@ -129,7 +131,7 @@ let grid_cell name run =
         | None -> "")
       ^ "\n")
   in
-  { Suite.name; family = Suite.Grid; run }
+  { Suite.name; run }
 
 (* Run a grid's cells under [header]. *)
 let run_grid (o : Suite.opts) header cells =
@@ -163,7 +165,12 @@ let call_cmd =
 let primitives =
   [ ("sem", M.Sem); ("pipe", M.Pipe); ("l4", M.L4); ("rpc", M.Local_rpc); ("user-rpc", M.User_rpc_prim) ]
 
-let primitive_conv = Arg.enum primitives
+(* The primitive, placement and argument size of [ipc] and [trace]. *)
+let primitive = opt "primitive" (Arg.enum primitives) M.Sem "sem|pipe|l4|rpc|user-rpc"
+
+let same_cpu = flag "same-cpu" "pin both sides to one CPU"
+
+let bytes = opt "bytes" Arg.int 1 "argument size"
 
 (* The single run and every cell of the --all grid. *)
 let ipc_run ~bytes (o : Suite.opts) prim ~same_cpu =
@@ -202,22 +209,7 @@ let run_ipc primitive same_cpu bytes all o () =
   end
 
 let ipc_cmd =
-  let primitive =
-    Arg.(
-      value
-      & opt primitive_conv M.Sem
-      & info [ "primitive" ] ~doc:"sem|pipe|l4|rpc|user-rpc")
-  in
-  let same_cpu =
-    Arg.(value & flag & info [ "same-cpu" ] ~doc:"pin both sides to one CPU")
-  in
-  let bytes = Arg.(value & opt int 1 & info [ "bytes" ] ~doc:"argument size") in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"run every primitive in both placements (honours $(b,--jobs))")
-  in
+  let all = flag "all" "run every primitive in both placements (honours $(b,--jobs))" in
   Cmd.v
     (Cmd.info "ipc" ~doc:"measure a baseline IPC primitive on the kernel model")
     Term.(const run_ipc $ primitive $ same_cpu $ bytes $ all $ opts $ reference)
@@ -267,19 +259,12 @@ let run_oltp config threads on_disk sweep o () =
 
 let oltp_cmd =
   let config =
-    Arg.(
-      value
-      & opt (enum [ ("linux", O.Linux); ("dipc", O.Dipc); ("ideal", O.Ideal) ]) O.Dipc
-      & info [ "config" ] ~doc:"linux|dipc|ideal")
+    opt "config" (Arg.enum [ ("linux", O.Linux); ("dipc", O.Dipc); ("ideal", O.Ideal) ])
+      O.Dipc "linux|dipc|ideal"
   in
-  let threads = Arg.(value & opt int 16 & info [ "threads" ] ~doc:"per component") in
-  let on_disk = Arg.(value & flag & info [ "on-disk" ] ~doc:"on-disk database") in
-  let sweep =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:"run all three configurations (honours $(b,--jobs))")
-  in
+  let threads = opt "threads" Arg.int 16 "per component" in
+  let on_disk = flag "on-disk" "on-disk database" in
+  let sweep = flag "sweep" "run all three configurations (honours $(b,--jobs))" in
   Cmd.v
     (Cmd.info "oltp" ~doc:"run one cell of the Figure 8 macro-benchmark")
     Term.(const run_oltp $ config $ threads $ on_disk $ sweep $ opts $ reference)
@@ -307,35 +292,22 @@ let run_open prim arrival load sessions seed () =
     (OL.throughput_rps r);
   Printf.printf "  digest %s\n" r.OL.r_digest
 
+let arrival_conv =
+  let parse s =
+    Option.to_result (OL.arrival_of_string s)
+      ~none:(`Msg (Printf.sprintf "expected poisson, bursty or diurnal, got %S" s))
+  in
+  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (OL.arrival_name a))
+
 let open_cmd =
   let prim =
-    Arg.(
-      value
-      & opt (enum (List.map (fun p -> (p, p)) Suite.open_prims)) "dipc"
-      & info [ "primitive" ] ~doc:"sem|pipe|l4|rpc|dipc")
+    opt "primitive" (Arg.enum (List.map (fun p -> (p, p)) Suite.open_prims)) "dipc"
+      "sem|pipe|l4|rpc|dipc"
   in
-  let arrival =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun a -> (OL.arrival_name a, a))
-                [ OL.Poisson; OL.Bursty; OL.Diurnal ]))
-          OL.Poisson
-      & info [ "arrival" ] ~doc:"poisson|bursty|diurnal")
-  in
-  let load =
-    Arg.(
-      value & opt float 0.85
-      & info [ "load" ] ~docv:"RHO" ~doc:"offered load (rho; > 1 is overload)")
-  in
-  let sessions =
-    Arg.(
-      value & opt int 100_000
-      & info [ "sessions" ] ~doc:"client sessions to simulate")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed") in
+  let arrival = opt "arrival" arrival_conv OL.Poisson "poisson|bursty|diurnal" in
+  let load = opt "load" ~docv:"RHO" Arg.float 0.85 "offered load (rho; > 1 is overload)" in
+  let sessions = opt "sessions" Arg.int 100_000 "client sessions to simulate" in
+  let seed = opt "seed" Arg.int 42 "RNG seed" in
   Cmd.v
     (Cmd.info "open"
        ~doc:
@@ -353,9 +325,7 @@ let run_trace primitive same_cpu bytes iters out () =
   Trace.write_chrome oc tr;
   close_out oc;
   Printf.printf "%s (%s), %d-byte argument, %d iterations:\n"
-    (M.primitive_name primitive)
-    (if same_cpu then "=CPU" else "!=CPU")
-    bytes iters;
+    (M.primitive_name primitive) (Suite.placement same_cpu) bytes iters;
   Printf.printf "  mean %.1f ns per round trip\n" r.M.mean_ns;
   Printf.printf "  %d events traced (%d retained, %d overwritten)\n"
     (Trace.total tr)
@@ -365,20 +335,8 @@ let run_trace primitive same_cpu bytes iters out () =
   Printf.printf "  wrote %s (open in chrome://tracing or ui.perfetto.dev)\n" out
 
 let trace_cmd =
-  let primitive =
-    Arg.(
-      value
-      & opt primitive_conv M.Sem
-      & info [ "primitive" ] ~doc:"sem|pipe|l4|rpc|user-rpc")
-  in
-  let same_cpu =
-    Arg.(value & flag & info [ "same-cpu" ] ~doc:"pin both sides to one CPU")
-  in
-  let bytes = Arg.(value & opt int 1 & info [ "bytes" ] ~doc:"argument size") in
-  let iters = Arg.(value & opt int 50 & info [ "iters" ] ~doc:"round trips") in
-  let out =
-    Arg.(value & opt string "trace.json" & info [ "out" ] ~doc:"output file")
-  in
+  let iters = opt "iters" Arg.int 50 "round trips" in
+  let out = opt "out" Arg.string "trace.json" "output file" in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"run a microbench under event tracing and export Chrome trace JSON")
@@ -421,6 +379,183 @@ let disasm_cmd =
     (Cmd.info "disasm" ~doc:"print the generated proxy template")
     Term.(const run_disasm $ policy $ cross)
 
+(* --- run: paper experiments and registry cells by name --- *)
+
+let run_names names o () =
+  let run name =
+    match List.assoc_opt name Suite.experiments with
+    | Some f -> f ()
+    | None -> ignore (Suite.run_cells o (Option.to_list (Suite.find name)))
+  in
+  List.iter run (if names = [] then List.map fst Suite.experiments else names)
+
+let run_cmd =
+  let name =
+    let parse name =
+      if List.mem_assoc name Suite.experiments || Suite.find name <> None then Ok name
+      else
+        Error
+          (`Msg
+            (Printf.sprintf "unknown experiment %s; available: %s (or a registry cell name)"
+               name (String.concat " " (List.map fst Suite.experiments))))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
+  let names =
+    Arg.(
+      value & pos_all name []
+      & info [] ~docv:"NAME"
+          ~doc:"a paper experiment or a registry cell; none runs every experiment")
+  in
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:
+         "regenerate the paper's tables and figures, or run registry cells and print \
+          their report lines")
+    Term.(const run_names $ names $ opts $ reference)
+
+(* --- suite: one family of registry cells --- *)
+
+let suite_cmd =
+  let json =
+    opt "json" ~docv:"FILE" ~vopt:(Some "BENCH_fixed_seed.json") Arg.(some string) None
+      "the fixed-seed digest suite (the 37 pinned cells): write its dipc-bench/v1 \
+       report to $(docv) and a history row to BENCH_latest.jsonl next to it"
+  in
+  let matrix =
+    flag "matrix"
+      "the fault-injection matrix over every IPC primitive and the OLTP/netpipe \
+       workloads; $(b,--inject) sets its base seed"
+  in
+  let security =
+    flag "security"
+      "the cost-of-isolation posture matrix: {strict, audit, permissive} x {CODOMs, \
+       CHERI, MMP} x {clean, under-attack}, both interpreter paths per cell"
+  in
+  let open_ =
+    opt "open" ~docv:"ARRIVAL" ~vopt:(Some OL.Poisson) Arg.(some arrival_conv) None
+      "the open-arrival load sweep (tail latency vs offered load per IPC primitive, \
+       >1M client sessions); $(docv) is poisson (the default), bursty or diurnal"
+  in
+  let family json matrix security open_ =
+    let on b f = if b then [ (f, None) ] else [] in
+    match
+      Option.fold ~none:[] ~some:(fun out -> [ (Suite.Pinned, Some out) ]) json
+      @ on matrix Suite.Matrix @ on security Suite.Security
+      @ Option.fold ~none:[] ~some:(fun a -> [ (Suite.Open a, None) ]) open_
+    with
+    | [ f ] -> `Ok f
+    | _ -> `Error (true, "give exactly one of --json, --matrix, --security, --open")
+  in
+  Cmd.v
+    (Cmd.info "suite" ~doc:"run one family of the benchmark suite's registry cells")
+    Term.(
+      const (fun o () (family, out) -> Suite.report ?out o family)
+      $ opts $ reference
+      $ ret (const family $ json $ matrix $ security $ open_))
+
+(* --- compare: a digest-suite report against the baseline --- *)
+
+(* Print each mismatch as two aligned lines under [label]; true when
+   there is none. *)
+let print_mismatches label width mms =
+  List.iter
+    (fun m ->
+      Printf.printf "%s %-*s expected %s\n%*s got %s\n" label width m.Golden.mm_name
+        m.Golden.mm_expected (String.length label + 1 + width) "" m.Golden.mm_actual)
+    mms;
+  mms = []
+
+let print_trend file =
+  match Golden.trend_report ~history:(Golden.read_file file) with
+  | Ok lines -> List.iter print_endline lines
+  | Error m | (exception Sys_error m) -> Printf.printf "trend: %s (skipping)\n" m
+
+(* The golden digest, every per-cell digest and, when asked, every
+   counter cell, the sim-MIPS floor and the wall budget; exit 1 on any
+   failure.  The trend report never affects the exit code. *)
+let compare_reports baseline candidate budget counters ratchet trend =
+  let baseline = Golden.read_file baseline and candidate = Golden.read_file candidate in
+  let golden =
+    match (Golden.scalar_string baseline "golden_digest", Golden.scalar_string candidate "golden_digest") with
+    | Some b, Some c when b = c -> Printf.printf "golden digest %s OK\n" c; true
+    | b, c ->
+        let str = Option.value ~default:"<missing>" in
+        Printf.printf "golden digest MISMATCH: baseline %s, candidate %s\n" (str b) (str c);
+        false
+  in
+  let digests =
+    let mms = Golden.compare_digests ~baseline ~candidate in
+    let total = List.length (Golden.parse_report baseline) in
+    if mms = [] then Printf.printf "%d/%d experiment digests match the baseline\n" total total;
+    print_mismatches "MISMATCH" 20 mms
+  in
+  let counters =
+    (not counters)
+    ||
+    let mms = Golden.compare_counters ~baseline ~candidate in
+    if mms = [] then print_endline "all per-experiment counters match the baseline";
+    print_mismatches "COUNTER MISMATCH" 32 mms
+  in
+  let ratchet =
+    match ratchet with
+    | None -> true
+    | Some ratio ->
+        let mms = Golden.compare_mips_ratchet ~ratio ~baseline ~candidate in
+        if mms = [] then Printf.printf "sim_mips ratchet OK (floor %.2f x baseline)\n" ratio;
+        print_mismatches "MIPS RATCHET" 20 mms
+  in
+  let budget =
+    match (budget, Golden.scalar_float candidate "total_wall_s") with
+    | None, _ -> true
+    | Some b, Some w ->
+        Printf.printf "total_wall_s %.3f %s budget %.1f s\n" w
+          (if w <= b then "within" else "EXCEEDS") b;
+        w <= b
+    | Some _, None -> print_endline "candidate has no total_wall_s field"; false
+  in
+  Option.iter print_trend trend;
+  if not (golden && digests && counters && ratchet && budget) then exit 1
+
+let compare_cmd =
+  let reports =
+    Arg.(
+      value & pos_all file []
+      & info [] ~docv:"BASELINE CANDIDATE"
+          ~doc:"the committed report (bench/BENCH_baseline.json) and a fresh $(b,suite --json) one")
+  in
+  let budget =
+    opt "budget" ~docv:"SECONDS" Arg.(some float) None
+      "also fail when the candidate's total_wall_s exceeds $(docv)"
+  in
+  let counters =
+    flag "counters"
+      "also require every counter cell of every row to equal the baseline's (only \
+       meaningful when both ran the same dispatch path)"
+  in
+  let ratchet =
+    opt "mips-ratchet" ~docv:"RATIO"
+      Arg.(some (checked float (fun r -> r > 0.) "a positive ratio"))
+      None "also require each row's sim_mips to stay >= $(docv) x the baseline's"
+  in
+  let trend =
+    opt "trend" ~docv:"FILE" Arg.(some string) None
+      "report per-cell sim-MIPS and counter deltas between the last two rows of the \
+       BENCH_latest.jsonl history $(docv); informational, never affects the exit code"
+  in
+  let run reports budget counters ratchet trend =
+    match (reports, trend) with
+    | [ b; c ], _ -> `Ok (compare_reports b c budget counters ratchet trend)
+    | [], Some f -> `Ok (print_trend f)
+    | _ -> `Error (true, "give BASELINE and CANDIDATE, or --trend FILE alone")
+  in
+  Cmd.v
+    (Cmd.info "compare"
+       ~doc:
+         "check a digest-suite report against the baseline: the golden and every \
+          per-cell digest must match (exit 1 otherwise)")
+    Term.(ret (const run $ reports $ budget $ counters $ ratchet $ trend))
+
 let () =
   let info =
     Cmd.info "dipc" ~version:"1.0.0"
@@ -429,11 +564,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            call_cmd;
-            ipc_cmd;
-            oltp_cmd;
-            open_cmd;
-            disasm_cmd;
-            trace_cmd;
-          ]))
+          [ call_cmd; ipc_cmd; oltp_cmd; open_cmd; disasm_cmd; trace_cmd; run_cmd; suite_cmd;
+            compare_cmd ]))

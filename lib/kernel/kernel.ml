@@ -504,7 +504,10 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
 
 let cpu_breakdown t i = t.cpus.(i).cpu_bd
 
-let cpu_idle_total t i = Float.Array.unsafe_get t.cpus.(i).totals 0
+let cpu_idle_total t i =
+  let c = t.cpus.(i) in
+  Float.Array.unsafe_get c.totals 0
+  +. if c.idle then now t -. Float.Array.unsafe_get c.totals 1 else 0.
 
 let reset_stats t =
   Array.iter

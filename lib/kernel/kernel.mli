@@ -108,6 +108,11 @@ val spawn :
 
 val cpu_breakdown : t -> int -> Breakdown.t
 
+(** Time CPU [i] sat idle since creation or the last {!reset_stats},
+    up to now: its current idle stretch counts too.  Elapsed time, not
+    charges: {!cpu_breakdown} adds each charge whole when it is made,
+    including a preempted thread's context switch, which takes no
+    simulated time. *)
 val cpu_idle_total : t -> int -> float
 
 val reset_stats : t -> unit

@@ -326,17 +326,23 @@ let run ?(params_override = None) ?(seed = 41) ?trace ?inject
   measuring := true;
   drive_until engine (p.warmup +. p.duration);
   measuring := false;
-  (* Aggregate the CPU breakdowns. *)
-  let agg = Breakdown.create () in
-  for i = 0 to p.ncpus - 1 do
-    Breakdown.merge ~into:agg (Breakdown.to_figure2 (Kernel.cpu_breakdown kern i))
-  done;
-  (* Account time the CPUs are still idle at the deadline. *)
-  let busy = Breakdown.total agg -. Breakdown.get agg Breakdown.Idle in
+  (* Fractions of the window's CPU time.  Idle is elapsed idle time,
+     measured by the kernel up to the deadline; kernel time is the busy
+     rest after the charged user code.  Idle cannot be wall minus the
+     summed charges: they are not elapsed time, since every preemption
+     charges the outgoing thread's context switch without advancing the
+     clock, and on a saturated machine they exceed the wall. *)
   let wall = p.duration *. float_of_int p.ncpus in
-  let idle = wall -. busy in
-  let user = Breakdown.get agg Breakdown.User_code in
-  let kernel = busy -. user in
+  let idle = ref 0. and user = ref 0. in
+  for i = 0 to p.ncpus - 1 do
+    idle := !idle +. Kernel.cpu_idle_total kern i;
+    user :=
+      !user
+      +. Breakdown.get (Breakdown.to_figure2 (Kernel.cpu_breakdown kern i))
+           Breakdown.User_code
+  done;
+  let idle = !idle and user = !user in
+  let kernel = wall -. idle -. user in
   {
     r_config = config;
     r_threads = p.threads;

@@ -708,7 +708,7 @@ let test_default_toggle () =
     m2.Machine.reference
 
 (* The process-wide reference default must reach machines that
-   experiment code builds internally (what bench --reference relies
+   experiment code builds internally (what dipc_cli --reference relies
    on): the three machine-interpreter cells run under it produce the
    default path's digests and instret with every dispatch counter at
    zero, while the default path's own counters are non-zero. *)

@@ -5,7 +5,7 @@
    here as a digest mismatch naming the experiment that moved.
 
    Parsing lives in bench/golden.ml, shared with the CI comparator
-   (bench/check_golden.ml) and the parallel differential tests.  The
+   (`dipc_cli compare`) and the parallel differential tests.  The
    mutation smokes below corrupt synthetic reports cell by cell and
    assert the comparator fails loudly, naming the offending cell: a
    gate that cannot fail is not a gate. *)

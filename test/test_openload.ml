@@ -207,7 +207,7 @@ let test_openload_conservation () =
   Alcotest.(check bool) "utilization in (0, 1]" true (0. < u && u <= 1.)
 
 (* The sweep contract: one digest per (cell) independent of the job
-   count — the same Parallel.run shape bench --open uses. *)
+   count — the same Parallel.run shape `dipc_cli suite --open` uses. *)
 let test_openload_jobs_invariant () =
   let cells =
     Array.of_list

@@ -301,9 +301,10 @@ let ref_event h e =
 
 (* Fixed configuration: Sem, same CPU, warmup 5, 20 measured iterations.
    If this test fails, a code change altered the simulated event timeline
-   or cost attribution.  If the change is intentional, rerun
-   `bench/main.exe --trace` and update the constants together with
-   EXPERIMENTS.md. *)
+   or cost attribution.  The suite's `golden_sem_same` cell runs this
+   configuration: if the change is intentional, rerun it
+   (`dipc_cli suite --json FILE` reports its digest as golden_digest)
+   and update the constants together with EXPERIMENTS.md. *)
 let golden_digest = "edfc59d47033e564"
 
 let golden_events = 1511

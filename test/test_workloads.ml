@@ -67,6 +67,17 @@ let test_oltp_breakdown_sane () =
   Alcotest.(check bool) "latency measured" true (r.O.r_latency_ns.Dipc_sim.Stats.s_count > 0);
   Alcotest.(check bool) "ops counted" true (r.O.r_ops > 10)
 
+(* Fig. 1's saturated Ideal run: no fraction of CPU time may leave
+   [0, 1].  Its summed charges exceed the wall (every preemption
+   charges a context switch that takes no time), so idle must be
+   elapsed idle time, not wall minus charges. *)
+let test_oltp_fractions_in_range () =
+  let r = O.run ~config:O.Ideal ~db_mode:O.In_memory ~threads:96 () in
+  List.iter
+    (fun (name, f) ->
+      if not (f >= 0. && f <= 1.) then Alcotest.failf "%s fraction %.17g" name f)
+    [ ("user", r.O.r_user_frac); ("kernel", r.O.r_kernel_frac); ("idle", r.O.r_idle_frac) ]
+
 let test_oltp_crossings_per_op () =
   (* The operation structure matches the paper's 211 crossings (Sec. 7.5),
      within rounding. *)
@@ -157,6 +168,8 @@ let suites =
         Alcotest.test_case "on-disk slower" `Slow test_oltp_on_disk_lower;
         Alcotest.test_case "breakdown sane" `Slow test_oltp_breakdown_sane;
         Alcotest.test_case "crossings per op" `Quick test_oltp_crossings_per_op;
+        Alcotest.test_case "fractions in [0, 1] (Fig. 1 Ideal)" `Slow
+          test_oltp_fractions_in_range;
       ] );
     ( "workloads.netpipe",
       [

@@ -4,7 +4,7 @@
 # modules that allocates on the minor heap in its own code, with the
 # size of each allocation in words.
 #
-#   tools/alloc_sites.sh [EXE]   (default _build/default/bench/main.exe)
+#   tools/alloc_sites.sh [EXE]   (default _build/default/bin/dipc_cli.exe)
 #
 # On amd64, OCaml 5 allocates inline by bumping the young pointer down:
 # `sub $N,%r15` in `objdump -d` is an allocation of N/8 words, headers
@@ -19,7 +19,7 @@
 # only runs objdump.
 set -eu
 
-exe=${1:-_build/default/bench/main.exe}
+exe=${1:-_build/default/bin/dipc_cli.exe}
 if [ ! -f "$exe" ]; then
   echo "alloc_sites: $exe not found (build it with: dune build)" >&2
   exit 1
