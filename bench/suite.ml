@@ -203,10 +203,6 @@ let fig6 () =
     "Figure 6: added execution time vs argument size (consumer-producer\n\
      synchronous call; baseline = function call with the same payload)";
   let { low_same; high_same; low_proc; high_proc; _ } = dipc_costs () in
-  let urpc_fixed bytes =
-    (M.run ~bytes ~warmup:10 ~iters:60 ~same_cpu:false M.User_rpc_prim).M.mean_ns
-    -. M.baseline_payload_ns bytes
-  in
   let added prim bytes =
     (M.run ~bytes ~warmup:10 ~iters:60 ~same_cpu:false prim).M.mean_ns
     -. M.baseline_payload_ns bytes
@@ -221,7 +217,8 @@ let fig6 () =
          overhead, independent of size. *)
       Printf.printf "  %-10d %12.0f %12.0f %12.0f %12.0f %12.0f %12.0f %12.0f\n"
         bytes Costs.syscall_total (added M.Sem bytes) (added M.Pipe bytes)
-        (added M.Local_rpc bytes) low_same high_same (urpc_fixed bytes))
+        (added M.Local_rpc bytes) low_same high_same
+        (added M.User_rpc_prim bytes))
     sizes;
   Printf.printf
     "  (L1$ boundary at %d B, L2$ at %d B; dIPC flat, copies grow: the\n\

@@ -95,3 +95,11 @@ let downgradeable = function
       true
   | Unmapped | Cap_invalid | Dcs_bounds _ | Bad_instruction | Software_trap _ ->
       false
+
+(* The posture rule, for the machine and both miniatures: Strict or a
+   structural fault denies, Audit counts and proceeds, Permissive
+   proceeds.  Each caller supplies its own reaction to the verdict. *)
+let verdict posture kind =
+  if posture = Strict || not (downgradeable kind) then `Deny
+  else if posture = Audit then `Audit
+  else `Proceed

@@ -46,5 +46,8 @@ val all_postures : posture list
 
 val posture_to_string : posture -> string
 
-(** Is this fault class subject to posture downgrade? *)
-val downgradeable : kind -> bool
+(** The posture rule, written once: [`Deny] under [Strict] or for a
+    structural kind; for an authorization kind, [`Audit] under [Audit]
+    (count the would-be fault and proceed) and [`Proceed] under
+    [Permissive]. *)
+val verdict : posture -> kind -> [ `Deny | `Audit | `Proceed ]

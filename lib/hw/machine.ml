@@ -377,20 +377,20 @@ let charge_as m ctx category ns =
     Trace.emit m.tracer ~ts:ctx.cost ~tid:ctx.id ~tag:ctx.cur_tag ~cat:category
       ~dur:ns Trace.Charge
 
-(* Posture-mediated denial.  Strict raises (the pre-posture behaviour,
-   byte-identical digests); Audit counts the would-be fault — and, when
-   tracing, emits the Fault event the strict machine would have — then
-   lets the caller continue; Permissive continues silently.  Structural
-   faults ([Fault.downgradeable] = false) raise under every posture. *)
+(* Posture-mediated denial: the machine's reaction to [Fault.verdict].
+   Deny raises (the pre-posture behaviour, byte-identical digests);
+   Audit counts the would-be fault — and, when tracing, emits the Fault
+   event the strict machine would have — then lets the caller continue;
+   Proceed continues silently. *)
 let deny m ctx ?addr ~pc kind =
-  if m.posture = Fault.Strict || not (Fault.downgradeable kind) then
-    Fault.raise_fault ?addr ~pc kind
-  else if m.posture = Fault.Audit then begin
-    m.audited_faults <- m.audited_faults + 1;
-    if Trace.enabled m.tracer then
-      Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag ~arg:pc
-        Trace.Fault
-  end
+  match Fault.verdict m.posture kind with
+  | `Deny -> Fault.raise_fault ?addr ~pc kind
+  | `Audit ->
+      m.audited_faults <- m.audited_faults + 1;
+      if Trace.enabled m.tracer then
+        Trace.emit m.tracer ~ts:(cost_now ctx) ~tid:ctx.id ~tag:ctx.cur_tag
+          ~arg:pc Trace.Fault
+  | `Proceed -> ()
 
 (* --- capability validity (Sec. 4.2) --- *)
 

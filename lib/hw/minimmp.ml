@@ -5,7 +5,12 @@
    word-granularity entries; a hardware PLB caches them.  Cross-domain
    calls go through switch/return gates and cost (at best) a pipeline
    flush; sharing bulk data means writing (and later invalidating) table
-   entries for every region — the costs Table 1 charges MMP with. *)
+   entries for every region — the costs Table 1 charges MMP with.
+
+   As in Minicheri, every fallible operation reports a denial as a
+   {!Fault.t} carrying the fault kind and canonical pc the CODOMs
+   machine raises for the equivalent attack, and [Fault.verdict] decides
+   what the cpu's posture does with it. *)
 
 type perm = None_ | Read_only | Read_write | Execute_read
 
@@ -80,103 +85,66 @@ let add_domain cpu pd = Hashtbl.replace cpu.domains pd.pd_id pd
 let add_gate cpu ~addr ~from_pd ~to_pd =
   Hashtbl.replace cpu.gates addr { g_addr = addr; g_from = from_pd; g_to = to_pd }
 
+(* The miniature's reaction to [Fault.verdict], as Minicheri's: a
+   denial is an [Error]; an audited one is counted and proceeds. *)
+let deny cpu ?addr ~pc kind =
+  match Fault.verdict cpu.posture kind with
+  | `Deny -> Error { Fault.kind; pc; addr }
+  | `Audit ->
+      cpu.audited <- cpu.audited + 1;
+      Ok ()
+  | `Proceed -> Ok ()
+
 (* Calling through a switch gate: legal only from the gate's source
-   domain; costs a pipeline flush (best case, Table 1). *)
-let call_gate cpu ~addr =
+   domain; costs a pipeline flush (best case, Table 1).  A non-gate
+   address is not a legal entry point (a downgrade lets the jump retire
+   without a domain switch — there is no target table to switch to); a
+   gate used from the wrong source domain is a call-permission denial (a
+   downgrade crosses anyway); a gate whose target domain is gone is a
+   dangling descriptor — forged-capability territory, structural under
+   every posture. *)
+let call_gate cpu ~pc ~addr =
   match Hashtbl.find_opt cpu.gates addr with
-  | None -> Error "call_gate: not a gate"
-  | Some g when g.g_from <> cpu.current.pd_id -> Error "call_gate: wrong source domain"
-  | Some g -> begin
-      match Hashtbl.find_opt cpu.domains g.g_to with
-      | None -> Error "call_gate: unknown target domain"
-      | Some target ->
+  | None -> deny cpu ~addr ~pc Fault.Not_entry_point
+  | Some g -> (
+      let checked =
+        if g.g_from <> cpu.current.pd_id then
+          deny cpu ~addr ~pc (Fault.No_permission Perm.Call)
+        else Ok ()
+      in
+      match (checked, Hashtbl.find_opt cpu.domains g.g_to) with
+      | (Error _ as e), _ -> e
+      | Ok (), None -> deny cpu ~addr ~pc Fault.Cap_invalid
+      | Ok (), Some target ->
           cpu.pipeline_flushes <- cpu.pipeline_flushes + 1;
           cpu.cross_stack <- g.g_from :: cpu.cross_stack;
           cpu.current <- target;
-          Ok ()
-    end
-
-let return_gate cpu =
-  match cpu.cross_stack with
-  | caller :: rest -> begin
-      match Hashtbl.find_opt cpu.domains caller with
-      | None -> Error "return_gate: caller domain gone"
-      | Some pd ->
-          cpu.pipeline_flushes <- cpu.pipeline_flushes + 1;
-          cpu.cross_stack <- rest;
-          cpu.current <- pd;
-          Ok ()
-    end
-  | [] -> Error "return_gate: no crossing to return from"
-
-(* Modelled costs (Table 1). *)
-let switch_cost_ns = 40.0 (* one pipeline flush *)
-
-let table_write_cost_ns = 120.0 (* privileged write + PLB invalidate *)
-
-(* Bulk-data sharing cost: one table entry per page-sized chunk. *)
-let share_cost_ns ~bytes =
-  let pages = max 1 ((bytes + 4095) / 4096) in
-  float_of_int pages *. table_write_cost_ns
-
-(* --- structured fault API ---
-
-   Same contract as Minicheri's [_at] variants: denials become {!Fault.t}
-   values carrying the fault kind and canonical pc the CODOMs machine
-   raises for the equivalent attack, with posture downgrades letting
-   downgradeable denials retire (counted under Audit). *)
-
-let denied cpu ?addr ~pc kind =
-  if cpu.posture = Fault.Strict || not (Fault.downgradeable kind) then
-    Error { Fault.kind; pc; addr }
-  else begin
-    if cpu.posture = Fault.Audit then cpu.audited <- cpu.audited + 1;
-    Ok ()
-  end
-
-(* Gate call: a non-gate address is not a legal entry point (a downgrade
-   lets the jump retire without a domain switch — there is no target
-   table to switch to); a gate used from the wrong source domain is a
-   call-permission denial (a downgrade crosses anyway); a gate whose
-   target domain is gone is a dangling descriptor — forged-capability
-   territory, structural under every posture. *)
-let call_gate_at cpu ~pc ~addr =
-  match Hashtbl.find_opt cpu.gates addr with
-  | None -> denied cpu ~addr ~pc Fault.Not_entry_point
-  | Some g ->
-      let go () =
-        match Hashtbl.find_opt cpu.domains g.g_to with
-        | None -> Error { Fault.kind = Fault.Cap_invalid; pc; addr = Some addr }
-        | Some target ->
-            cpu.pipeline_flushes <- cpu.pipeline_flushes + 1;
-            cpu.cross_stack <- g.g_from :: cpu.cross_stack;
-            cpu.current <- target;
-            Ok ()
-      in
-      if g.g_from <> cpu.current.pd_id then
-        match denied cpu ~addr ~pc (Fault.No_permission Perm.Call) with
-        | Error _ as e -> e
-        | Ok () -> go ()
-      else go ()
+          Ok ())
 
 (* Gate return: an empty cross stack is the MMP image of a DCS underflow
-   — structural, denied under every posture. *)
-let return_gate_at cpu ~pc =
+   and a vanished caller domain a dangling descriptor — both structural,
+   denied under every posture. *)
+let return_gate cpu ~pc =
   match cpu.cross_stack with
   | caller :: rest -> begin
       match Hashtbl.find_opt cpu.domains caller with
-      | None -> Error { Fault.kind = Fault.Cap_invalid; pc; addr = None }
+      | None -> deny cpu ~pc Fault.Cap_invalid
       | Some pd ->
           cpu.pipeline_flushes <- cpu.pipeline_flushes + 1;
           cpu.cross_stack <- rest;
           cpu.current <- pd;
           Ok ()
     end
-  | [] -> denied cpu ~pc (Fault.Dcs_bounds "no crossing to return from")
+  | [] -> deny cpu ~pc (Fault.Dcs_bounds "no crossing to return from")
+
+(* Modelled costs (Table 1). *)
+let switch_cost_ns = Archcmp.pipeline_flush
+
+let table_write_cost_ns = Archcmp.prot_table_update
 
 (* Data access against the current domain's permission table.  [perm]
    names the attempted access in the machine's vocabulary for the
    [No_permission] payload; [needed] is the table-side permission. *)
-let access_at cpu ~pc ~addr ~needed ~perm =
+let access cpu ~pc ~addr ~needed ~perm =
   if can_access cpu.current ~addr ~perm:needed then Ok ()
-  else denied cpu ~addr ~pc (Fault.No_permission perm)
+  else deny cpu ~addr ~pc (Fault.No_permission perm)

@@ -1,6 +1,11 @@
 (** Functional miniature of Mondrian Memory Protection (the Table 1
     comparison point): per-domain privileged permission tables and
-    switch/return gates costing a pipeline flush. *)
+    switch/return gates costing a pipeline flush.
+
+    One function per operation.  A denial is a {!Fault.t} with the fault
+    kind and canonical pc the CODOMs machine raises for the equivalent
+    attack; {!Fault.verdict} decides what the cpu's posture does with it
+    (downgradeable denials retire under [Audit]/[Permissive]). *)
 
 type perm = None_ | Read_only | Read_write | Execute_read
 
@@ -42,35 +47,25 @@ val add_domain : cpu -> pd -> unit
 
 val add_gate : cpu -> addr:int -> from_pd:int -> to_pd:int -> unit
 
-(** Cross through a switch gate (legal only from its source domain). *)
-val call_gate : cpu -> addr:int -> (unit, string) result
+(** Cross through a switch gate (legal only from its source domain):
+    non-gate address → [Not_entry_point]; wrong source domain →
+    [No_permission Call]; dangling target domain → [Cap_invalid]
+    (structural). *)
+val call_gate : cpu -> pc:int -> addr:int -> (unit, Fault.t) result
 
-val return_gate : cpu -> (unit, string) result
+(** Gate return: empty cross stack → [Dcs_bounds]; dangling caller
+    domain → [Cap_invalid] (both structural). *)
+val return_gate : cpu -> pc:int -> (unit, Fault.t) result
 
+(** [Archcmp.pipeline_flush]: one per gate crossing. *)
 val switch_cost_ns : float
 
+(** [Archcmp.prot_table_update]: one per {!grant} or {!revoke}. *)
 val table_write_cost_ns : float
-
-(** Bulk-data sharing: one table entry per page-sized chunk. *)
-val share_cost_ns : bytes:int -> float
-
-(** {2 Structured fault API}
-
-    Denials become {!Fault.t} values with the fault kind and canonical
-    pc the CODOMs machine raises for the equivalent attack; posture
-    downgrades let downgradeable denials retire. *)
-
-(** Gate call: non-gate address → [Not_entry_point]; wrong source
-    domain → [No_permission Call]; dangling target domain →
-    [Cap_invalid] (structural). *)
-val call_gate_at : cpu -> pc:int -> addr:int -> (unit, Fault.t) result
-
-(** Gate return: empty cross stack → [Dcs_bounds] (structural). *)
-val return_gate_at : cpu -> pc:int -> (unit, Fault.t) result
 
 (** Data access against the current domain's table: denial →
     [No_permission perm] ([needed] is the table-side permission, [perm]
     the machine-vocabulary payload). *)
-val access_at :
+val access :
   cpu -> pc:int -> addr:int -> needed:perm -> perm:Perm.t ->
   (unit, Fault.t) result

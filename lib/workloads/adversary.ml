@@ -333,13 +333,8 @@ let cheri_run ?posture attack =
   let data_b = Minicheri.cap ~base:data ~len:0x1000 ~perm:Minicheri.Data in
   let cpu = Minicheri.cpu ~pcc:code_a ~idc:data_a in
   Option.iter (fun p -> cpu.Minicheri.posture <- p) posture;
-  let legal_domain () =
-    match
-      Minicheri.make_domain ~authority ~otype:seal_otype ~code:code_b ~data:data_b
-    with
-    | Ok d -> d
-    | Error e -> failwith e
-  in
+  let legal = function Ok x -> x | Error f -> failwith (Fault.to_string f) in
+  let seal otype c = legal (Minicheri.seal ~authority ~otype ~pc:code0 c) in
   let outcome = function
     | Ok () -> Ran cpu.Minicheri.audited
     | Error f -> Faulted f
@@ -347,27 +342,26 @@ let cheri_run ?posture attack =
   let o =
     match attack with
     | Benign ->
-        let d = legal_domain () in
+        let d =
+          legal
+            (Minicheri.make_domain ~authority ~otype:seal_otype ~pc:code0
+               ~code:code_b ~data:data_b)
+        in
         outcome
-          (match Minicheri.ccall_at cpu ~pc:callee d with
+          (match Minicheri.ccall cpu ~pc:callee d with
           | Error _ as e -> e
-          | Ok () -> Minicheri.creturn_at cpu ~pc:(code0 + ib))
+          | Ok () -> Minicheri.creturn cpu ~pc:(code0 + ib))
     | Oob_load ->
         outcome
-          (Minicheri.access_at cpu cpu.Minicheri.idc ~pc:(code0 + ib)
+          (Minicheri.access cpu cpu.Minicheri.idc ~pc:(code0 + ib)
              ~addr:secret ~perm:Perm.Read)
     | Oob_store ->
         outcome
-          (Minicheri.access_at cpu cpu.Minicheri.idc ~pc:(code0 + ib)
+          (Minicheri.access cpu cpu.Minicheri.idc ~pc:(code0 + ib)
              ~addr:secret ~perm:Perm.Write)
     | Bad_crossing ->
         (* A descriptor pair sealed under two different otypes: a forged
            crossing the CCall type check must reject. *)
-        let seal otype c =
-          match Minicheri.seal ~authority ~otype c with
-          | Ok c -> c
-          | Error e -> failwith e
-        in
         let d =
           {
             Minicheri.d_code = seal seal_otype code_b;
@@ -375,20 +369,20 @@ let cheri_run ?posture attack =
             d_otype = seal_otype;
           }
         in
-        outcome (Minicheri.ccall_at cpu ~pc:hermit d)
+        outcome (Minicheri.ccall cpu ~pc:hermit d)
     | Misaligned_entry ->
         (* Unsealed operands are not a legal entry descriptor. *)
         let d =
           { Minicheri.d_code = code_b; d_data = data_b; d_otype = seal_otype }
         in
-        outcome (Minicheri.ccall_at cpu ~pc:(callee + ib) d)
-    | Return_underflow -> outcome (Minicheri.creturn_at cpu ~pc:code0)
+        outcome (Minicheri.ccall cpu ~pc:(callee + ib) d)
+    | Return_underflow -> outcome (Minicheri.creturn cpu ~pc:code0)
     | Forged_cap ->
         (* Seal under an authority that does not cover the otype. *)
         let bad_authority = Minicheri.cap ~base:0 ~len:1 ~perm:Minicheri.Data in
         outcome
           (match
-             Minicheri.seal_at ~authority:bad_authority ~otype:seal_otype
+             Minicheri.seal ~authority:bad_authority ~otype:seal_otype
                ~pc:(code0 + (6 * ib)) data_b
            with
           | Ok _ -> Ok ()
@@ -396,14 +390,9 @@ let cheri_run ?posture attack =
     | Use_after_revoke ->
         (* A sealed capability confers no authority: the CHERI image of
            exercising revoked rights. *)
-        let sealed =
-          match Minicheri.seal ~authority ~otype:seal_otype data_b with
-          | Ok c -> c
-          | Error e -> failwith e
-        in
         outcome
-          (Minicheri.access_at cpu sealed ~pc:(code0 + (2 * ib)) ~addr:data
-             ~perm:Perm.Read)
+          (Minicheri.access cpu (seal seal_otype data_b)
+             ~pc:(code0 + (2 * ib)) ~addr:data ~perm:Perm.Read)
     | Exec_jump | Overderive | Priv_escalation | Cap_storage_write
     | Dcs_overflow | Revoke_inflight | Retcap_leak ->
         Refused "not expressible on minicheri"
@@ -428,36 +417,36 @@ let mmp_run ?posture attack =
     match attack with
     | Benign ->
         outcome
-          (match Minimmp.call_gate_at cpu ~pc:callee ~addr:callee with
+          (match Minimmp.call_gate cpu ~pc:callee ~addr:callee with
           | Error _ as e -> e
-          | Ok () -> Minimmp.return_gate_at cpu ~pc:(code0 + ib))
+          | Ok () -> Minimmp.return_gate cpu ~pc:(code0 + ib))
     | Oob_load ->
         outcome
-          (Minimmp.access_at cpu ~pc:(code0 + ib) ~addr:secret
+          (Minimmp.access cpu ~pc:(code0 + ib) ~addr:secret
              ~needed:Minimmp.Read_only ~perm:Perm.Read)
     | Oob_store ->
         outcome
-          (Minimmp.access_at cpu ~pc:(code0 + ib) ~addr:secret
+          (Minimmp.access cpu ~pc:(code0 + ib) ~addr:secret
              ~needed:Minimmp.Read_write ~perm:Perm.Write)
     | Bad_crossing ->
         (* A gate whose declared source is some other domain. *)
         Minimmp.add_gate cpu ~addr:hermit ~from_pd:99 ~to_pd:2;
-        outcome (Minimmp.call_gate_at cpu ~pc:hermit ~addr:hermit)
+        outcome (Minimmp.call_gate cpu ~pc:hermit ~addr:hermit)
     | Misaligned_entry ->
         (* Not a gate at all. *)
-        outcome (Minimmp.call_gate_at cpu ~pc:(callee + ib) ~addr:(callee + ib))
-    | Return_underflow -> outcome (Minimmp.return_gate_at cpu ~pc:code0)
+        outcome (Minimmp.call_gate cpu ~pc:(callee + ib) ~addr:(callee + ib))
+    | Return_underflow -> outcome (Minimmp.return_gate cpu ~pc:code0)
     | Forged_cap ->
         (* A gate into a domain that does not exist: a dangling
            descriptor. *)
         let addr = code0 + (6 * ib) in
         Minimmp.add_gate cpu ~addr ~from_pd:1 ~to_pd:77;
-        outcome (Minimmp.call_gate_at cpu ~pc:addr ~addr)
+        outcome (Minimmp.call_gate cpu ~pc:addr ~addr)
     | Use_after_revoke ->
         Minimmp.grant pd_a ~base:data ~len:0x1000 ~perm:Minimmp.Read_only;
         Minimmp.revoke pd_a ~base:data ~len:0x1000;
         outcome
-          (Minimmp.access_at cpu ~pc:(code0 + (2 * ib)) ~addr:data
+          (Minimmp.access cpu ~pc:(code0 + (2 * ib)) ~addr:data
              ~needed:Minimmp.Read_only ~perm:Perm.Read)
     | Exec_jump | Overderive | Priv_escalation | Cap_storage_write
     | Dcs_overflow | Revoke_inflight | Retcap_leak ->

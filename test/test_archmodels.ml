@@ -3,7 +3,17 @@
 
 module Cheri = Dipc_hw.Minicheri
 module Mmp = Dipc_hw.Minimmp
+module Archcmp = Dipc_hw.Archcmp
+module Fault = Dipc_hw.Fault
+module Perm = Dipc_hw.Perm
 module M = Dipc_workloads.Microbench
+
+(* The result must be a denial with exactly [kind] (payload included). *)
+let denies what kind = function
+  | Ok _ -> Alcotest.failf "%s: allowed" what
+  | Error f ->
+      Alcotest.(check string) what (Fault.kind_to_string kind)
+        (Fault.kind_to_string f.Fault.kind)
 
 (* --- mini-CHERI --- *)
 
@@ -14,62 +24,71 @@ let code_cap = Cheri.cap ~base:0x1000 ~len:0x100 ~perm:Cheri.Exec
 let data_cap = Cheri.cap ~base:0x2000 ~len:0x100 ~perm:Cheri.Data
 
 let test_cheri_sealing () =
-  (match Cheri.seal ~authority ~otype:7 code_cap with
-  | Ok sealed -> begin
+  (match Cheri.seal ~authority ~otype:7 ~pc:0 code_cap with
+  | Ok sealed ->
       Alcotest.(check bool) "sealed" true (Cheri.is_sealed sealed);
       (* Sealed capabilities confer no authority. *)
       Alcotest.(check bool) "no access while sealed" false
         (Cheri.can_access sealed ~addr:0x1000);
-      match Cheri.seal ~authority ~otype:7 sealed with
-      | Ok _ -> Alcotest.fail "double sealing must fail"
-      | Error _ -> ()
-    end
-  | Error e -> Alcotest.fail e);
-  match Cheri.seal ~authority ~otype:9999 code_cap with
-  | Ok _ -> Alcotest.fail "otype outside authority must fail"
-  | Error _ -> ()
+      denies "double sealing" Fault.Cap_invalid
+        (Cheri.seal ~authority ~otype:7 ~pc:0 sealed)
+  | Error f -> Alcotest.fail (Fault.to_string f));
+  denies "otype outside authority" Fault.Cap_invalid
+    (Cheri.seal ~authority ~otype:9999 ~pc:0 code_cap)
 
 let test_cheri_ccall_roundtrip () =
   let domain =
-    match Cheri.make_domain ~authority ~otype:3 ~code:code_cap ~data:data_cap with
+    match
+      Cheri.make_domain ~authority ~otype:3 ~pc:0 ~code:code_cap ~data:data_cap
+    with
     | Ok d -> d
-    | Error e -> Alcotest.fail e
+    | Error f -> Alcotest.fail (Fault.to_string f)
   in
   let cpu =
     Cheri.cpu
       ~pcc:(Cheri.cap ~base:0x9000 ~len:0x100 ~perm:Cheri.Exec)
       ~idc:(Cheri.cap ~base:0xa000 ~len:0x100 ~perm:Cheri.Data)
   in
-  (match Cheri.ccall cpu domain with
+  (match Cheri.ccall cpu ~pc:0x1000 domain with
   | Ok () ->
       Alcotest.(check bool) "pcc switched and unsealed" true
         (Cheri.can_access cpu.Cheri.pcc ~addr:0x1000);
       Alcotest.(check bool) "idc switched" true
         (Cheri.can_access cpu.Cheri.idc ~addr:0x2000)
-  | Error e -> Alcotest.fail e);
-  (match Cheri.creturn cpu with
+  | Error f -> Alcotest.fail (Fault.to_string f));
+  (match Cheri.creturn cpu ~pc:0x1004 with
   | Ok () ->
       Alcotest.(check bool) "caller pcc restored" true
         (Cheri.can_access cpu.Cheri.pcc ~addr:0x9000)
-  | Error e -> Alcotest.fail e);
+  | Error f -> Alcotest.fail (Fault.to_string f));
   (* Every crossing trapped. *)
   Alcotest.(check int) "two exceptions per round trip" 2 cpu.Cheri.exceptions;
-  match Cheri.creturn cpu with
-  | Ok () -> Alcotest.fail "empty trusted stack must fail"
-  | Error _ -> ()
+  denies "empty trusted stack" (Fault.Dcs_bounds "trusted stack empty")
+    (Cheri.creturn cpu ~pc:0x9000)
 
 let test_cheri_otype_mismatch () =
-  let code = Result.get_ok (Cheri.seal ~authority ~otype:1 code_cap) in
-  let data = Result.get_ok (Cheri.seal ~authority ~otype:2 data_cap) in
+  let code = Result.get_ok (Cheri.seal ~authority ~otype:1 ~pc:0 code_cap) in
+  let data = Result.get_ok (Cheri.seal ~authority ~otype:2 ~pc:0 data_cap) in
   let domain = { Cheri.d_code = code; d_data = data; d_otype = 1 } in
   let cpu =
     Cheri.cpu
       ~pcc:(Cheri.cap ~base:0x9000 ~len:0x10 ~perm:Cheri.Exec)
       ~idc:(Cheri.cap ~base:0xa000 ~len:0x10 ~perm:Cheri.Data)
   in
-  match Cheri.ccall cpu domain with
-  | Ok () -> Alcotest.fail "mismatched otypes must be rejected"
-  | Error _ -> ()
+  denies "mismatched otypes" (Fault.No_permission Perm.Call)
+    (Cheri.ccall cpu ~pc:0x1000 domain)
+
+(* A sealed capability confers no authority until unsealed, a sealing
+   authority included: sealing under it forges a capability. *)
+let test_cheri_sealed_authority () =
+  let sealed_authority =
+    Result.get_ok (Cheri.seal ~authority ~otype:5 ~pc:0 authority)
+  in
+  denies "seal under a sealed authority" Fault.Cap_invalid
+    (Cheri.seal ~authority:sealed_authority ~otype:7 ~pc:0 code_cap);
+  denies "domain under a sealed authority" Fault.Cap_invalid
+    (Cheri.make_domain ~authority:sealed_authority ~otype:7 ~pc:0
+       ~code:code_cap ~data:data_cap)
 
 (* --- mini-MMP --- *)
 
@@ -92,31 +111,31 @@ let test_mmp_gates () =
   let cpu = Mmp.cpu ~initial:a in
   Mmp.add_domain cpu b;
   Mmp.add_gate cpu ~addr:0x4000 ~from_pd:1 ~to_pd:2;
-  (match Mmp.call_gate cpu ~addr:0x4000 with
+  (match Mmp.call_gate cpu ~pc:0x4000 ~addr:0x4000 with
   | Ok () -> Alcotest.(check int) "switched to b" 2 cpu.Mmp.current.Mmp.pd_id
-  | Error e -> Alcotest.fail e);
+  | Error f -> Alcotest.fail (Fault.to_string f));
   (* Only the gate's source domain may use it. *)
-  (match Mmp.call_gate cpu ~addr:0x4000 with
-  | Ok () -> Alcotest.fail "b is not the gate's source"
-  | Error _ -> ());
-  (match Mmp.return_gate cpu with
+  denies "b is not the gate's source" (Fault.No_permission Perm.Call)
+    (Mmp.call_gate cpu ~pc:0x4000 ~addr:0x4000);
+  (match Mmp.return_gate cpu ~pc:0x4004 with
   | Ok () -> Alcotest.(check int) "returned to a" 1 cpu.Mmp.current.Mmp.pd_id
-  | Error e -> Alcotest.fail e);
+  | Error f -> Alcotest.fail (Fault.to_string f));
   Alcotest.(check int) "pipeline flushes counted" 2 cpu.Mmp.pipeline_flushes;
-  match Mmp.return_gate cpu with
-  | Ok () -> Alcotest.fail "nothing to return from"
-  | Error _ -> ()
+  denies "nothing to return from"
+    (Fault.Dcs_bounds "no crossing to return from")
+    (Mmp.return_gate cpu ~pc:0x1000)
 
 let test_mmp_not_a_gate () =
   let a = Mmp.pd ~id:1 in
   let cpu = Mmp.cpu ~initial:a in
-  match Mmp.call_gate cpu ~addr:0x9999 with
-  | Ok () -> Alcotest.fail "arbitrary address is not a gate"
-  | Error _ -> ()
+  denies "arbitrary address is not a gate" Fault.Not_entry_point
+    (Mmp.call_gate cpu ~pc:0x9999 ~addr:0x9999)
 
+(* Bulk-data sharing on MMP writes one table entry per page. *)
 let test_mmp_sharing_cost_scales () =
+  let share bytes = Archcmp.total (Archcmp.data_ops ~bytes Archcmp.Mmp) in
   Alcotest.(check bool) "per-page table writes" true
-    (Mmp.share_cost_ns ~bytes:65536 > 10. *. Mmp.share_cost_ns ~bytes:4096)
+    (share 65536 > 10. *. share 4096)
 
 (* --- TCP RPC baseline (footnote 1) --- *)
 
@@ -139,6 +158,7 @@ let suites =
         Alcotest.test_case "sealing" `Quick test_cheri_sealing;
         Alcotest.test_case "ccall/creturn" `Quick test_cheri_ccall_roundtrip;
         Alcotest.test_case "otype mismatch" `Quick test_cheri_otype_mismatch;
+        Alcotest.test_case "sealed authority" `Quick test_cheri_sealed_authority;
       ] );
     ( "arch.minimmp",
       [

@@ -26,6 +26,10 @@ let outcome = Alcotest.testable (fun ppf o ->
     Fmt.string ppf (match o with Allowed -> "allowed" | Denied -> "denied"))
     ( = )
 
+let succeeds = function
+  | Ok () -> ()
+  | Error f -> Alcotest.fail (Fault.to_string f)
+
 (* --- per-architecture scenario runners ---
 
    Each runner sets up two domains A (caller) and B (callee) and plays
@@ -38,9 +42,11 @@ let cheri_run scenario =
   let code_b = Cheri.cap ~base:0x2000 ~len:0x1000 ~perm:Cheri.Exec in
   let data_b = Cheri.cap ~base:0x6000 ~len:0x1000 ~perm:Cheri.Data in
   let dom_b =
-    match Cheri.make_domain ~authority ~otype:7 ~code:code_b ~data:data_b with
+    match
+      Cheri.make_domain ~authority ~otype:7 ~pc:0x1000 ~code:code_b ~data:data_b
+    with
     | Ok d -> d
-    | Error e -> Alcotest.fail e
+    | Error f -> Alcotest.fail (Fault.to_string f)
   in
   let fresh_cpu () =
     Cheri.cpu
@@ -51,39 +57,37 @@ let cheri_run scenario =
   match scenario with
   | `Legal_call_return ->
       let cpu = fresh_cpu () in
-      if ok (Cheri.ccall cpu dom_b) = Denied then Denied
-      else ok (Cheri.creturn cpu)
+      if ok (Cheri.ccall cpu ~pc:0x2000 dom_b) = Denied then Denied
+      else ok (Cheri.creturn cpu ~pc:0x2004)
   | `Unsanctioned_call ->
       (* Unsealed operands: a forged descriptor nobody sanctioned. *)
       let cpu = fresh_cpu () in
       ok
-        (Cheri.ccall cpu
+        (Cheri.ccall cpu ~pc:0x2000
            { Cheri.d_code = code_b; d_data = data_b; d_otype = 7 })
   | `Non_entry_target ->
       (* A data capability is not a legal crossing target. *)
       let cpu = fresh_cpu () in
       let swapped =
         match
-          Cheri.make_domain ~authority ~otype:8
+          Cheri.make_domain ~authority ~otype:8 ~pc:0x1000
             ~code:(Cheri.cap ~base:0x2000 ~len:0x1000 ~perm:Cheri.Data)
             ~data:data_b
         with
         | Ok d -> d
-        | Error e -> Alcotest.fail e
+        | Error f -> Alcotest.fail (Fault.to_string f)
       in
-      ok (Cheri.ccall cpu swapped)
+      ok (Cheri.ccall cpu ~pc:0x2000 swapped)
   | `Data_out_of_bounds ->
       let cpu = fresh_cpu () in
-      (match Cheri.ccall cpu dom_b with
-      | Error e -> Alcotest.fail e
-      | Ok () -> ());
+      succeeds (Cheri.ccall cpu ~pc:0x2000 dom_b);
       if Cheri.can_access cpu.Cheri.idc ~addr:0x9000 then Allowed else Denied
   | `Sealed_no_authority ->
       if Cheri.can_access dom_b.Cheri.d_data ~addr:0x6100 then Allowed
       else Denied
   | `Return_without_call ->
       let cpu = fresh_cpu () in
-      ok (Cheri.creturn cpu)
+      ok (Cheri.creturn cpu ~pc:0x1000)
 
 (* MMP: permission tables + switch/return gates. *)
 let mmp_run scenario =
@@ -97,32 +101,28 @@ let mmp_run scenario =
   let ok = function Ok () -> Allowed | Error _ -> Denied in
   match scenario with
   | `Legal_call_return ->
-      if ok (Mmp.call_gate cpu ~addr:0x2000) = Denied then Denied
-      else ok (Mmp.return_gate cpu)
+      if ok (Mmp.call_gate cpu ~pc:0x2000 ~addr:0x2000) = Denied then Denied
+      else ok (Mmp.return_gate cpu ~pc:0x2004)
   | `Unsanctioned_call ->
       (* 0x2400 is inside B's code but was never designated a gate. *)
-      ok (Mmp.call_gate cpu ~addr:0x2400)
+      ok (Mmp.call_gate cpu ~pc:0x2400 ~addr:0x2400)
   | `Non_entry_target ->
       (* A gate crossed from the wrong source domain. *)
       Mmp.add_gate cpu ~addr:0x3000 ~from_pd:9 ~to_pd:2;
-      ok (Mmp.call_gate cpu ~addr:0x3000)
+      ok (Mmp.call_gate cpu ~pc:0x3000 ~addr:0x3000)
   | `Data_out_of_bounds ->
-      (match Mmp.call_gate cpu ~addr:0x2000 with
-      | Error e -> Alcotest.fail e
-      | Ok () -> ());
+      succeeds (Mmp.call_gate cpu ~pc:0x2000 ~addr:0x2000);
       if Mmp.can_access cpu.Mmp.current ~addr:0x9000 ~perm:Mmp.Read_only then
         Allowed
       else Denied
   | `Sealed_no_authority ->
       (* Revocation: the table entry is withdrawn. *)
       Mmp.revoke pd_b ~base:0x6000 ~len:0x1000;
-      (match Mmp.call_gate cpu ~addr:0x2000 with
-      | Error e -> Alcotest.fail e
-      | Ok () -> ());
+      succeeds (Mmp.call_gate cpu ~pc:0x2000 ~addr:0x2000);
       if Mmp.can_access cpu.Mmp.current ~addr:0x6100 ~perm:Mmp.Read_only then
         Allowed
       else Denied
-  | `Return_without_call -> ok (Mmp.return_gate cpu)
+  | `Return_without_call -> ok (Mmp.return_gate cpu ~pc:0x1000)
 
 (* CODOMs: the real machine model — crossings are plain jumps checked
    against the caller's APL; data accesses against tags/capabilities. *)
@@ -230,21 +230,19 @@ let test_models_agree_except_documented () =
 
 (* --- uniform fault facts: same (kind, canonical pc) on every backend ---
 
-   The Allowed/Denied corpus above is deliberately coarse; historically
-   it was also the ONLY cross-architecture comparison, because each
-   miniature reported denials as bare strings.  The structured [_at]
-   fault APIs close that gap: every denial now carries a {!Fault.t}
-   with the same fault kind and the same canonical faulting pc the
-   CODOMs machine raises for the equivalent attack — so the corpus's
-   denial rows can be pinned uniformly, with no per-backend
-   special-casing.  The raw-jump return deviation documented above is
-   the one outcome that stays per-architecture; its software-level
-   counterpart (DCS underflow) IS uniform, and is pinned here. *)
+   The Allowed/Denied corpus above is deliberately coarse.  Every
+   miniature denial carries a {!Fault.t} with the same fault kind and
+   the same canonical faulting pc the CODOMs machine raises for the
+   equivalent attack, so the corpus's denial rows can be pinned
+   uniformly, with no per-backend special-casing.  The raw-jump return
+   deviation documented above is the one outcome that stays
+   per-architecture; its software-level counterpart (DCS underflow) IS
+   uniform, and is pinned here. *)
 
 module Adv = Dipc_workloads.Adversary
 
 (* Conformance scenario -> the adversary attack exercising the same
-   situation through the structured fault path. *)
+   situation. *)
 let fact_rows =
   [
     ("unsanctioned crossing", Adv.Bad_crossing);
@@ -285,20 +283,20 @@ let test_crossing_cost_mechanisms () =
   let authority = Cheri.cap ~base:0 ~len:100 ~perm:Cheri.Data in
   let dom =
     match
-      Cheri.make_domain ~authority ~otype:7
+      Cheri.make_domain ~authority ~otype:7 ~pc:0x1000
         ~code:(Cheri.cap ~base:0x2000 ~len:0x1000 ~perm:Cheri.Exec)
         ~data:(Cheri.cap ~base:0x6000 ~len:0x1000 ~perm:Cheri.Data)
     with
     | Ok d -> d
-    | Error e -> Alcotest.fail e
+    | Error f -> Alcotest.fail (Fault.to_string f)
   in
   let cpu =
     Cheri.cpu
       ~pcc:(Cheri.cap ~base:0x1000 ~len:0x1000 ~perm:Cheri.Exec)
       ~idc:(Cheri.cap ~base:0x5000 ~len:0x1000 ~perm:Cheri.Data)
   in
-  (match Cheri.ccall cpu dom with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Cheri.creturn cpu with Ok () -> () | Error e -> Alcotest.fail e);
+  succeeds (Cheri.ccall cpu ~pc:0x2000 dom);
+  succeeds (Cheri.creturn cpu ~pc:0x2004);
   Alcotest.(check int) "CHERI round trip = 2 exceptions" 2
     cpu.Cheri.exceptions;
   (* MMP: both directions flush the pipeline. *)
@@ -306,10 +304,8 @@ let test_crossing_cost_mechanisms () =
   let mcpu = Mmp.cpu ~initial:pd_a in
   Mmp.add_domain mcpu pd_b;
   Mmp.add_gate mcpu ~addr:0x2000 ~from_pd:1 ~to_pd:2;
-  (match Mmp.call_gate mcpu ~addr:0x2000 with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Mmp.return_gate mcpu with Ok () -> () | Error e -> Alcotest.fail e);
+  succeeds (Mmp.call_gate mcpu ~pc:0x2000 ~addr:0x2000);
+  succeeds (Mmp.return_gate mcpu ~pc:0x2004);
   Alcotest.(check int) "MMP round trip = 2 pipeline flushes" 2
     mcpu.Mmp.pipeline_flushes
 
@@ -339,12 +335,8 @@ let test_table1_cost_orderings () =
   (* The model's stated primitives match the miniatures' mechanics. *)
   Alcotest.(check (float 1e-9)) "cheri switch = 2 exceptions"
     (2. *. Archcmp.exception_cost) s_cheri;
-  Alcotest.(check (float 1e-9)) "cheri exception cost = minicheri's"
-    Cheri.crossing_cost_ns Archcmp.exception_cost;
   Alcotest.(check (float 1e-9)) "mmp switch = 2 flushes"
-    (2. *. Archcmp.pipeline_flush) s_mmp;
-  Alcotest.(check (float 1e-9)) "mmp flush cost = minimmp's"
-    Mmp.switch_cost_ns Archcmp.pipeline_flush
+    (2. *. Archcmp.pipeline_flush) s_mmp
 
 let suites =
   [

@@ -638,6 +638,39 @@ let test_audit_determinism () =
   Alcotest.(check bool) "audit posture recorded downgraded denials" true
     (audited > 0)
 
+(* The posture rule, one row per fault kind: its verdict under each of
+   [Fault.all_postures] (strict, audit, permissive).  Authorization
+   faults are the downgradeable set; structural faults deny under every
+   posture. *)
+let test_posture_verdicts () =
+  let authz = [ `Deny; `Audit; `Proceed ] and structural = [ `Deny; `Deny; `Deny ] in
+  let rows =
+    [
+      (Fault.Unmapped, structural);
+      (Fault.No_permission Perm.Read, authz);
+      (Fault.Not_entry_point, authz);
+      (Fault.Exec_violation, authz);
+      (Fault.Write_to_readonly, authz);
+      (Fault.Privilege_required, authz);
+      (Fault.Cap_invalid, structural);
+      (Fault.Cap_storage "store", authz);
+      (Fault.Dcs_bounds "underflow", structural);
+      (Fault.Bad_instruction, structural);
+      (Fault.Software_trap 1, structural);
+    ]
+  in
+  let name = function `Deny -> "deny" | `Audit -> "audit" | `Proceed -> "proceed" in
+  List.iter
+    (fun (kind, verdicts) ->
+      List.iter2
+        (fun posture expected ->
+          Alcotest.(check string)
+            (Fault.kind_to_string kind ^ " under " ^ Fault.posture_to_string posture)
+            (name expected)
+            (name (Fault.verdict posture kind)))
+        Fault.all_postures verdicts)
+    rows
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -697,6 +730,8 @@ let suites =
           test_posture_digest_pins;
         Alcotest.test_case "audit continuations deterministic" `Quick
           test_audit_determinism;
+        Alcotest.test_case "posture verdict per fault kind" `Quick
+          test_posture_verdicts;
       ]
       @ qsuite [ differential_prop ] );
   ]
