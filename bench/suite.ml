@@ -618,14 +618,15 @@ let timed f =
 
 (* Ring capacity for the suite's tracers.  The replay digest and event
    count fold over *every* emitted event regardless of capacity, so the
-   ring size is invisible to the golden comparison; what it does affect
-   is host wall time: the default 64Ki ring spans 4 MB across the eight
-   field arrays and every emit streams through it, evicting the
-   simulation's working set on the multi-million-event runs.  4Ki keeps
-   the ring cache-resident (~0.2 s off oltp_linux alone) while still
-   retaining thousands of events of context for the checker's
-   failure-dump artifact. *)
-let bench_trace_capacity = 4096
+   ring size is invisible to the golden comparison, and nothing reads a
+   suite tracer's ring (an invariant violation reports the checker's own
+   16-event window).  What capacity does affect is host wall time: every
+   emit stores eight words, and a ring larger than the L1 cache evicts
+   the simulation's working set on the multi-million-event runs.  A
+   one-event ring keeps every store in one cache line per array, ~0.02 s
+   off the traced Linux cell against a 4Ki ring (EXPERIMENTS.md "Replay
+   digest v3"). *)
+let bench_trace_capacity = 1
 
 let mk_tracer () = Trace.create ~capacity:bench_trace_capacity ()
 

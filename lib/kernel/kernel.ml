@@ -314,8 +314,10 @@ let release t th =
 
 (* Consume CPU time, attributed to [category].  Long stretches are chopped
    into scheduler quanta so ready threads on the same CPU make progress
-   (approximating timer preemption). *)
-let consume t th category ns =
+   (approximating timer preemption).  Out of line: under [-inline 200] it
+   would otherwise fit, and its loop and trace events would be copied
+   into every syscall, IPC and workload site (~300 KB of code). *)
+let[@inline never] consume t th category ns =
   (* Single-quantum fast path: no injector means a zero remainder never
      preempts, so a chunk that fits in one quantum is exactly one
      charge + advance (the general loop below computes the same floats:
@@ -491,10 +493,13 @@ let spawn ?(cpu = -1) ?(at = None) t proc ~name body =
     release t th
   in
   let tr = Engine.tracer t.engine in
-  if Trace.enabled tr then
-    Trace.emit_thread tr
-      ~ts:(match at with None -> now t | Some at -> at)
-      ~cpu:th.cpu ~tid:th.tid ~arg:proc.pid Trace.Spawn;
+  (* Each branch passes a float it already has, boxed or unboxed, so a
+     traced spawn allocates no more than an untraced one. *)
+  if Trace.enabled tr then begin
+    match at with
+    | None -> trace_thread t ~cpu:th.cpu ~tid:th.tid ~arg:proc.pid Trace.Spawn
+    | Some at -> Trace.emit_thread tr ~ts:at ~cpu:th.cpu ~tid:th.tid ~arg:proc.pid Trace.Spawn
+  end;
   (match at with
   | None -> Engine.spawn t.engine wrapped
   | Some at -> Engine.spawn ~at t.engine wrapped);

@@ -6,27 +6,34 @@
    (not just the ones the ring still holds), so it fingerprints the
    whole run even when the buffer wraps.
 
-   The digest (v2).  Each event contributes its eight fields, in the
-   order ts, kind, cpu, tid, tag, cat, dur, arg, as eight 64-bit words:
-   floats by their IEEE-754 bit patterns (Int64.bits_of_float), ints
-   sign-extended (Int64.of_int), a missing category as -1.  Each word w
-   is folded into the 64-bit state h by one step
+   The digest (v3).  Each event's eight fields, ts, kind, cpu, tid, tag,
+   cat, dur and arg, are read as 64-bit words w_1..w_8: floats by their
+   IEEE-754 bit patterns (Int64.bits_of_float), ints sign-extended
+   (Int64.of_int), a missing category as -1.  They are premixed, each
+   by its own odd constant K_i, into one event word
 
-     h <- (rotl h 23 lxor w) * K   mod 2^64,   K = 0x9E3779B97F4A7C15
+     e = sum_i (w_i lxor (w_i lsr 32)) * K_i   mod 2^64
 
-   starting from h = 0x243F6A8885A308D3, and [digest] returns
-   splitmix64's finaliser of h (shared with Rng, not copied).
+   and e is chained into the 64-bit state h by one step per event
 
-   Why this shape.  K is odd, so each step is a bijection in h for a
-   fixed w, and a bijection in w for a fixed h.  Changing any single
-   field of any event therefore changes the state at that step, and no
-   later step can map the two states back together: a single-field
-   change always changes the digest.  A product carries differences
-   only upward, so without the rotate a flip of bit 63 would stay in
-   bit 63 for ever and a second bit-63 flip in a later field would
-   cancel it; the rotate moves the high bits of h down to where the next
-   word and product meet them.  The finaliser spreads the last words of
-   the stream over every output bit.
+     h <- (rotl h 23 lxor e) * K   mod 2^64,   K = 0x9E3779B97F4A7C15
+
+   starting from h = 0x243F6A8885A308D3; [digest] returns splitmix64's
+   finaliser of h (shared with Rng, not copied).
+
+   Why this shape.  Each premix term is a bijection of its word (an
+   xorshift, then a product by an odd constant), so changing any single
+   field changes e; the chain step is a bijection in h for a fixed e and
+   in e for a fixed h, so the state differs from that event on and no
+   later step maps the two states back together: a single-field change
+   always changes the digest.  The xorshift matters: with plain w * K_i
+   a flip of bit 63 stays in bit 63 (2^63 * K_i = 2^63), so flipping
+   bit 63 of two fields of one event would cancel in the sum.  The
+   rotate does the same job across events, moving the high bits of h
+   down to where the next word and product meet them, and the
+   finaliser spreads the last events over every output bit.  The eight
+   premix products do not depend on h, so only one multiply per event
+   sits on the dependent chain.
 
    Equal digests do not prove bit-identical streams: two streams that
    differ in more than one field collide with probability about 2^-64,
@@ -128,32 +135,77 @@ type t = {
   durs : float array;
   args : int array;
   mutable head : int; (* next write slot *)
-  mutable len : int; (* valid entries, <= cap *)
-  mutable count : int; (* lifetime emits *)
-  (* The digest state: one 64-bit word in an 8-byte [Bytes.t], read and
-     written through the unboxed primitives below (the idiom of
-     [Rng.t]).  A [mutable int64] field would box a fresh value, and
-     write-barrier the store, on every event. *)
-  state : Bytes.t;
+  mutable count : int; (* lifetime emits; the ring holds min count cap *)
+  (* Two unboxed 64-bit words in one flat [floatarray]: the digest state
+     (word 0) and a slot (byte 8) through which a float's bits are read
+     (see [float_bits]).  A [mutable int64] field would box a fresh
+     value, and write-barrier the store, on every event. *)
+  state : floatarray;
   (* Optional online observer (the invariant checker).  Called after the
      event is digested and stored; it cannot influence the digest or the
      ring, only observe the stream. *)
   mutable sink : (event -> unit) option;
 }
 
-external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+(* The bytes primitives read and write 64-bit words at a byte offset
+   from the start of the block, which is where a [floatarray] (always
+   flat) keeps its doubles; the GC never scans either kind of block. *)
+external get_state : floatarray -> int -> int64 = "%caml_bytes_get64u"
 
-external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set_state : floatarray -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let seed = 0x243F6A8885A308D3L
 
-let[@inline] mix h w =
-  let r = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
-  Int64.mul (Int64.logxor r w) 0x9E3779B97F4A7C15L
+(* The premix constants K_ts .. K_arg, one odd constant per field. *)
+let k_ts = 0x9E3779B185EBCA87L
+
+let k_kind = 0xC2B2AE3D27D4EB4FL
+
+let k_cpu = 0x165667B19E3779F9L
+
+let k_tid = 0x85EBCA77C2B2AE63L
+
+let k_tag = 0x27D4EB2F165667C5L
+
+let k_cat = 0x87C37B91114253D5L
+
+let k_dur = 0x4CF5AD432745937FL
+
+let k_arg = 0xFF51AFD7ED558CCDL
+
+(* One field's term of the event word. *)
+let[@inline] premix w k = Int64.mul (Int64.logxor w (Int64.shift_right_logical w 32)) k
+
+let[@inline] int_term x k = premix (Int64.of_int x) k
+
+(* [Int64.bits_of_float x] without its C call, which spills every live
+   register around it: store [x] in the state's second word and read the
+   same eight bytes back as an [int64]. *)
+let[@inline] float_bits t x =
+  Float.Array.unsafe_set t.state 1 x;
+  get_state t.state 8
+
+let[@inline] float_term t x k = premix (float_bits t x) k
+
+(* The summed terms of the fields each lean entry point fixes, computed
+   once: ocamlopt folds none of the premix arithmetic, even on constant
+   arguments. *)
+let bare_fixed =
+  List.fold_left Int64.add 0L
+    [ int_term (-1) k_cpu; int_term (-1) k_tid; int_term (-1) k_tag; int_term (-1) k_cat
+    ; premix (Int64.bits_of_float 0.) k_dur; int_term 0 k_arg ]
+
+let charge_fixed =
+  List.fold_left Int64.add 0L
+    [ int_term (kind_index Charge) k_kind; int_term (-1) k_tag; int_term 0 k_arg ]
+
+let thread_fixed =
+  List.fold_left Int64.add 0L
+    [ int_term (-1) k_tag; int_term (-1) k_cat; premix (Int64.bits_of_float 0.) k_dur ]
 
 let make ~on ~capacity =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  let state = Bytes.create 8 in
+  let state = Float.Array.make 2 0. in
   set_state state 0 seed;
   {
     on;
@@ -167,7 +219,6 @@ let make ~on ~capacity =
     durs = Array.make capacity 0.;
     args = Array.make capacity 0;
     head = 0;
-    len = 0;
     count = 0;
     state;
     sink = None;
@@ -200,21 +251,47 @@ let feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
           e_arg = arg;
         }
 
-(* Fold one event into the digest, store it in the ring and hand it to
-   the sink: the whole of every emit entry point, inlined into each so
-   the fold runs in unboxed registers.  [head] is always a valid index
-   (< cap, every array is [cap] long), so the stores skip the bounds
-   checks; the wrap is a compare, not a [mod]. *)
-let[@inline] record t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+(* The event word e of one event, from the fields its entry point
+   passes: [word] premixes all eight, the lean variants only the ones
+   their callers vary, plus the precomputed sum of the rest.  Each is
+   digest-identical to [word] over the same eight fields. *)
+let[@inline] word t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  Int64.add
+    (Int64.add
+       (Int64.add (float_term t ts k_ts) (int_term ki k_kind))
+       (Int64.add (int_term cpu k_cpu) (int_term tid k_tid)))
+    (Int64.add
+       (Int64.add (int_term tag k_tag) (int_term ci k_cat))
+       (Int64.add (float_term t dur k_dur) (int_term arg k_arg)))
+
+let[@inline] bare_word t ~ts ~ki =
+  Int64.add (Int64.add (float_term t ts k_ts) (int_term ki k_kind)) bare_fixed
+
+let[@inline] charge_word t ~ts ~cpu ~tid ~ci ~dur =
+  Int64.add
+    (Int64.add
+       (Int64.add (float_term t ts k_ts) (int_term cpu k_cpu))
+       (Int64.add (int_term tid k_tid) (int_term ci k_cat)))
+    (Int64.add (float_term t dur k_dur) charge_fixed)
+
+let[@inline] thread_word t ~ts ~ki ~cpu ~tid ~arg =
+  Int64.add
+    (Int64.add
+       (Int64.add (float_term t ts k_ts) (int_term ki k_kind))
+       (Int64.add (int_term cpu k_cpu) (int_term tid k_tid)))
+    (Int64.add (int_term arg k_arg) thread_fixed)
+
+(* Chain one event word into the digest: the one step on the dependent
+   chain, in unboxed registers once inlined. *)
+let[@inline] chain t e =
   let h = get_state t.state 0 in
-  let h = mix h (Int64.bits_of_float ts) in
-  let h = mix h (Int64.of_int ki) in
-  let h = mix h (Int64.of_int cpu) in
-  let h = mix h (Int64.of_int tid) in
-  let h = mix h (Int64.of_int tag) in
-  let h = mix h (Int64.of_int ci) in
-  let h = mix h (Int64.bits_of_float dur) in
-  set_state t.state 0 (mix h (Int64.of_int arg));
+  let r = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+  set_state t.state 0 (Int64.mul (Int64.logxor r e) 0x9E3779B97F4A7C15L)
+
+(* Store one event in the ring and hand it to the sink.  [head] is
+   always a valid index (< cap, every array is [cap] long), so the
+   stores skip the bounds checks; the wrap is a compare, not a [mod]. *)
+let[@inline] store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
   let i = t.head in
   Array.unsafe_set t.ts i ts;
   Array.unsafe_set t.kinds i ki;
@@ -226,54 +303,65 @@ let[@inline] record t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
   Array.unsafe_set t.args i arg;
   let i1 = i + 1 in
   t.head <- (if i1 = t.cap then 0 else i1);
-  if t.len < t.cap then t.len <- t.len + 1;
   t.count <- t.count + 1;
   match t.sink with
   | None -> ()
   | Some _ -> feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
 
+(* Every emit entry point is [chain] then [store], both inlined. *)
 let emit t ~ts ?(cpu = -1) ?(tid = -1) ?(tag = -1) ?cat ?(dur = 0.) ?(arg = 0) kind =
-  if t.on then
+  if t.on then begin
     let ci = match cat with None -> -1 | Some c -> Breakdown.category_index c in
-    record t ~ts ~ki:(kind_index kind) ~cpu ~tid ~tag ~ci ~dur ~arg
+    let ki = kind_index kind in
+    chain t (word t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg);
+    store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
+  end
 
 (* Lean hot-path variants of [emit], digest- and ring-identical to the
    equivalent [emit] call.  Their call sites fire millions of times per
    run, and there the general entry point's optional arguments (a
    [Some] box per present option, a boxed default per absent one) were
-   measurable.  Every defaulted field still folds into the digest as
-   the same -1/0/0.0 the general path folds. *)
+   measurable. *)
 
 (* [emit t ~ts kind]: every optional field defaulted (the engine's
    scheduling events). *)
 let emit_bare t ~ts kind =
-  if t.on then
-    record t ~ts ~ki:(kind_index kind) ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0.
-      ~arg:0
+  if t.on then begin
+    let ki = kind_index kind in
+    chain t (bare_word t ~ts ~ki);
+    store t ~ts ~ki ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0. ~arg:0
+  end
 
 (* [emit t ~ts ~cpu ~tid ~cat ~dur Charge] (tag and arg defaulted): the
    cost-attribution event every [Kernel.charge] emits. *)
 let emit_charge t ~ts ~cpu ~tid ~cat ~dur =
-  if t.on then
-    record t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1)
-      ~ci:(Breakdown.category_index cat) ~dur ~arg:0
+  if t.on then begin
+    let ci = Breakdown.category_index cat in
+    chain t (charge_word t ~ts ~cpu ~tid ~ci ~dur);
+    store t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1) ~ci ~dur ~arg:0
+  end
 
 (* [emit t ~ts ~cpu ~tid ~arg kind] (tag, category and duration
    defaulted): the kernel's Ctxsw, Ipi, Syscall and Spawn events. *)
 let emit_thread t ~ts ~cpu ~tid ~arg kind =
-  if t.on then
-    record t ~ts ~ki:(kind_index kind) ~cpu ~tid ~tag:(-1) ~ci:(-1) ~dur:0. ~arg
+  if t.on then begin
+    let ki = kind_index kind in
+    chain t (thread_word t ~ts ~ki ~cpu ~tid ~arg);
+    store t ~ts ~ki ~cpu ~tid ~tag:(-1) ~ci:(-1) ~dur:0. ~arg
+  end
 
 let total t = t.count
 
-let dropped t = t.count - t.len
+let held t = if t.count < t.cap then t.count else t.cap
+
+let dropped t = t.count - held t
 
 let digest t = Rng.finalise (get_state t.state 0)
 
 let digest_hex t = Printf.sprintf "%016Lx" (digest t)
 
 let nth_event t j =
-  let i = (t.head - t.len + j + t.cap + t.cap) mod t.cap in
+  let i = (t.head - held t + j + t.cap + t.cap) mod t.cap in
   {
     e_ts = t.ts.(i);
     e_kind = kind_of_index t.kinds.(i);
@@ -285,7 +373,7 @@ let nth_event t j =
     e_arg = t.args.(i);
   }
 
-let events t = List.init t.len (nth_event t)
+let events t = List.init (held t) (nth_event t)
 
 (* --- Chrome trace_event export --- *)
 
@@ -316,9 +404,10 @@ let add_chrome_event buf ev ~first =
            name (kind_name ev.e_kind) (us ev.e_ts) pid tid ev.e_tag ev.e_arg))
 
 let to_chrome_string t =
-  let buf = Buffer.create (256 * (t.len + 2)) in
+  let len = held t in
+  let buf = Buffer.create (256 * (len + 2)) in
   Buffer.add_string buf "{\"traceEvents\":[\n";
-  for j = 0 to t.len - 1 do
+  for j = 0 to len - 1 do
     add_chrome_event buf (nth_event t j) ~first:(j = 0)
   done;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"}\n";

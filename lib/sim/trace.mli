@@ -7,18 +7,22 @@
     which makes the digest a replay fingerprint the determinism
     regression tests can assert on.
 
-    The digest (v2) folds each event's eight fields (ts, kind, cpu, tid,
-    tag, cat, dur, arg) as eight 64-bit words — floats by their IEEE-754
-    bit patterns, ints sign-extended, a missing category as [-1] — one
-    step per word, [h <- (rotl h 23 lxor w) * 0x9E3779B97F4A7C15], from
-    [h = 0x243F6A8885A308D3], and {!digest} applies splitmix64's
-    finaliser ({!Rng.finalise}) to [h].  Each step is a bijection, so
-    changing any single field of any event always changes the digest;
-    the rotate keeps two flips of bit 63 from cancelling, and the
-    finaliser lets every output bit depend on the last words folded.
-    Equal digests mean equal streams only with high probability: streams
-    that differ in several fields collide with probability about
-    2{^-64}.
+    The digest (v3) reads each event's eight fields (ts, kind, cpu,
+    tid, tag, cat, dur, arg) as 64-bit words [w_i] — floats by their
+    IEEE-754 bit patterns, ints sign-extended, a missing category as
+    [-1] — premixes them into one event word
+    [e = sum_i (w_i lxor (w_i lsr 32)) * K_i mod 2^64], with a distinct
+    odd [K_i] per field, and chains one step per event,
+    [h <- (rotl h 23 lxor e) * 0x9E3779B97F4A7C15], from
+    [h = 0x243F6A8885A308D3]; {!digest} applies splitmix64's finaliser
+    ({!Rng.finalise}) to [h].  Each premix term and each step is a
+    bijection, so changing any single field of any event always changes
+    the digest; the xorshift keeps two flips of bit 63 in one event from
+    cancelling in the sum, the rotate two flips in different events, and
+    the finaliser lets every output bit depend on the last events
+    folded.  Equal digests mean equal streams only with high
+    probability: streams that differ in several fields collide with
+    probability about 2{^-64}.
 
     Tracing is strictly observational: emitting events never advances
     simulated time, so enabling a trace must not change any simulated
@@ -131,7 +135,7 @@ val total : t -> int
 (** Events overwritten by ring wrap-around (still digested). *)
 val dropped : t -> int
 
-(** The v2 digest of every event emitted so far (see above). *)
+(** The v3 digest of every event emitted so far (see above). *)
 val digest : t -> int64
 
 (** The digest as a 16-hex-digit replay fingerprint. *)

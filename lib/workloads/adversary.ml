@@ -14,7 +14,7 @@
    measures mechanisms, not modelling accidents.
 
    Outcomes fold into a backend-neutral digest (kind code + faulting pc
-   per scenario, via a fresh Trace accumulator): under one posture the
+   per scenario, [digest_outcomes]): under one posture the
    three backends must produce byte-identical digests over the
    cross-backend subset, and the CODOMs sweep must digest identically
    on the compiled path and the reference stepper.  The CODOMs sweep
@@ -32,7 +32,7 @@ module Perm = Dipc_hw.Perm
 module Fault = Dipc_hw.Fault
 module Minicheri = Dipc_hw.Minicheri
 module Minimmp = Dipc_hw.Minimmp
-module Trace = Dipc_sim.Trace
+module Rng = Dipc_sim.Rng
 module Annot = Dipc_core.Annot
 module Call = Dipc_core.Call
 module Resolver = Dipc_core.Resolver
@@ -488,25 +488,30 @@ let run_one ?(reference = false) ?posture backend attack =
   | [ o ], _ -> o
   | _ -> assert false
 
-(* Fold an outcome sequence into a replay digest through a fresh Trace
-   accumulator.  Only backend-neutral facts enter the fold — the fault's
-   kind code and faulting pc, or the audited-denial count of a completed
-   run — so equal digests across backends mean the *architectural*
-   outcomes agree, and equal digests across the two interpreter paths
-   mean the compiled path faulted identically. *)
+(* Fold an outcome sequence into a fingerprint.  Only backend-neutral
+   facts enter the fold — the fault's kind code and faulting pc, or the
+   audited-denial count of a completed run — so equal digests across
+   backends mean the *architectural* outcomes agree, and equal digests
+   across the two interpreter paths mean the compiled path faulted
+   identically.  Each outcome is a (code, tag, arg) triple of words,
+   chained one word at a time by h <- (rotl h 23 lxor w) * K and
+   finished by splitmix64's finaliser: a fingerprint of its own, which
+   no change to the trace digest moves. *)
 let digest_outcomes outs =
-  let tr = Trace.create ~capacity:256 () in
-  List.iteri
-    (fun i o ->
-      let cpu, tag, arg =
-        match o with
-        | Faulted f -> (1, Fault.kind_code f.Fault.kind, f.Fault.pc)
-        | Ran audited -> (0, -1, audited)
-        | Refused s -> (2, -2, String.length s)
-      in
-      Trace.emit tr ~ts:(float_of_int i) ~cpu ~tid:i ~tag ~arg Trace.Fault)
-    outs;
-  Trace.digest_hex tr
+  let step h w =
+    let r = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+    Int64.mul (Int64.logxor r (Int64.of_int w)) 0x9E3779B97F4A7C15L
+  in
+  let fold h o =
+    let code, tag, arg =
+      match o with
+      | Faulted f -> (1, Fault.kind_code f.Fault.kind, f.Fault.pc)
+      | Ran audited -> (0, -1, audited)
+      | Refused s -> (2, -2, String.length s)
+    in
+    step (step (step h code) tag) arg
+  in
+  Printf.sprintf "%016Lx" (Rng.finalise (List.fold_left fold 0x243F6A8885A308D3L outs))
 
 (* --- the directed scenario corpus --- *)
 

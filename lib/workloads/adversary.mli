@@ -67,9 +67,10 @@ val sweep :
 
 val run_one : ?reference:bool -> ?posture:Fault.posture -> backend -> attack -> outcome
 
-(** Fold outcomes into a replay digest over backend-neutral facts only
-    (fault kind code + faulting pc, or audited-denial count): equal
-    digests across backends mean the architectural outcomes agree. *)
+(** Fold outcomes into a 16-hex-digit fingerprint over backend-neutral
+    facts only (fault kind code + faulting pc, or audited-denial count):
+    equal digests across backends mean the architectural outcomes agree.
+    The fold is its own, not {!Dipc_sim.Trace}'s digest. *)
 val digest_outcomes : outcome list -> string
 
 type scenario = {

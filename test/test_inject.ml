@@ -261,7 +261,7 @@ let test_oltp_linux_aggressive_pinned () =
     O.run ~seed:7 ~trace:tr ~inject:inj ~config:O.Linux ~db_mode:O.In_memory
       ~threads:16 ()
   in
-  Alcotest.(check string) "injected Linux digest" "fe06110051f068fd"
+  Alcotest.(check string) "injected Linux digest" "3f15f6c8655b345c"
     (Trace.digest_hex tr);
   Alcotest.(check int) "injected Linux ops" 261 r.O.r_ops
 

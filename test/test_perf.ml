@@ -581,22 +581,34 @@ let test_memory_alignment_faults () =
   Alcotest.(check bool) "unaligned fetch is None, not a fault" true
     (Memory.fetch m 0x1002 = None)
 
-(* --- trace digest: the inlined fold equals the v2 definition --- *)
+(* --- trace digest: the inlined fold equals the v3 definition --- *)
 
-(* The v2 digest exactly as lib/sim/trace.ml's header defines it, as a
-   plain list fold: one 64-bit word per field, h <- (rotl h 23 lxor w) *
-   K from a fixed seed, splitmix64's finaliser at the end.  Nothing here
-   is shared with lib/sim/trace.ml or lib/sim/rng.ml. *)
-let v2_seed = 0x243F6A8885A308D3L
+(* The v3 digest exactly as lib/sim/trace.ml's header defines it, as a
+   plain list fold: each field's 64-bit word w premixed into
+   (w lxor (w lsr 32)) * K_i, the eight terms summed into one event
+   word e, h <- (rotl h 23 lxor e) * K per event from a fixed seed,
+   splitmix64's finaliser at the end.  Nothing here is shared with
+   lib/sim/trace.ml or lib/sim/rng.ml. *)
+let v3_seed = 0x243F6A8885A308D3L
 
-let v2_step h w =
+(* K_ts, K_kind, K_cpu, K_tid, K_tag, K_cat, K_dur, K_arg. *)
+let v3_premix_constants =
+  [
+    0x9E3779B185EBCA87L;
+    0xC2B2AE3D27D4EB4FL;
+    0x165667B19E3779F9L;
+    0x85EBCA77C2B2AE63L;
+    0x27D4EB2F165667C5L;
+    0x87C37B91114253D5L;
+    0x4CF5AD432745937FL;
+    0xFF51AFD7ED558CCDL;
+  ]
+
+let v3_premix w k = Int64.mul (Int64.logxor w (Int64.shift_right_logical w 32)) k
+
+let v3_step h e =
   let rotl = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
-  Int64.mul (Int64.logxor rotl w) 0x9E3779B97F4A7C15L
-
-let splitmix_finaliser z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  Int64.mul (Int64.logxor rotl e) 0x9E3779B97F4A7C15L
 
 type ev = {
   ts : float;
@@ -632,9 +644,14 @@ let words e =
     Int64.of_int e.arg;
   ]
 
-let v2_digest events =
-  splitmix_finaliser
-    (List.fold_left (fun h e -> List.fold_left v2_step h (words e)) v2_seed events)
+let event_word e =
+  List.fold_left2
+    (fun acc w k -> Int64.add acc (v3_premix w k))
+    0L (words e) v3_premix_constants
+
+let v3_digest events =
+  Test_trace.splitmix_finaliser
+    (List.fold_left (fun h e -> v3_step h (event_word e)) v3_seed events)
 
 let traced_digest events =
   let tr = Trace.create ~capacity:4 () in
@@ -683,9 +700,9 @@ let event_gen =
 let stream_gen lo = QCheck.list_of_size QCheck.Gen.(lo -- 10) event_gen
 
 let prop_digest_matches_definition =
-  QCheck.Test.make ~name:"emit digest equals a plain list fold of the v2 definition"
+  QCheck.Test.make ~name:"emit digest equals a plain list fold of the v3 definition"
     ~count:500 (stream_gen 1) (fun events ->
-      traced_digest events = v2_digest events)
+      traced_digest events = v3_digest events)
 
 let flip_float x bit =
   Int64.float_of_bits (Int64.logxor (Int64.bits_of_float x) (Int64.shift_left 1L bit))
@@ -724,9 +741,11 @@ let prop_single_field_flip =
       in
       traced_digest flipped <> traced_digest events)
 
-(* Two sign-bit flips: a fold without the rotate keeps a bit-63
-   difference in bit 63 (an odd multiplier maps x lxor 2^63 to
-   x*K lxor 2^63), so the second flip cancels the first. *)
+(* Two sign-bit flips: an odd multiplier maps x lxor 2^63 to
+   x*K lxor 2^63, so a bit-63 difference stays in bit 63.  Without the
+   rotate the second of two flips in different events cancels the
+   first; without the premix xorshift two flips in one event cancel in
+   its sum. *)
 let prop_two_sign_flips =
   QCheck.Test.make ~name:"flipping bit 63 of two fields changes the digest" ~count:1000
     (QCheck.triple (stream_gen 1) QCheck.small_nat QCheck.small_nat)

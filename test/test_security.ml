@@ -553,9 +553,9 @@ let test_wrong_signature_refused () =
    interpreter paths, per posture. *)
 let posture_pins =
   [
-    (Fault.Strict, "ce8a66a10c4bf372");
-    (Fault.Audit, "bd52cc53eb252658");
-    (Fault.Permissive, "53bfc397d2e0580f");
+    (Fault.Strict, "3200a6e73996421b");
+    (Fault.Audit, "cef55316df108c36");
+    (Fault.Permissive, "048215f44cd9df89");
   ]
 
 let test_posture_digest_pins () =
@@ -576,6 +576,45 @@ let test_posture_digest_pins () =
                 pin
                 (Adv.digest_outcomes outs))
             [ false; true ])
+        Adv.all_backends)
+    posture_pins
+
+(* The outcome fingerprint is a fold of its own, not the trace digest:
+   each outcome's (code, tag, arg) words chained by
+   h <- (rotl h 23 lxor w) * K from a fixed seed, splitmix64's finaliser
+   at the end.  Written here as a plain list fold, sharing nothing with
+   lib/. *)
+let outcome_fold outs =
+  let step h w =
+    let rotl = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+    Int64.mul (Int64.logxor rotl (Int64.of_int w)) 0x9E3779B97F4A7C15L
+  in
+  let words = function
+    | Adv.Faulted f -> [ 1; Fault.kind_code f.Fault.kind; f.Fault.pc ]
+    | Adv.Ran audited -> [ 0; -1; audited ]
+    | Adv.Refused s -> [ 2; -2; String.length s ]
+  in
+  let h =
+    List.fold_left
+      (fun h o -> List.fold_left step h (words o))
+      0x243F6A8885A308D3L outs
+  in
+  Printf.sprintf "%016Lx" (Test_trace.splitmix_finaliser h)
+
+let test_outcome_digest_definition () =
+  List.iter
+    (fun (posture, _) ->
+      List.iter
+        (fun backend ->
+          let attacks =
+            if backend = Adv.Codoms then Adv.cross_attacks @ Adv.machine_attacks
+            else Adv.cross_attacks
+          in
+          let outs, _ = Adv.sweep ~posture backend attacks in
+          Alcotest.(check string)
+            (Printf.sprintf "%s under %s" (Adv.backend_name backend)
+               (Fault.posture_to_string posture))
+            (outcome_fold outs) (Adv.digest_outcomes outs))
         Adv.all_backends)
     posture_pins
 
@@ -728,6 +767,8 @@ let suites =
           test_wrong_signature_refused;
         Alcotest.test_case "cross-backend posture digests pinned" `Quick
           test_posture_digest_pins;
+        Alcotest.test_case "outcome digest is a plain fold of its definition" `Quick
+          test_outcome_digest_definition;
         Alcotest.test_case "audit continuations deterministic" `Quick
           test_audit_determinism;
         Alcotest.test_case "posture verdict per fault kind" `Quick

@@ -154,13 +154,13 @@ let check_on_disk config ~digest ~ops ~opm ~mean_ns =
   Alcotest.(check (float 0.)) (name "mean latency") mean_ns r.O.r_latency_ns.s_mean
 
 let test_oltp_on_disk_pinned () =
-  check_on_disk O.Linux ~digest:"370c53f38bcdd967" ~ops:41 ~opm:24600.
+  check_on_disk O.Linux ~digest:"2b7b73ca0e2700f0" ~ops:41 ~opm:24600.
     ~mean_ns:10021894.182377396
 
 let test_oltp_on_disk_dipc_ideal_pinned () =
-  check_on_disk O.Dipc ~digest:"961f99219ff3b6de" ~ops:67 ~opm:40200.
+  check_on_disk O.Dipc ~digest:"32aefa179ec0a455" ~ops:67 ~opm:40200.
     ~mean_ns:5760215.4242470833;
-  check_on_disk O.Ideal ~digest:"f0491f3d95eba56b" ~ops:68 ~opm:40800.
+  check_on_disk O.Ideal ~digest:"6d79db05d1221e06" ~ops:68 ~opm:40800.
     ~mean_ns:5754962.3375196084
 
 let test_oltp_default_seed_is_legacy () =
@@ -270,14 +270,37 @@ let kind_index kind =
   in
   go 0 all_kinds
 
-(* The v1 replay digest, byte-at-a-time FNV-1a (64-bit) over the same
-   eight words per event that v2 folds one word at a time.  The golden
-   run pinned 60d65ec18e0e97d7 under v1; folding v1 over the stream a
-   sink observes shows that the change of digest left the stream
-   itself bit for bit unchanged. *)
+(* An event's eight fields as the 64-bit words every digest version
+   folds, in the order ts, kind, cpu, tid, tag, cat, dur, arg. *)
+let event_words e =
+  let ci = match e.Trace.e_cat with None -> -1 | Some c -> Breakdown.category_index c in
+  [
+    Int64.bits_of_float e.Trace.e_ts;
+    Int64.of_int (kind_index e.e_kind);
+    Int64.of_int e.e_cpu;
+    Int64.of_int e.e_tid;
+    Int64.of_int e.e_tag;
+    Int64.of_int ci;
+    Int64.bits_of_float e.e_dur;
+    Int64.of_int e.e_arg;
+  ]
+
+(* Splitmix64's finaliser, which v2 and v3 apply to the fold state. *)
+let splitmix_finaliser z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* The earlier replay digests, folded over the stream a sink observes.
+   The golden run pinned 60d65ec18e0e97d7 under v1 and edfc59d47033e564
+   under v2; both still hold over today's stream, which shows that each
+   change of digest function left the stream itself bit for bit
+   unchanged.
+
+   v1: byte-at-a-time FNV-1a (64-bit) over the eight words. *)
 let v1_golden_digest = "60d65ec18e0e97d7"
 
-let ref_mix h v =
+let v1_word h v =
   let h = ref h in
   for i = 0 to 7 do
     let byte = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff in
@@ -285,19 +308,19 @@ let ref_mix h v =
   done;
   !h
 
-let ref_event h e =
-  let ci = match e.Trace.e_cat with None -> -1 | Some c -> Breakdown.category_index c in
-  List.fold_left ref_mix h
-    [
-      Int64.bits_of_float e.Trace.e_ts;
-      Int64.of_int (kind_index e.e_kind);
-      Int64.of_int e.e_cpu;
-      Int64.of_int e.e_tid;
-      Int64.of_int e.e_tag;
-      Int64.of_int ci;
-      Int64.bits_of_float e.e_dur;
-      Int64.of_int e.e_arg;
-    ]
+let v1_event h e = List.fold_left v1_word h (event_words e)
+
+(* v2: one rotate/xor/multiply step per word, h <- (rotl h 23 lxor w) *
+   K from 0x243F6A8885A308D3, splitmix64's finaliser at the end. *)
+let v2_golden_digest = "edfc59d47033e564"
+
+let v2_seed = 0x243F6A8885A308D3L
+
+let v2_word h w =
+  let rotl = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
+  Int64.mul (Int64.logxor rotl w) 0x9E3779B97F4A7C15L
+
+let v2_event h e = List.fold_left v2_word h (event_words e)
 
 (* Fixed configuration: Sem, same CPU, warmup 5, 20 measured iterations.
    If this test fails, a code change altered the simulated event timeline
@@ -305,7 +328,7 @@ let ref_event h e =
    configuration: if the change is intentional, rerun it
    (`dipc_cli suite --json FILE` reports its digest as golden_digest)
    and update the constants together with EXPERIMENTS.md. *)
-let golden_digest = "edfc59d47033e564"
+let golden_digest = "e9c29266f1b18af0"
 
 let golden_events = 1511
 
@@ -325,11 +348,19 @@ let golden_breakdown =
   ]
 
 let test_golden_microbench_trace () =
-  let v1 = ref 0xCBF29CE484222325L in
-  let tr, r = sem_run ~sink:(fun e -> v1 := ref_event !v1 e) () in
+  let v1 = ref 0xCBF29CE484222325L and v2 = ref v2_seed in
+  let tr, r =
+    sem_run
+      ~sink:(fun e ->
+        v1 := v1_event !v1 e;
+        v2 := v2_event !v2 e)
+      ()
+  in
   Alcotest.(check string) "golden replay digest" golden_digest (Trace.digest_hex tr);
   Alcotest.(check string) "v1 digest of the same stream" v1_golden_digest
     (Printf.sprintf "%016Lx" !v1);
+  Alcotest.(check string) "v2 digest of the same stream" v2_golden_digest
+    (Printf.sprintf "%016Lx" (splitmix_finaliser !v2));
   Alcotest.(check int) "golden event count" golden_events (Trace.total tr);
   check_float "golden mean" golden_mean_ns r.M.mean_ns;
   List.iter
