@@ -12,9 +12,10 @@
    The representation is a plain counts array plus integer totals, so
    [merge] is exact bucket-wise addition: associative, commutative, and
    deterministic — per-shard histograms combine to the same state in any
-   order, which the open-arrival sweeps rely on for --jobs invariance.
-   The digest folds only integer state (bucket counts), never float
-   accumulators. *)
+   order.  The open-arrival sweeps' --jobs invariance does not rest on
+   it: each cell runs to completion in one histogram, sharing no state
+   with any other (DESIGN.md Sec. 10).  The digest folds only integer
+   state (bucket counts), never float accumulators. *)
 
 let sub_bits = 7
 
@@ -45,45 +46,20 @@ let create () =
 
 let sum_ns t = Float.Array.unsafe_get t.sum_ns 0
 
-(* Position of the highest set bit of a positive int. *)
-let msb n =
-  let k = ref 0 and n = ref n in
-  if !n lsr 32 <> 0 then begin
-    k := !k + 32;
-    n := !n lsr 32
-  end;
-  if !n land 0xFFFF0000 <> 0 then begin
-    k := !k + 16;
-    n := !n lsr 16
-  end;
-  if !n land 0xFF00 <> 0 then begin
-    k := !k + 8;
-    n := !n lsr 8
-  end;
-  if !n land 0xF0 <> 0 then begin
-    k := !k + 4;
-    n := !n lsr 4
-  end;
-  if !n land 0xC <> 0 then begin
-    k := !k + 2;
-    n := !n lsr 2
-  end;
-  if !n land 0x2 <> 0 then incr k;
-  !k
-
+(* For u in [128, 2^45) the IEEE-754 double of u is its bucket: the
+   biased exponent is k + 1023, where 2^k <= u < 2^(k+1) (k >= 7, so
+   the top 7 mantissa bits are all integer bits of u, i.e. the
+   sub-bucket), and the bits above the mantissa's top 7 read as
+   (k + 1023) * 128 + sub.  Subtracting 1029 * 128 leaves
+   128 + (k - 7) * 128 + sub, with no data-dependent branch. *)
 let bucket_of ns =
   let u = ns *. units_per_ns in
   if not (u > 0.) then 0 (* negatives, zero and NaN land in bucket 0 *)
   else if u >= clamp_units then buckets - 1
-  else begin
-    let n = int_of_float u in
-    if n < sub_count then n
-    else begin
-      let k = msb n in
-      let sub = (n lsr (k - sub_bits)) - sub_count in
-      sub_count + (((k - sub_bits) * sub_count) + sub)
-    end
-  end
+  else if u < float_of_int sub_count then int_of_float u
+  else
+    Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float u) 45)
+    - (1029 * sub_count)
 
 (* Lower bound and width of bucket [b], in units. *)
 let bucket_bounds b =

@@ -7,6 +7,11 @@ type t
 
 val create : unit -> t
 
+(** Index of the bucket a sample of [ns] nanoseconds is counted in:
+    negatives, zero and NaN map to 0, samples of at least ~275 s to the
+    last bucket. *)
+val bucket_of : float -> int
+
 (** Record one latency sample, in nanoseconds.  Negative and NaN
     samples land in the zero bucket. *)
 val add : t -> float -> unit

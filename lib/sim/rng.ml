@@ -44,10 +44,12 @@ let next_int64 t =
    same family of streams run after run. *)
 let split t = of_state (next_int64 t)
 
-(* Uniform float in [0, 1). Uses the top 53 bits. *)
+(* Uniform float in [0, 1). Uses the top 53 bits.  Every 53-bit integer
+   is an exact double and scaling it by a power of two is exact, so the
+   multiply gives the same bits as dividing by 2^53, at a lower cost. *)
 let float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits /. 9007199254740992.0
+  Int64.to_float bits *. 0x1p-53
 
 (* Uniform integer in [0, bound).  The shift keeps the value within
    OCaml's 63-bit positive int range. *)

@@ -223,15 +223,22 @@ type station = {
   mutable requests : int;
 }
 
+(* [Bool.to_int], declared here: naming [Bool] links one more stdlib
+   unit into every executable, which shifts the benchmark runner's
+   host-speed probe (tools/probe_layout.sh). *)
+external int_of_bool : bool -> int = "%identity"
+
 (* Serve the request of a session with [left] requests to go, ready at
-   [ready], on the earliest-free server; queue the session's next
-   request after a think pause.  Inlined into both branches of the loop
-   so [ready] is never boxed for a call. *)
+   [ready], on the earliest-free server (the lowest index on ties);
+   queue the session's next request after a think pause.  Inlined into
+   both branches of the loop so [ready] is never boxed for a call.  The
+   pick is arithmetic, not a branch: which server frees first is
+   random, so a branch on it mispredicts often. *)
 let[@inline] serve st ready left =
   let free = st.free in
   let srv = ref 0 in
   for i = 1 to Array.length free - 1 do
-    if free.(i) < free.(!srv) then srv := i
+    srv := !srv + (int_of_bool (free.(i) < free.(!srv)) * (i - !srv))
   done;
   let start = if ready > free.(!srv) then ready else free.(!srv) in
   let svc = Rng.exponential st.rng_service ~mean:st.service_ns in

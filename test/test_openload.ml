@@ -84,8 +84,10 @@ let qcheck_sharded_merge_equals_single_stream =
     QCheck.(pair samples_gen (int_range 1 7))
     (fun (xs, shards) ->
       (* Deal samples round-robin across [shards] histograms, merge, and
-         compare against recording the whole stream into one — digest
-         equality means bucket-exact, which --jobs invariance needs. *)
+         compare against recording the whole stream into one: digest
+         equality means bucket-exact.  No run merges histograms (the
+         open sweeps' --jobs invariance rests on cells sharing no
+         state); this pins [merge] for callers that shard a stream. *)
       let parts = Array.init shards (fun _ -> Histogram.create ()) in
       List.iteri (fun i x -> Histogram.add parts.(i mod shards) x) xs;
       let merged = Histogram.create () in
@@ -233,9 +235,10 @@ let test_openload_jobs_invariant () =
    and began serving admissions without a heap round trip: a change to
    the loop, the generators or the digest that moves the timeline moves
    these pins. *)
-let pinned_params ?(arrival = OL.Poisson) ?think_ns ?max_extra_reqs () =
+let pinned_params ?(arrival = OL.Poisson) ?think_ns ?max_extra_reqs ?servers
+    () =
   OL.default_params ~seed:42 ~sessions:20_000 ~offered_load:0.95 ~arrival
-    ?think_ns ?max_extra_reqs ~service_ns:4000. ()
+    ?think_ns ?max_extra_reqs ?servers ~service_ns:4000. ()
 
 let pinned_cells =
   [
@@ -247,6 +250,15 @@ let pinned_cells =
     ( "poisson, think 0, extra 0",
       pinned_params ~think_ns:0. ~max_extra_reqs:0 (),
       "8a5a7500a862f158" );
+    (* Captured before the server pick went branch-free: one server
+       never picks, and 3 and 7 exercise odd widths of the scan. *)
+    ("poisson, 1 server", pinned_params ~servers:1 (), "55cb9e7808fb76ca");
+    ( "bursty, 3 servers",
+      pinned_params ~arrival:OL.Bursty ~servers:3 (),
+      "8d2d8734ce7b2c1d" );
+    ( "diurnal, 7 servers",
+      pinned_params ~arrival:OL.Diurnal ~servers:7 (),
+      "ab9dfefb8f81eaa6" );
   ]
 
 let test_openload_pinned_digests () =

@@ -1,7 +1,7 @@
 (* Property tests (qcheck) for the simulation substrate primitives the
    fault injector and checker lean on: Rng.split stream independence,
-   Histogram bucket boundaries, and Stats against straightforward float
-   references. *)
+   Histogram bucket boundaries and indices, and Stats against
+   straightforward float references. *)
 
 module Rng = Dipc_sim.Rng
 module Histogram = Dipc_sim.Histogram
@@ -179,6 +179,55 @@ let qcheck_hist_percentile_monotone_in_samples =
          every sample, within 1% of the maximum. *)
       List.for_all (fun x -> x <= top) xs && top <= 1.01 *. mx)
 
+(* --- Histogram.bucket_of: the exponent-bit bucket vs the integer-msb
+       formula it replaced --- *)
+
+(* The reference: the highest set bit [k] of the sample's integer units,
+   then 128 + (k - 7) * 128 + the 7 bits below it.  4992 = 128 * 39
+   buckets: the linear region plus majors 7..44. *)
+let reference_bucket_of ns =
+  let u = ns *. 128. in
+  if not (u > 0.) then 0
+  else if u >= Float.ldexp 1. 45 then 4991
+  else begin
+    let n = int_of_float u in
+    if n < 128 then n
+    else begin
+      let k = ref 0 in
+      while n lsr (!k + 1) <> 0 do
+        incr k
+      done;
+      let sub = (n lsr (!k - 7)) - 128 in
+      128 + ((!k - 7) * 128) + sub
+    end
+  end
+
+let qcheck_bucket_of_matches_msb =
+  QCheck.Test.make ~name:"bucket_of matches the integer-msb reference"
+    ~count:2000
+    QCheck.(float_range (-10.) 40.)
+    (fun e ->
+      let ns = Float.pow 2. e in
+      Histogram.bucket_of ns = reference_bucket_of ns)
+
+(* Every power-of-two unit boundary, either side of it, and the edges:
+   zero, negatives, NaN, infinities and the clamp at 2^45 units. *)
+let test_bucket_of_boundaries () =
+  let edges =
+    List.concat_map
+      (fun k ->
+        let b = Float.ldexp 1. k /. 128. in
+        [ Float.pred b; b; Float.succ b ])
+      (List.init 46 Fun.id)
+    @ [ 0.; -0.; -1.; Float.nan; Float.infinity; Float.neg_infinity;
+        Float.ldexp 1. 38; Float.pred (Float.ldexp 1. 38); 1e20 ]
+  in
+  List.iter
+    (fun ns ->
+      Alcotest.(check int) (Printf.sprintf "bucket of %h ns" ns)
+        (reference_bucket_of ns) (Histogram.bucket_of ns))
+    edges
+
 (* --- Stats: Welford accumulator and nearest-rank percentile vs plain
        float references --- *)
 
@@ -255,8 +304,13 @@ let suites =
           qcheck_hist_relative_error_bound;
           qcheck_hist_power_of_two_resolution;
           qcheck_hist_percentile_monotone_in_samples;
+          qcheck_bucket_of_matches_msb;
         ]
-      @ [ Alcotest.test_case "bucket clamps" `Quick test_hist_clamps ] );
+      @ [
+          Alcotest.test_case "bucket clamps" `Quick test_hist_clamps;
+          Alcotest.test_case "bucket_of at every boundary" `Quick
+            test_bucket_of_boundaries;
+        ] );
     ( "props.stats",
       List.map QCheck_alcotest.to_alcotest
         [

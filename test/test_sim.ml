@@ -95,6 +95,26 @@ let prop_rng_float_range =
       done;
       !ok)
 
+(* [Rng.float] scales the top 53 bits by 0x1p-53; the division by 2^53
+   it replaced is the reference, bit for bit, so no simulated draw
+   moved. *)
+let prop_rng_float_matches_division =
+  QCheck.Test.make ~name:"rng float is bit-equal to the division form"
+    ~count:200 QCheck.int
+    (fun seed ->
+      let r = Rng.create ~seed in
+      let ok = ref true in
+      for _ = 1 to 100 do
+        let copy = Rng.copy r in
+        let want =
+          Int64.to_float (Int64.shift_right_logical (Rng.next_int64 copy) 11)
+          /. 9007199254740992.0
+        in
+        if Int64.bits_of_float (Rng.float r) <> Int64.bits_of_float want then
+          ok := false
+      done;
+      !ok)
+
 let prop_rng_int_range =
   QCheck.Test.make ~name:"rng int in [0,bound)" ~count:100
     QCheck.(pair small_int (int_range 1 1000))
@@ -599,7 +619,12 @@ let suites =
         Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
       ]
-      @ qsuite [ prop_rng_float_range; prop_rng_int_range ] );
+      @ qsuite
+          [
+            prop_rng_float_range;
+            prop_rng_float_matches_division;
+            prop_rng_int_range;
+          ] );
     ( "sim.stats",
       [
         Alcotest.test_case "basic" `Quick test_stats_basic;
