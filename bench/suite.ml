@@ -607,26 +607,23 @@ let line_row ?(digest = "") ?(metric = 0.) ?(counters = []) name line =
   }
 
 (* Each experiment is timed from a clean heap: collecting the previous
-   experiment's garbage (its trace ring, parked continuations) outside
-   the measured window keeps per-experiment walls independent of suite
-   order.  Simulation results and digests never depend on the GC. *)
+   experiment's garbage (its parked continuations) outside the measured
+   window keeps per-experiment walls independent of suite order.
+   Simulation results and digests never depend on the GC. *)
 let timed f =
   Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Ring capacity for the suite's tracers.  The replay digest and event
-   count fold over *every* emitted event regardless of capacity, so the
-   ring size is invisible to the golden comparison, and nothing reads a
-   suite tracer's ring (an invariant violation reports the checker's own
-   16-event window).  What capacity does affect is host wall time: every
-   emit stores eight words, and a ring larger than the L1 cache evicts
-   the simulation's working set on the multi-million-event runs.  A
-   one-event ring keeps every store in one cache line per array, ~0.02 s
-   off the traced Linux cell against a 4Ki ring (EXPERIMENTS.md "Replay
-   digest v3"). *)
-let bench_trace_capacity = 1
+(* Ring capacity for the suite's tracers: none.  The replay digest and
+   event count fold over every emitted event, and nothing reads a suite
+   tracer's ring (an invariant violation reports the checker's own
+   16-event window), so the suite's tracers are digest-only and make
+   none of the eight per-event ring stores: ~0.04 s off the traced
+   Linux cell against a one-event ring (EXPERIMENTS.md "Digest-only
+   tracers"). *)
+let bench_trace_capacity = 0
 
 let mk_tracer () = Trace.create ~capacity:bench_trace_capacity ()
 

@@ -1,10 +1,12 @@
 (* Structured event tracing with deterministic replay fingerprints.
 
-   Storage is struct-of-arrays: eight parallel flat arrays indexed by a
-   ring cursor, so recording an event allocates nothing and the GC never
+   The ring is struct-of-arrays: eight parallel flat arrays indexed by a
+   cursor, so recording an event allocates nothing and the GC never
    sees the hot path.  The digest is folded over every emitted event
    (not just the ones the ring still holds), so it fingerprints the
-   whole run even when the buffer wraps.
+   whole run even when the buffer wraps.  A tracer created with
+   capacity 0 has no ring at all: it only counts and digests, which is
+   all a run that is only fingerprinted needs.
 
    The digest (v3).  Each event's eight fields, ts, kind, cpu, tid, tag,
    cat, dur and arg, are read as 64-bit words w_1..w_8: floats by their
@@ -123,8 +125,8 @@ type event = {
   e_arg : int;
 }
 
-type t = {
-  on : bool;
+(* The ring: the last [cap] (>= 1) events. *)
+type ring = {
   cap : int;
   ts : float array;
   kinds : int array;
@@ -135,6 +137,11 @@ type t = {
   durs : float array;
   args : int array;
   mutable head : int; (* next write slot *)
+}
+
+type t = {
+  on : bool;
+  ring : ring option; (* None: digest-only (capacity 0) *)
   mutable count : int; (* lifetime emits; the ring holds min count cap *)
   (* Two unboxed 64-bit words in one flat [floatarray]: the digest state
      (word 0) and a slot (byte 8) through which a float's bits are read
@@ -204,27 +211,29 @@ let thread_fixed =
     [ int_term (-1) k_tag; int_term (-1) k_cat; premix (Int64.bits_of_float 0.) k_dur ]
 
 let make ~on ~capacity =
-  if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
+  if capacity < 0 then invalid_arg "Trace.create: capacity must not be negative";
   let state = Float.Array.make 2 0. in
   set_state state 0 seed;
-  {
-    on;
-    cap = capacity;
-    ts = Array.make capacity 0.;
-    kinds = Array.make capacity 0;
-    cpus = Array.make capacity (-1);
-    tids = Array.make capacity (-1);
-    tags = Array.make capacity (-1);
-    cats = Array.make capacity (-1);
-    durs = Array.make capacity 0.;
-    args = Array.make capacity 0;
-    head = 0;
-    count = 0;
-    state;
-    sink = None;
-  }
+  let ring =
+    if capacity = 0 then None
+    else
+      Some
+        {
+          cap = capacity;
+          ts = Array.make capacity 0.;
+          kinds = Array.make capacity 0;
+          cpus = Array.make capacity (-1);
+          tids = Array.make capacity (-1);
+          tags = Array.make capacity (-1);
+          cats = Array.make capacity (-1);
+          durs = Array.make capacity 0.;
+          args = Array.make capacity 0;
+          head = 0;
+        }
+  in
+  { on; ring; count = 0; state; sink = None }
 
-let null = make ~on:false ~capacity:1
+let null = make ~on:false ~capacity:0
 
 let create ?(capacity = 65536) () = make ~on:true ~capacity
 
@@ -288,33 +297,41 @@ let[@inline] chain t e =
   let r = Int64.logor (Int64.shift_left h 23) (Int64.shift_right_logical h 41) in
   set_state t.state 0 (Int64.mul (Int64.logxor r e) 0x9E3779B97F4A7C15L)
 
-(* Store one event in the ring and hand it to the sink.  [head] is
-   always a valid index (< cap, every array is [cap] long), so the
-   stores skip the bounds checks; the wrap is a compare, not a [mod]. *)
-let[@inline] store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
-  let i = t.head in
-  Array.unsafe_set t.ts i ts;
-  Array.unsafe_set t.kinds i ki;
-  Array.unsafe_set t.cpus i cpu;
-  Array.unsafe_set t.tids i tid;
-  Array.unsafe_set t.tags i tag;
-  Array.unsafe_set t.cats i ci;
-  Array.unsafe_set t.durs i dur;
-  Array.unsafe_set t.args i arg;
+(* Store one event in the ring.  [head] is always a valid index (< cap,
+   every array is [cap] long), so the stores skip the bounds checks; the
+   wrap is a compare, not a [mod]. *)
+let[@inline] store r ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  let i = r.head in
+  Array.unsafe_set r.ts i ts;
+  Array.unsafe_set r.kinds i ki;
+  Array.unsafe_set r.cpus i cpu;
+  Array.unsafe_set r.tids i tid;
+  Array.unsafe_set r.tags i tag;
+  Array.unsafe_set r.cats i ci;
+  Array.unsafe_set r.durs i dur;
+  Array.unsafe_set r.args i arg;
   let i1 = i + 1 in
-  t.head <- (if i1 = t.cap then 0 else i1);
+  r.head <- (if i1 = r.cap then 0 else i1)
+
+(* Record one digested event: store it in the ring, if there is one,
+   count it and hand it to the sink, if one is installed.  A
+   digest-only tracer skips the ring on one test. *)
+let[@inline] observe t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg =
+  (match t.ring with
+  | None -> ()
+  | Some r -> store r ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg);
   t.count <- t.count + 1;
   match t.sink with
   | None -> ()
   | Some _ -> feed_sink t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
 
-(* Every emit entry point is [chain] then [store], both inlined. *)
+(* Every emit entry point is [chain] then [observe], both inlined. *)
 let emit t ~ts ?(cpu = -1) ?(tid = -1) ?(tag = -1) ?cat ?(dur = 0.) ?(arg = 0) kind =
   if t.on then begin
     let ci = match cat with None -> -1 | Some c -> Breakdown.category_index c in
     let ki = kind_index kind in
     chain t (word t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg);
-    store t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
+    observe t ~ts ~ki ~cpu ~tid ~tag ~ci ~dur ~arg
   end
 
 (* Lean hot-path variants of [emit], digest- and ring-identical to the
@@ -329,7 +346,7 @@ let emit_bare t ~ts kind =
   if t.on then begin
     let ki = kind_index kind in
     chain t (bare_word t ~ts ~ki);
-    store t ~ts ~ki ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0. ~arg:0
+    observe t ~ts ~ki ~cpu:(-1) ~tid:(-1) ~tag:(-1) ~ci:(-1) ~dur:0. ~arg:0
   end
 
 (* [emit t ~ts ~cpu ~tid ~cat ~dur Charge] (tag and arg defaulted): the
@@ -338,7 +355,7 @@ let emit_charge t ~ts ~cpu ~tid ~cat ~dur =
   if t.on then begin
     let ci = Breakdown.category_index cat in
     chain t (charge_word t ~ts ~cpu ~tid ~ci ~dur);
-    store t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1) ~ci ~dur ~arg:0
+    observe t ~ts ~ki:(kind_index Charge) ~cpu ~tid ~tag:(-1) ~ci ~dur ~arg:0
   end
 
 (* [emit t ~ts ~cpu ~tid ~arg kind] (tag, category and duration
@@ -347,12 +364,13 @@ let emit_thread t ~ts ~cpu ~tid ~arg kind =
   if t.on then begin
     let ki = kind_index kind in
     chain t (thread_word t ~ts ~ki ~cpu ~tid ~arg);
-    store t ~ts ~ki ~cpu ~tid ~tag:(-1) ~ci:(-1) ~dur:0. ~arg
+    observe t ~ts ~ki ~cpu ~tid ~tag:(-1) ~ci:(-1) ~dur:0. ~arg
   end
 
 let total t = t.count
 
-let held t = if t.count < t.cap then t.count else t.cap
+let held t =
+  match t.ring with None -> 0 | Some r -> if t.count < r.cap then t.count else r.cap
 
 let dropped t = t.count - held t
 
@@ -360,20 +378,21 @@ let digest t = Rng.finalise (get_state t.state 0)
 
 let digest_hex t = Printf.sprintf "%016Lx" (digest t)
 
-let nth_event t j =
-  let i = (t.head - held t + j + t.cap + t.cap) mod t.cap in
+let nth_event r ~held j =
+  let i = (r.head - held + j + r.cap) mod r.cap in
   {
-    e_ts = t.ts.(i);
-    e_kind = kind_of_index t.kinds.(i);
-    e_cpu = t.cpus.(i);
-    e_tid = t.tids.(i);
-    e_tag = t.tags.(i);
-    e_cat = category_of_index t.cats.(i);
-    e_dur = t.durs.(i);
-    e_arg = t.args.(i);
+    e_ts = r.ts.(i);
+    e_kind = kind_of_index r.kinds.(i);
+    e_cpu = r.cpus.(i);
+    e_tid = r.tids.(i);
+    e_tag = r.tags.(i);
+    e_cat = category_of_index r.cats.(i);
+    e_dur = r.durs.(i);
+    e_arg = r.args.(i);
   }
 
-let events t = List.init (held t) (nth_event t)
+let events t =
+  match t.ring with None -> [] | Some r -> List.init (held t) (nth_event r ~held:(held t))
 
 (* --- Chrome trace_event export --- *)
 
@@ -407,9 +426,12 @@ let to_chrome_string t =
   let len = held t in
   let buf = Buffer.create (256 * (len + 2)) in
   Buffer.add_string buf "{\"traceEvents\":[\n";
-  for j = 0 to len - 1 do
-    add_chrome_event buf (nth_event t j) ~first:(j = 0)
-  done;
+  Option.iter
+    (fun r ->
+      for j = 0 to len - 1 do
+        add_chrome_event buf (nth_event r ~held:len j) ~first:(j = 0)
+      done)
+    t.ring;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"}\n";
   Buffer.contents buf
 

@@ -1,11 +1,12 @@
 (** Structured event tracing with deterministic replay fingerprints.
 
-    A trace is a fixed-capacity ring buffer of flat event records plus a
-    streaming digest over the {e entire} event stream (including events
-    the ring has already overwritten).  Two runs with the same RNG seeds
-    produce bit-identical event streams and therefore identical digests,
-    which makes the digest a replay fingerprint the determinism
-    regression tests can assert on.
+    A trace is a streaming digest over the {e entire} event stream plus,
+    unless it is digest-only, a fixed-capacity ring buffer of flat event
+    records (the digest includes events the ring has already
+    overwritten).  Two runs with the same RNG seeds produce bit-identical
+    event streams and therefore identical digests, which makes the
+    digest a replay fingerprint the determinism regression tests can
+    assert on.
 
     The digest (v3) reads each event's eight fields (ts, kind, cpu,
     tid, tag, cat, dur, arg) as 64-bit words [w_i] — floats by their
@@ -83,16 +84,20 @@ type t
 (** The always-disabled sink: emitting into it is a no-op. *)
 val null : t
 
-(** An enabled trace keeping the last [capacity] events (default 65536). *)
+(** An enabled trace keeping the last [capacity] events (default 65536).
+    [capacity = 0] makes it digest-only: it counts and digests every
+    event and feeds the sink, but keeps no ring, so {!events} is [[]]
+    and {!dropped} equals {!total}.
+    @raise Invalid_argument if [capacity] is negative. *)
 val create : ?capacity:int -> unit -> t
 
 val enabled : t -> bool
 
 (** Install (or clear) an online observer called with every emitted
-    event, after it has been digested and stored.  The sink is strictly
-    read-only with respect to the trace: it cannot perturb the digest,
-    the ring contents, or simulated time.  Used by {!Checker} to verify
-    protocol invariants while a run executes. *)
+    event, after it has been digested and stored (if there is a ring).
+    The sink is strictly read-only with respect to the trace: it cannot
+    perturb the digest, the ring contents, or simulated time.  Used by
+    {!Checker} to verify protocol invariants while a run executes. *)
 val set_sink : t -> (event -> unit) option -> unit
 
 (** Record one event.  No-op on a disabled sink. *)
@@ -126,13 +131,14 @@ val emit_charge :
     CPU, a thread and an argument and leave the rest defaulted. *)
 val emit_thread : t -> ts:float -> cpu:int -> tid:int -> arg:int -> kind -> unit
 
-(** Events still held in the ring, oldest first. *)
+(** Events still held in the ring, oldest first ([[]] when digest-only). *)
 val events : t -> event list
 
 (** Number of events emitted over the trace's lifetime. *)
 val total : t -> int
 
-(** Events overwritten by ring wrap-around (still digested). *)
+(** Events no longer held: overwritten by ring wrap-around, or every
+    event of a digest-only trace (all still digested). *)
 val dropped : t -> int
 
 (** The v3 digest of every event emitted so far (see above). *)

@@ -806,6 +806,46 @@ let prop_emit_thread_equivalent =
       Trace.emit_thread b ~ts ~cpu ~tid ~arg kind;
       Trace.digest a = Trace.digest b && Trace.events a = Trace.events b)
 
+(* Send [e] through entry point [via]: 0 = [emit], 1 = [emit_bare],
+   2 = [emit_charge], 3 = [emit_thread].  The lean ones record [e] with
+   the fields they do not take defaulted. *)
+let emit_via tr via e =
+  match via with
+  | 0 ->
+      Trace.emit tr ~ts:e.ts ~cpu:e.cpu ~tid:e.tid ~tag:e.tag ?cat:e.cat ~dur:e.dur
+        ~arg:e.arg e.kind
+  | 1 -> Trace.emit_bare tr ~ts:e.ts e.kind
+  | 2 ->
+      Trace.emit_charge tr ~ts:e.ts ~cpu:e.cpu ~tid:e.tid
+        ~cat:(Option.value e.cat ~default:Breakdown.Kernel)
+        ~dur:e.dur
+  | _ -> Trace.emit_thread tr ~ts:e.ts ~cpu:e.cpu ~tid:e.tid ~arg:e.arg e.kind
+
+(* A digest-only tracer (capacity 0) folds and counts exactly what a
+   ring tracer does, through every entry point, keeps no events, and
+   still hands each one to its sink. *)
+let prop_digest_only_matches_ring =
+  QCheck.Test.make ~name:"digest-only tracer digests and counts like a ring tracer"
+    ~count:500
+    (QCheck.list_of_size
+       QCheck.Gen.(0 -- 20)
+       (QCheck.pair (QCheck.int_range 0 3) event_gen))
+    (fun calls ->
+      let ring = Trace.create () and only = Trace.create ~capacity:0 () in
+      let seen = ref [] in
+      Trace.set_sink only (Some (fun ev -> seen := ev :: !seen));
+      List.iter
+        (fun (via, e) ->
+          emit_via ring via e;
+          emit_via only via e)
+        calls;
+      Trace.digest only = Trace.digest ring
+      && Trace.total only = Trace.total ring
+      && Trace.total only = List.length calls
+      && Trace.events only = []
+      && Trace.dropped only = Trace.total only
+      && compare (List.rev !seen) (Trace.events ring) = 0)
+
 let suites =
   [
     ( "perf.heap",
@@ -860,5 +900,6 @@ let suites =
           prop_emit_bare_equivalent;
           prop_emit_charge_equivalent;
           prop_emit_thread_equivalent;
+          prop_digest_only_matches_ring;
         ] );
   ]

@@ -56,6 +56,28 @@ let test_null_sink_is_inert () =
   Alcotest.(check int) "no events recorded" 0 (Trace.total Trace.null);
   Alcotest.(check int) "no events listed" 0 (List.length (Trace.events Trace.null))
 
+(* Nothing reads a suite tracer's ring, so the suite must not keep one:
+   its tracers count and digest every event and hold none. *)
+let test_suite_tracer_digest_only () =
+  let tr = Dipc_bench_suite.Suite.mk_tracer () in
+  for i = 1 to 5 do
+    Trace.emit tr ~ts:(float_of_int i) ~tid:i Trace.Sched
+  done;
+  Alcotest.(check bool) "enabled" true (Trace.enabled tr);
+  Alcotest.(check int) "lifetime total" 5 (Trace.total tr);
+  Alcotest.(check int) "no events listed" 0 (List.length (Trace.events tr));
+  Alcotest.(check int) "dropped = total" 5 (Trace.dropped tr)
+
+(* 0 is the smallest capacity; below it [create] raises. *)
+let test_capacity_bounds () =
+  ignore (Trace.create ~capacity:0 ());
+  List.iter
+    (fun capacity ->
+      match Trace.create ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ -1; min_int ]
+
 let test_chrome_export_shape () =
   let tr = Trace.create () in
   Trace.emit tr ~ts:10. ~cpu:0 ~tid:1 ~cat:Breakdown.User_code ~dur:4. Trace.Charge;
@@ -380,6 +402,10 @@ let suites =
         Alcotest.test_case "digest covers overwritten" `Quick
           test_digest_covers_overwritten_events;
         Alcotest.test_case "null sink inert" `Quick test_null_sink_is_inert;
+        Alcotest.test_case "suite tracers are digest-only" `Quick
+          test_suite_tracer_digest_only;
+        Alcotest.test_case "capacity 0 accepted, negative rejected" `Quick
+          test_capacity_bounds;
         Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape;
       ] );
     ( "trace.determinism",

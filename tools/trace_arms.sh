@@ -6,7 +6,8 @@
 # Builds the working tree four times in a temporary copy, three of them
 # with lib/sim/trace.ml cut down, and times [Oltp.run ~seed:41] (96
 # threads per tier, in memory) on the Linux and the dIPC configuration
-# under seven arms, traced ones with a 4Ki ring unless stated:
+# under eight arms.  The traced arms keep a 4Ki ring, except ring1 (one
+# event) and digest (no ring: the suite's tracer):
 #
 #   untraced  no tracer (the HEAD build)
 #   null      ~trace:Trace.null (the HEAD build)
@@ -14,7 +15,8 @@
 #   noring    traced, the eight ring array stores removed
 #   neither   traced, both removed
 #   head      traced, the tree as it is
-#   ring1     traced, the tree as it is, with the suite's 1-event ring
+#   ring1     traced, the tree as it is, with a 1-event ring
+#   digest    traced, the tree as it is, digest-only (capacity 0)
 #
 # Each round runs every arm once per configuration, in that order, in a
 # fresh process (OCAMLRUNPARAM=s=8M, the benchmark's nursery); each run
@@ -59,8 +61,9 @@ cut() {
 
 cat > "$work/arms.ml" <<'EOF'
 (* arms.exe MODE CONFIG REPS CAPACITY: MODE is untraced, null or traced;
-   CONFIG linux or dipc; CAPACITY the traced ring's.  Prints the minimum
-   wall of REPS runs and the minor words of the last run. *)
+   CONFIG linux or dipc; CAPACITY the traced ring's, 0 for digest-only.
+   Prints the minimum wall of REPS runs and the minor words of the last
+   run. *)
 module O = Dipc_workloads.Oltp
 module Trace = Dipc_sim.Trace
 
@@ -88,7 +91,7 @@ EOF
 
 for build in head nofold noring neither; do copy "$build"; done
 fold='s/^\( *\)chain t (.*);$/\1();/'
-ring='/^ *Array\.unsafe_set t\.[a-z]* i [a-z]*;$/d'
+ring='/^ *Array\.unsafe_set r\.[a-z]* i [a-z]*;$/d'
 cut nofold "$fold" 4
 cut noring "$ring" 8
 cut neither "$fold" 4
@@ -98,10 +101,12 @@ for build in head nofold noring neither; do
   dune build --root "$work/$build" --display=quiet arms/arms.exe >&2
 done
 
-arm_build() { case $1 in untraced | null | ring1) echo head ;; *) echo "$1" ;; esac; }
+arm_build() {
+  case $1 in untraced | null | ring1 | digest) echo head ;; *) echo "$1" ;; esac
+}
 arm_mode() { case $1 in untraced | null) echo "$1" ;; *) echo traced ;; esac; }
-arm_capacity() { case $1 in ring1) echo 1 ;; *) echo 4096 ;; esac; }
-arms="untraced null nofold noring neither head ring1"
+arm_capacity() { case $1 in ring1) echo 1 ;; digest) echo 0 ;; *) echo 4096 ;; esac; }
+arms="untraced null nofold noring neither head ring1 digest"
 : > "$work/runs"
 r=1
 while [ "$r" -le "$rounds" ]; do
